@@ -4,7 +4,8 @@ Because a robot never sees its antipodal point, every multiplicity-free view
 spawns two hypothesis configurations: the view as-is (antipode empty) and
 the view plus one robot at the antipode. Classification, the safe-neighbor
 test and the A/BI/BII/C taxonomy are all built on electing leaders inside
-those hypotheses. ``classify`` and friends consume a Snapshot only, so a
+those hypotheses, which ``configuration`` does by least rotation of their
+integer gap lists. ``classify`` and friends consume a Snapshot only, so a
 robot could run them from purely local information; the whole-configuration
 operations at the bottom exist for the simulator and the test oracles.
 """
@@ -21,8 +22,7 @@ from .angles import HALF_TURN, antipode, cw_angle, format_angle
 from .configuration import (
     Configuration,
     Snapshot,
-    _gaps_have_period,
-    gap_sequence,
+    is_rotationally_symmetric,
     leader_of_positions,
     snapshot_of_positions,
     take_snapshot,
@@ -88,8 +88,8 @@ def _hypothesis_data(snapshot: Snapshot):
     """
     c0 = (Fraction(0),) + snapshot.offsets
     c1 = tuple(sorted(c0 + (HALF_TURN,)))
-    sym0 = _symmetric(c0)
-    sym1 = _symmetric(c1)
+    sym0 = is_rotationally_symmetric(c0)
+    sym1 = is_rotationally_symmetric(c1)
     if sym0 and sym1:
         raise AmbiguousSymmetric("both antipodal hypotheses are symmetric")
     if sym0:
@@ -99,10 +99,6 @@ def _hypothesis_data(snapshot: Snapshot):
     else:
         possibility = Possibility.BOTH
     return c0, c1, possibility
-
-
-def _symmetric(positions: Tuple[Fraction, ...]) -> bool:
-    return _gaps_have_period(gap_sequence(positions))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -212,7 +208,7 @@ def configuration_class(config: Configuration) -> ConfigurationClass:
     positions = config.positions
     if len(set(positions)) != len(positions):
         raise MultiplicityPresent("taxonomy undefined with a multiplicity point")
-    if is_rotationally_symmetric_positions(positions):
+    if is_rotationally_symmetric(positions):
         raise SymmetricConfiguration("taxonomy undefined for symmetric configurations")
     leaders = expected_leaders(config)
     if len(leaders) == 1:
@@ -239,10 +235,6 @@ def configuration_class(config: Configuration) -> ConfigurationClass:
         f"expected-leader count must be 1 or 2, got {len(leaders)} "
         f"in {[format_angle(p) for p in positions]}"
     )
-
-
-def is_rotationally_symmetric_positions(positions: Tuple[Fraction, ...]) -> bool:
-    return _gaps_have_period(gap_sequence(positions))
 
 
 def analysis_report(config: Configuration) -> dict:

@@ -1,15 +1,16 @@
 """Operator entry point: analyze configurations, run simulations, verify.
 
-Exit codes are fixed for scriptability: 0 success, 1 parse error, 2 illegal
-input (symmetric or multiplicity-bearing configuration), 3 limit exceeded
-or target not reached. All output is deterministic given the flags.
+Exit codes are fixed for scriptability: 0 success, 1 parse error (any
+malformed document or field), 2 illegal input (symmetric or
+multiplicity-bearing configuration, or a schedule that cannot be replayed),
+3 limit exceeded or target not reached. All output is deterministic given
+the flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -120,30 +121,59 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return obj
+
+
+def _int(obj: dict, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{key!r} must be an integer, got {value!r}")
+
+
+def _event_from_json(obj):
+    obj = _object(obj, "each scripted event")
+    try:
+        robot, look, decide = obj["robot"], obj["look"], obj["decide"]
+    except KeyError:
+        raise ParseError("each scripted event needs 'robot', 'look' and 'decide' fields")
+    if not isinstance(robot, str):
+        raise ParseError("scripted event 'robot' must be a string")
+    return robot, parse_time(look), parse_time(decide)
+
+
 def _policy_from_json(obj):
+    obj = _object(obj, "'policy'")
     kind = obj.get("kind")
-    if kind == "fsync":
-        return FsyncPolicy()
-    if kind == "ssync":
-        return SsyncPolicy(
-            seed=int(obj.get("seed", 0)),
-            max_skips=int(obj.get("fairness_window", 3)),
-        )
-    if kind == "async-random":
-        return AsyncRandomPolicy(
-            seed=int(obj.get("seed", 0)),
-            delay_denominator_bound=int(obj.get("delay_denominator_bound", 8)),
-        )
+    try:
+        if kind == "fsync":
+            return FsyncPolicy()
+        if kind == "ssync":
+            return SsyncPolicy(
+                seed=_int(obj, "seed", 0),
+                max_skips=_int(obj, "fairness_window", 3),
+            )
+        if kind == "async-random":
+            return AsyncRandomPolicy(
+                seed=_int(obj, "seed", 0),
+                delay_denominator_bound=_int(obj, "delay_denominator_bound", 8),
+            )
+    except ValueError as exc:
+        raise ParseError(f"bad {kind} policy: {exc}")
     if kind == "scripted":
-        events = [
-            (e["robot"], parse_time(e["look"]), parse_time(e["decide"]))
-            for e in obj.get("events", [])
-        ]
-        return ScriptedPolicy(events)
+        events = obj.get("events", [])
+        if not isinstance(events, list):
+            raise ParseError("scripted policy 'events' must be a list")
+        return ScriptedPolicy([_event_from_json(e) for e in events])
     raise ParseError(f"unknown policy kind {kind!r}")
 
 
 def _options_from_json(obj) -> RunOptions:
+    obj = _object(obj, "'options'")
     options = RunOptions()
     threshold = obj.get("multiplicity_threshold", "pi/2")
     if threshold == "pi/2":
@@ -159,14 +189,17 @@ def _options_from_json(obj) -> RunOptions:
 
 
 def load_run_config(obj):
-    """(initial, policy, limits, options) from a run configuration document."""
+    """(initial, policy, limits, options) from a run configuration document.
+
+    Any malformed field is a :class:`ParseError`.
+    """
     try:
         initial = Configuration.from_json(obj["initial"])
     except (TypeError, KeyError):
         raise ParseError("run configuration needs an 'initial' configuration")
     policy = _policy_from_json(obj.get("policy", {"kind": "fsync"}))
-    lim = obj.get("limits", {})
-    limits = RunLimits(max_events=int(lim.get("max_events", 100000)))
+    lim = _object(obj.get("limits", {}), "'limits'")
+    limits = RunLimits(max_events=_int(lim, "max_events", 100000))
     if "max_time" in lim:
         limits.max_time = parse_time(lim["max_time"])
     options = _options_from_json(obj.get("options", {}))
@@ -295,7 +328,6 @@ def verify_sweep(
         "proposition_failures": proposition_failures,
         "classes_found": classes_found,
         "sim_failures": sim_failures,
-        "threads": int(os.environ.get("GATHER_SIM_THREADS", "1")),
     }
 
 

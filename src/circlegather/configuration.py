@@ -5,6 +5,12 @@ Identities exist only for the simulator and tests; none of the analysis
 operations read them. Snapshots are what a single robot actually sees:
 clockwise offsets of occupied points strictly closer than a half turn,
 with weak multiplicity flags (a flag, never a count).
+
+Angles are exact Fractions at every public boundary. Leader election and
+the symmetry test convert the positions once to integer gaps on the
+common-denominator lattice (:func:`lattice`) and run there in linear time:
+the leader starts the least rotation of the gap list, and the configuration
+is symmetric iff the gap list has a nontrivial period.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .angles import HALF_TURN, cw_angle, format_angle, norm, parse_angle
 from .errors import (
@@ -64,6 +71,8 @@ class Configuration:
             if not isinstance(rid, str):
                 raise ParseError("robot 'id' must be a string")
             robots.append(Robot(rid, parse_angle(pos)))
+        if len({r.robot_id for r in robots}) != len(robots):
+            raise ParseError("robot ids must be unique")
         return cls(tuple(robots))
 
     def to_json(self) -> dict:
@@ -188,37 +197,101 @@ def lex_compare(a: AngleSeq, b: AngleSeq) -> int:
     return -1 if ta < tb else 1
 
 
+def lattice(positions: Sequence[Fraction]) -> Tuple[Tuple[Fraction, ...], List[int]]:
+    """Positions sorted clockwise from 0, with their clockwise gaps as ints.
+
+    The gaps are counted in steps of 1/D, D being the lcm of the position
+    denominators, so gap ``i`` runs from point ``i`` to point ``i + 1`` (the
+    last one wraps around) and the gaps sum to D. Scaling by D keeps every
+    equality and order between gaps, so symmetry and leader election on the
+    ints agree exactly with the same questions asked of the Fraction gaps.
+    Positions outside [0, 1) are placed by their value modulo one turn;
+    two positions on one point raise :class:`MultiplicityPresent`.
+    """
+    if not positions:
+        return (), []
+    ratios = [p.as_integer_ratio() for p in positions]
+    d = lcm(*[q for _, q in ratios])
+    ticks = [num * (d // q) % d for num, q in ratios]
+    order = sorted(range(len(ticks)), key=ticks.__getitem__)
+    pts = tuple([positions[i] for i in order])
+    ticks = [ticks[i] for i in order]
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    gaps.append(ticks[0] + d - ticks[-1])
+    if 0 in gaps:
+        raise MultiplicityPresent("operation undefined with a multiplicity point")
+    return pts, gaps
+
+
+def least_rotation(seq: Sequence[int]) -> int:
+    """Start index of the lexicographically least rotation of ``seq``.
+
+    Duval's Lyndon factorisation run over the doubled sequence (Duval 1983),
+    in linear time. For a periodic sequence any start of a least rotation
+    may come back.
+    """
+    n = len(seq)
+    doubled = list(seq) * 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
+def has_period(seq: Sequence[int]) -> bool:
+    """True iff a rotation by fewer than ``len(seq)`` steps maps ``seq`` onto itself.
+
+    The smallest period p of a sequence follows from its longest proper
+    border (the KMP prefix function): p = n - border. The sequence equals a
+    nontrivial rotation of itself iff p < n and p divides n.
+    """
+    n = len(seq)
+    if n < 2:
+        return False
+    border = [0] * n
+    for i in range(1, n):
+        b = border[i - 1]
+        while b and seq[i] != seq[b]:
+            b = border[b - 1]
+        if seq[i] == seq[b]:
+            b += 1
+        border[i] = b
+    period = n - border[-1]
+    return period < n and n % period == 0
+
+
+def _positions_of(config) -> Tuple[Fraction, ...]:
+    return config.positions if isinstance(config, Configuration) else tuple(config)
+
+
 def is_rotationally_symmetric(config) -> bool:
     """True iff some nontrivial rotation maps the configuration onto itself."""
-    positions = config.positions if isinstance(config, Configuration) else tuple(config)
-    gaps = gap_sequence(positions)
-    return _gaps_have_period(gaps)
-
-
-def _gaps_have_period(gaps: AngleSeq) -> bool:
-    n = len(gaps)
-    doubled = gaps + gaps
-    return any(doubled[k : k + n] == gaps for k in range(1, n))
+    return has_period(lattice(_positions_of(config))[1])
 
 
 def true_leader(config) -> Fraction:
     """Position of the robot with the strictly smallest gap sequence."""
-    positions = config.positions if isinstance(config, Configuration) else tuple(config)
-    _require_distinct(positions)
-    if is_rotationally_symmetric(positions):
+    pts, gaps = lattice(_positions_of(config))
+    if has_period(gaps):
         raise SymmetricConfiguration("no unique leader in a symmetric configuration")
-    return leader_of_positions(positions)
+    return pts[least_rotation(gaps)]
 
 
 def leader_of_positions(positions: Sequence[Fraction]) -> Fraction:
-    """Leader election over distinct positions, assuming asymmetry was checked."""
-    best_pos = None
-    best_seq = None
-    for p in positions:
-        seq = sequence_from(positions, p)
-        if best_seq is None or seq < best_seq:
-            best_pos, best_seq = p, seq
-    return best_pos
+    """Leader election over distinct positions, assuming asymmetry was checked.
+
+    The leader's gap sequence is the least rotation of the gap list, so it
+    is elected in linear time on the integer lattice instead of by comparing
+    every robot's sequence.
+    """
+    pts, gaps = lattice(positions)
+    return pts[least_rotation(gaps)]
 
 
 def take_snapshot(config: Configuration, observer: str) -> Snapshot:
@@ -259,8 +332,9 @@ def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction)
 
 
 def require_legal_initial(config: Configuration) -> None:
-    """Reject configurations that are not legal starting points for a run."""
-    positions = config.positions
-    _require_distinct(positions)
-    if len(positions) > 1 and is_rotationally_symmetric(positions):
+    """Reject configurations that are not legal starting points for a run.
+
+    Coincident robots raise :class:`MultiplicityPresent` from the lattice.
+    """
+    if is_rotationally_symmetric(config):
         raise SymmetricConfiguration("initial configuration must be asymmetric")

@@ -1,7 +1,8 @@
 """Independent brute-force oracles and randomized searchers.
 
 Everything here re-derives verdicts through a second code path: leader
-election by least cyclic rotation of the gap sequence, per-robot
+election by comparing every cyclic rotation of the Fraction gap sequence
+with every other, symmetry by the same naive rotation scan, per-robot
 classification built directly from raw position sets, and direct
 enumeration of the structural claims the analysis layer relies on. Failures
 are data (reported with a witness), not exceptions, so a sweep can tally
@@ -73,8 +74,9 @@ def _has_period(gaps: Tuple[Fraction, ...]) -> bool:
 def brute_force_leader(config: Configuration) -> Fraction:
     """Leader position via the least cyclic rotation of the sorted gap list.
 
-    Deliberately a different code path from the per-robot sequence
-    comparison used by the analysis layer.
+    Every rotation is compared naively on Fractions: deliberately a
+    different algorithm from the linear-time integer election of the
+    analysis layer.
     """
     positions = sorted(set(config.positions))
     if len(positions) != len(config.positions):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .errors import (
     InvariantViolation,
     LimitExceeded,
     ObserverMoving,
+    ParseError,
     ScheduleError,
     TimeOutOfRange,
 )
@@ -68,11 +70,6 @@ class RobotRuntime:
         return self.pending is not None and self.pending.start < t < self.pending.end
 
 
-def position_at(rr: RobotRuntime, t: Fraction) -> Fraction:
-    """Exact position of one robot at time ``t`` (linear interpolation mid-move)."""
-    return rr.position_at(t)
-
-
 # ---------------------------------------------------------------------------
 # Scheduler policies
 
@@ -109,7 +106,7 @@ class FsyncPolicy(SchedulerPolicy):
         self._next_round = {r: 0 for r in robot_ids}
 
     def next_cycle(self, robot_id, not_before):
-        k = max(self._next_round[robot_id], _ceil(not_before))
+        k = max(self._next_round[robot_id], math.ceil(not_before))
         self._next_round[robot_id] = k + 1
         return Fraction(k), Fraction(k) + Fraction(1, 4)
 
@@ -152,7 +149,7 @@ class SsyncPolicy(SchedulerPolicy):
         return self._rounds[k]
 
     def next_cycle(self, robot_id, not_before):
-        k = _ceil(not_before)
+        k = math.ceil(not_before)
         while robot_id not in self._membership(k):
             k += 1
         return Fraction(k), Fraction(k) + Fraction(1, 4)
@@ -223,12 +220,15 @@ class ScriptedPolicy(SchedulerPolicy):
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
+        unknown = sorted(set(self._queues) - set(robot_ids))
+        if unknown:
+            raise ScheduleError(f"scripted events name unknown robots {unknown}")
         self._cursor = {r: 0 for r in robot_ids}
 
     def next_cycle(self, robot_id, not_before):
         q = self._queues.get(robot_id, [])
         i = self._cursor.get(robot_id, 0)
-        while i < len(q) and q[i][0] < not_before:
+        if i < len(q) and q[i][0] < not_before:
             # Scheduled before the robot finished its move: a robot never
             # snapshots mid-move, so the entry is rejected.
             raise ScheduleError(
@@ -256,12 +256,14 @@ def format_angle_time(t: Fraction) -> str:
 
 
 def parse_time(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-Fraction(x)) // 1).__trunc__() if x > 0 else 0
+    """Parse a time literal ``"p/q"`` or ``"p"``; anything else is a :class:`ParseError`."""
+    if isinstance(text, str):
+        num, _, den = text.partition("/")
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"expected a time of the form 'p/q' or 'p', got {text!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -162,3 +162,51 @@ def test_verify_small_sweep(capsys):
     assert report["configs_checked"] == 30
     assert report["leader_mismatches"] == 0
     assert set(report["classes_found"]) == {"A", "BI", "BII", "C"}
+
+
+def _worked_robots():
+    return json.loads((FIXTURES / "worked_example.json").read_text())["robots"]
+
+
+MALFORMED_RUN_CONFIGS = {
+    "max_time_divides_by_zero": run_config_doc(limits={"max_time": "1/0"}),
+    "max_time_not_a_number": run_config_doc(limits={"max_time": "abc"}),
+    "policy_not_an_object": run_config_doc(policy="fsync"),
+    "zero_delay_denominator_bound": run_config_doc(
+        policy={"kind": "async-random", "delay_denominator_bound": 0}
+    ),
+    "duplicate_robot_ids": run_config_doc(
+        initial={"robots": [{**r, "id": "a"} for r in _worked_robots()]}
+    ),
+    "scripted_time_not_a_number": run_config_doc(
+        policy={"kind": "scripted", "events": [{"robot": "r0", "look": "x", "decide": "1/4"}]}
+    ),
+    "scripted_event_missing_field": run_config_doc(
+        policy={"kind": "scripted", "events": [{"robot": "r0", "look": "0/1"}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RUN_CONFIGS))
+def test_run_malformed_config_is_a_parse_error(name, tmp_path, capsys):
+    rc = write_json(tmp_path / "run.json", MALFORMED_RUN_CONFIGS[name])
+    assert main(["run", rc]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
+def test_run_rejects_script_naming_an_unknown_robot(tmp_path, capsys):
+    rc = write_json(
+        tmp_path / "run.json",
+        run_config_doc(
+            policy={
+                "kind": "scripted",
+                "events": [{"robot": "ghost", "look": "0/1", "decide": "1/4"}],
+            }
+        ),
+    )
+    assert main(["run", rc]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad schedule: ") and "ghost" in err
+    assert "Traceback" not in err
