@@ -1,10 +1,10 @@
 """Operator entry point: analyze configurations, run simulations, verify.
 
 Exit codes are fixed for scriptability: 0 success, 1 parse error (any
-malformed document or field), 2 illegal input (symmetric or
-multiplicity-bearing configuration, or a schedule that cannot be replayed),
-3 limit exceeded or target not reached. All output is deterministic given
-the flags.
+malformed document, field or flag, or a file that cannot be read or
+written), 2 illegal input (symmetric or multiplicity-bearing configuration,
+or a schedule that cannot be replayed), 3 limit exceeded or target not
+reached. All output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -153,9 +153,11 @@ def _policy_from_json(obj):
         if kind == "fsync":
             return FsyncPolicy()
         if kind == "ssync":
+            if "fairness_window" in obj:
+                raise ParseError("ssync policy field 'fairness_window' is now 'max_skips'")
             return SsyncPolicy(
                 seed=_int(obj, "seed", 0),
-                max_skips=_int(obj, "fairness_window", 3),
+                max_skips=_int(obj, "max_skips", 3),
             )
         if kind == "async-random":
             return AsyncRandomPolicy(
@@ -206,8 +208,27 @@ def load_run_config(obj):
     return initial, policy, limits, options
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_run(args) -> int:
     initial, policy, limits, options = load_run_config(_load_json(args.run_config))
+    spec: Optional[RenderSpec] = None
+    if args.render:
+        try:
+            spec = RenderSpec(
+                args.render,
+                frame_stride=args.frame_stride,
+                image_size=args.image_size,
+                show_labels=args.show_labels,
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc))
     trace: Optional[Trace] = None
     exit_code = EXIT_OK
     try:
@@ -218,17 +239,9 @@ def cmd_run(args) -> int:
         trace = exc.trace
         exit_code = EXIT_LIMIT
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_jsonl())
-    if args.render:
-        spec = RenderSpec(
-            args.render,
-            frame_stride=args.frame_stride,
-            image_size=args.image_size,
-            show_labels=args.show_labels,
-        )
-        with open(args.render, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(trace, spec))
+        _write_text(args.trace, trace.to_jsonl())
+    if spec is not None:
+        _write_text(spec.output_path, render_svg(trace, spec))
     print(
         json.dumps(
             {k: trace.summary[k] for k in sorted(trace.summary) if k not in ("initial", "final")},

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .angles import HALF_TURN, cw_angle, format_angle, norm, parse_angle
 from .errors import (
@@ -294,24 +294,44 @@ def leader_of_positions(positions: Sequence[Fraction]) -> Fraction:
     return pts[least_rotation(gaps)]
 
 
-def take_snapshot(config: Configuration, observer: str) -> Snapshot:
-    """Build the observer's view: occupied points strictly closer than a half turn.
+def build_snapshot(
+    occupancy: Mapping[Fraction, int],
+    observer: Fraction,
+    flags: Optional[Mapping[Fraction, int]] = None,
+) -> Snapshot:
+    """The view from ``observer`` of the occupied points in ``occupancy``.
 
-    The antipodal point is excluded even if occupied. Coincident robots
-    collapse to one visible point with a multiplicity flag; the observer's
-    own point only contributes ``self_is_multiplicity``.
+    Every occupied point strictly closer than a half turn is visible; the
+    antipodal point is excluded even if occupied, and the observer's own
+    point only contributes ``self_is_multiplicity``. A point counted at
+    least twice in ``flags`` is flagged as a multiplicity. ``flags``
+    defaults to ``occupancy``; it may leave out robots that ``occupancy``
+    holds, never the other way round.
     """
-    me = config.robot(observer)
+    # Offsets are taken on the common-denominator lattice (see lattice):
+    # one Fraction per visible point instead of a subtraction and a modulo.
+    # Snapshot orders the visible points itself.
+    obs_num, obs_den = observer.as_integer_ratio()
+    ratios = [p.as_integer_ratio() for p in occupancy]
+    d = lcm(obs_den, *[q for _, q in ratios])
+    mine = obs_num * (d // obs_den)
+    seen = []
+    for (pos, count), (num, den) in zip(occupancy.items(), ratios):
+        off = (num * (d // den) - mine) % d
+        if off and 2 * off != d:
+            seen.append((off, count if flags is None else flags.get(pos, 0)))
+    visible = tuple(VisiblePoint(Fraction(off, d), count >= 2) for off, count in seen)
+    own = occupancy if flags is None else flags
+    return Snapshot(visible, own.get(observer, 0) >= 2)
+
+
+def take_snapshot(config: Configuration, observer: str) -> Snapshot:
+    """The observer's view of a configuration (see :func:`build_snapshot`).
+
+    Coincident robots collapse to one visible point with a multiplicity flag.
+    """
     counts = config.position_counts
-    visible = []
-    for pos, count in counts.items():
-        if pos == me.pos:
-            continue
-        off = cw_angle(me.pos, pos)
-        if off == HALF_TURN:
-            continue
-        visible.append(VisiblePoint(off, count >= 2))
-    return Snapshot(tuple(visible), counts[me.pos] >= 2)
+    return build_snapshot(counts, config.robot(observer).pos)
 
 
 def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction) -> Snapshot:
@@ -320,15 +340,7 @@ def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction)
     me = norm(observer_pos)
     if me not in counts:
         raise UnknownRobot(f"no robot at position {format_angle(me)}")
-    visible = []
-    for pos, count in counts.items():
-        if pos == me:
-            continue
-        off = cw_angle(me, pos)
-        if off == HALF_TURN:
-            continue
-        visible.append(VisiblePoint(off, count >= 2))
-    return Snapshot(tuple(visible), counts[me] >= 2)
+    return build_snapshot(counts, me)
 
 
 def require_legal_initial(config: Configuration) -> None:

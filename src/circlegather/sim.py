@@ -5,6 +5,14 @@ later, then (possibly) move at unit speed until the commanded displacement
 completes. Schedulers only choose the instants; all of them draw times from
 rational grids so that interpolated positions, and therefore coincidence
 tests, stay exact. Identical inputs produce byte-identical traces.
+
+The run loop keeps the world state incrementally instead of rescanning every
+robot after each event: a count of robots per resting position plus the set
+of robots in flight, both changed only when a move starts or ends. The
+number of multiplicity points follows from those two updates in O(1), and a
+look interpolates only the robots in flight. :func:`world_snapshot`,
+:func:`multiplicity_points` and :func:`is_gathered` remain whole-world scans
+over ``RobotRuntime`` maps, for tests and for use outside the run loop.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .angles import QUARTER_TURN, format_angle
 from .configuration import (
     Configuration,
     Snapshot,
-    VisiblePoint,
+    build_snapshot,
     require_legal_initial,
 )
 from .errors import (
@@ -75,13 +83,7 @@ class RobotRuntime:
 
 
 class SchedulerPolicy:
-    """Produces, per robot, the look/decide instants of its successive cycles.
-
-    ``fairness_window`` is a bound W such that every robot is activated at
-    least once in any W consecutive activations of the whole system.
-    """
-
-    fairness_window: int = 1
+    """Produces, per robot, the look/decide instants of its successive cycles."""
 
     def bind(self, robot_ids: Sequence[str]) -> None:
         self.robot_ids = tuple(robot_ids)
@@ -102,7 +104,6 @@ class FsyncPolicy(SchedulerPolicy):
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
-        self.fairness_window = len(robot_ids)
         self._next_round = {r: 0 for r in robot_ids}
 
     def next_cycle(self, robot_id, not_before):
@@ -118,7 +119,8 @@ class SsyncPolicy(SchedulerPolicy):
     """Round-based activation of seeded random nonempty subsets.
 
     A robot left out for ``max_skips`` consecutive rounds is force-included,
-    which bounds the fairness window.
+    so every robot is activated at least once in any ``max_skips + 1``
+    consecutive rounds.
     """
 
     def __init__(self, seed: int = 0, max_skips: int = 3):
@@ -132,7 +134,6 @@ class SsyncPolicy(SchedulerPolicy):
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
-        self.fairness_window = len(robot_ids) * (self.max_skips + 1)
         self._skips = {r: 0 for r in robot_ids}
 
     def _membership(self, k: int) -> frozenset:
@@ -175,9 +176,6 @@ class AsyncRandomPolicy(SchedulerPolicy):
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
-        # Gaps never exceed two time units, so this many activations of the
-        # busiest interleaving always contain every robot at least once.
-        self.fairness_window = len(robot_ids) * 4 * self.bound
         self._rngs = {r: Random(f"async:{self.seed}:{r}") for r in robot_ids}
 
     def next_cycle(self, robot_id, not_before):
@@ -216,7 +214,6 @@ class ScriptedPolicy(SchedulerPolicy):
                         f"robot {robot_id!r} activations overlap: look at {l1} "
                         f"before decide at {d0}"
                     )
-        self.fairness_window = sum(len(q) for q in self._queues.values()) or 1
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
@@ -348,29 +345,19 @@ def world_snapshot(
     """The observer's view of everyone's exact position at time ``t``.
 
     Robots seen mid-move count toward multiplicity flags unless the strict
-    option excludes them.
+    option excludes them. This scans the whole world; :func:`run` builds the
+    same view from its resting-position index.
     """
     me = world[observer]
     if me.is_moving_at(t):
         raise ObserverMoving(f"robot {observer!r} cannot look while moving")
-    my_pos = me.position_at(t)
-    occupancy = Counter()
-    flag_counts = Counter()
-    for rid, rr in world.items():
-        pos = rr.position_at(t)
-        occupancy[pos] += 1
-        if not (strict_transient_multiplicity and rr.is_moving_at(t)):
-            flag_counts[pos] += 1
-    visible = []
-    for pos, _count in occupancy.items():
-        if pos == my_pos:
-            continue
-        off = (pos - my_pos) % 1
-        if off == Fraction(1, 2):
-            continue
-        visible.append(VisiblePoint(off, flag_counts[pos] >= 2))
-    self_mult = flag_counts[my_pos] >= 2 and occupancy[my_pos] >= 2
-    return Snapshot(tuple(visible), self_mult)
+    occupancy = Counter(rr.position_at(t) for rr in world.values())
+    flags = None
+    if strict_transient_multiplicity:
+        flags = Counter(
+            rr.position_at(t) for rr in world.values() if not rr.is_moving_at(t)
+        )
+    return build_snapshot(occupancy, me.position_at(t), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +411,11 @@ def run(
     Ends when the world is gathered and every robot has confirmed quiescence
     with a moveless cycle, or when the schedule runs dry. Hitting the event
     or time limit raises :class:`LimitExceeded` carrying the partial trace.
+
+    ``resting`` counts the robots per resting position and ``in_flight``
+    holds the robots mid-move (see the module docstring). A look with nobody
+    in flight sees ``resting`` itself; otherwise it sees a copy with the
+    movers added at their interpolated positions.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
@@ -439,9 +431,13 @@ def run(
     snapshots: Dict[str, Snapshot] = {}
     decide_times: Dict[str, Fraction] = {}
     records: List[TraceRecord] = []
-    max_mult = 0
     gathered_confirmed: set = set()
     limit_hit = False
+
+    strict = options.strict_transient_multiplicity
+    resting: Counter = Counter(rr.anchor for rr in world.values())
+    in_flight: Dict[str, RobotRuntime] = {}
+    mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
 
     def schedule_cycle(robot_id: str, not_before: Fraction) -> None:
         cycle = policy.next_cycle(robot_id, not_before)
@@ -458,14 +454,8 @@ def run(
         decide_times[robot_id] = t_decide
         heapq.heappush(heap, (t_look, _KIND_RANK["look"], robot_id, "look"))
 
-    def note_world(t: Fraction) -> None:
-        nonlocal max_mult
-        max_mult = max(max_mult, len(multiplicity_points(world, t)))
-
     for rid in all_ids:
         schedule_cycle(rid, Fraction(0))
-
-    note_world(Fraction(0))
 
     while heap:
         t, _rank, rid, kind = heapq.heappop(heap)
@@ -478,12 +468,22 @@ def run(
         rr = world[rid]
 
         if kind == "look":
-            snap = world_snapshot(world, rid, t, options.strict_transient_multiplicity)
+            if rr.is_moving_at(t):
+                raise ObserverMoving(f"robot {rid!r} cannot look while moving")
+            occupancy, flags = resting, None
+            if in_flight:
+                occupancy = resting.copy()
+                flags = resting.copy() if strict else None
+                for mover in in_flight.values():
+                    pos = mover.position_at(t)
+                    occupancy[pos] += 1
+                    if flags is not None and not mover.is_moving_at(t):
+                        flags[pos] += 1
+            snap = build_snapshot(occupancy, rr.position_at(t), flags)
             snapshots[rid] = snap
             records.append(TraceRecord(t, rid, "activate", {"state": rr.memory.value}))
             records.append(TraceRecord(t, rid, "snapshot", snap.to_json()))
             heapq.heappush(heap, (decide_times[rid], _KIND_RANK["decide"], rid, "decide"))
-            note_world(t)
             continue
 
         if kind == "decide":
@@ -529,32 +529,44 @@ def run(
                 )
                 heapq.heappush(heap, (rr.pending.end, _KIND_RANK["move_end"], rid, "move_end"))
                 gathered_confirmed.clear()
+                # Lift the robot off its origin.
+                count = resting[origin]
+                if count == 1:
+                    del resting[origin]
+                else:
+                    resting[origin] = count - 1
+                if count == 2:
+                    mult_points -= 1
+                in_flight[rid] = rr
             else:
-                if is_gathered(world, t):
+                if not in_flight and len(resting) == 1:
                     gathered_confirmed.add(rid)
                     if gathered_confirmed == set(all_ids):
                         # Every robot has witnessed the gathering with a
                         # moveless cycle: gathered and quiescent.
-                        note_world(t)
                         break
                 else:
                     gathered_confirmed.clear()
                 schedule_cycle(rid, t)
-            note_world(t)
             if options.check_expected_leaders:
                 _check_expected_leader_count(world, t)
             continue
 
-        # move_end
+        # move_end: the robot rests at its destination.
         rr.anchor = rr.pending.destination
         rr.pending = None
+        del in_flight[rid]
+        count = resting[rr.anchor] + 1
+        resting[rr.anchor] = count
+        if count == 2:
+            mult_points += 1
+            max_mult = max(max_mult, mult_points)
         records.append(TraceRecord(t, rid, "move-end", {"to": format_angle(rr.anchor)}))
-        note_world(t)
         schedule_cycle(rid, t)
 
     end_time = records[-1].t if records else Fraction(0)
     records.sort(key=lambda r: (r.t, r.robot, r.kind))
-    gathered = is_gathered(world, end_time)
+    gathered = not in_flight and len(resting) == 1
     positions = world_positions(world, end_time)
     summary = {
         "gathered": gathered,

@@ -210,3 +210,54 @@ def test_run_rejects_script_naming_an_unknown_robot(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("bad schedule: ") and "ghost" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--frame-stride", "0"], ["--image-size", "59"]],
+    ids=["frame_stride_zero", "image_size_below_60"],
+)
+def test_run_rejects_bad_render_flags_before_simulating(flags, tmp_path, capsys):
+    rc = write_json(tmp_path / "run.json", run_config_doc())
+    assert main(["run", rc, "--render", str(tmp_path / "run.svg"), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no summary: the run never started
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert not (tmp_path / "run.svg").exists()
+
+
+@pytest.mark.parametrize("option", ["--trace", "--render"])
+def test_run_unwritable_output_path_is_a_one_line_error(option, tmp_path, capsys):
+    rc = write_json(tmp_path / "run.json", run_config_doc())
+    target = tmp_path / "missing-dir" / "out"
+    assert main(["run", rc, option, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_ssync_policy_reads_max_skips(tmp_path, capsys):
+    rc = write_json(
+        tmp_path / "run.json",
+        run_config_doc(policy={"kind": "ssync", "seed": 4, "max_skips": 0}),
+    )
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["run", rc, "--trace", str(trace_path)]) == 0
+    # max_skips 0 activates every robot in every round, as fsync does.
+    looks = [json.loads(line) for line in trace_path.read_text().splitlines()[:-1]]
+    by_round = {}
+    for rec in looks:
+        if rec["kind"] == "activate":
+            by_round.setdefault(rec["t"], set()).add(rec["robot"])
+    robots = {r["id"] for r in _worked_robots()}
+    assert by_round and all(ids == robots for ids in by_round.values())
+
+
+def test_run_ssync_old_fairness_window_key_names_max_skips(tmp_path, capsys):
+    rc = write_json(
+        tmp_path / "run.json",
+        run_config_doc(policy={"kind": "ssync", "seed": 4, "fairness_window": 1}),
+    )
+    assert main(["run", rc]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "max_skips" in err

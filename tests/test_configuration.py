@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlegather.angles import cw_angle
+from collections import Counter
+
+from circlegather.angles import HALF_TURN, antipode, cw_angle
 from circlegather.configuration import (
     Configuration,
     Snapshot,
     VisiblePoint,
     angle_sequence,
+    build_snapshot,
     gap_sequence,
     has_period,
     is_rotationally_symmetric,
@@ -307,3 +310,43 @@ def test_election_on_adversarial_gap_patterns():
         for r in range(len(gaps)):
             rotated = gaps[r:] + gaps[:r]
             assert_election_matches_definitions(points_from_gaps(rotated, F("3/11")))
+
+
+# ---------------------------------------------------------------------------
+# The snapshot builder against the definition
+
+
+def naive_snapshot(occupancy, observer, flags):
+    """The definition in Fraction arithmetic: every occupied point but the
+    observer's own and its antipode is visible, flagged when counted twice."""
+    visible = [
+        VisiblePoint(cw_angle(observer, pos), flags[pos] >= 2)
+        for pos in occupancy
+        if pos != observer and cw_angle(observer, pos) != HALF_TURN
+    ]
+    return Snapshot(tuple(visible), flags[observer] >= 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(mixed_point(), st.integers(1, 3), st.integers(0, 3)), min_size=1,
+             max_size=30),
+    st.booleans(),
+    st.data(),
+)
+def test_build_snapshot_matches_the_definition(entries, antipode_occupied, data):
+    # Each entry is (position, robots there, robots there that raise flags).
+    occupancy, flags = Counter(), Counter()
+    for pos, count, flagged in entries:
+        occupancy[pos] += count
+        flags[pos] += min(count, flagged)
+    observer = data.draw(st.sampled_from(sorted(occupancy)))
+    if antipode_occupied:
+        occupancy[antipode(observer)] += 2
+        flags[antipode(observer)] += 2
+    assert build_snapshot(occupancy, observer, flags) == naive_snapshot(
+        occupancy, observer, flags
+    )
+    assert build_snapshot(occupancy, observer) == naive_snapshot(
+        occupancy, observer, occupancy
+    )

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from circlegather.angles import HALF_TURN, QUARTER_TURN
 from circlegather.configuration import Configuration
 from circlegather.errors import (
     LimitExceeded,
@@ -11,6 +14,7 @@ from circlegather.errors import (
     ScheduleError,
     SymmetricConfiguration,
 )
+from circlegather.oracle import GeneratorSpec, random_config
 from circlegather.protocol import CW, MoveCommand
 from circlegather.sim import (
     AsyncRandomPolicy,
@@ -18,6 +22,7 @@ from circlegather.sim import (
     Pending,
     RobotRuntime,
     RunLimits,
+    RunOptions,
     ScriptedPolicy,
     SsyncPolicy,
     is_gathered,
@@ -271,3 +276,195 @@ def test_async_delays_stay_on_the_rational_grid():
         assert look.denominator <= 8 and decide.denominator <= 8
         assert t < look < decide
         t = decide
+
+
+# ---------------------------------------------------------------------------
+# Pinned traces. The digests were taken with a run loop that rescanned the
+# whole world after every event; they hold the incremental world state to
+# byte-identical output.
+
+
+def _pinned_policy(kind, seed, config):
+    if kind == "fsync":
+        return FsyncPolicy()
+    if kind == "ssync":
+        return SsyncPolicy(seed=seed)
+    if kind == "async":
+        return AsyncRandomPolicy(seed=seed)
+    # Four cycles per robot on a quarter-unit grid, at least one time unit
+    # apart so that no robot is scripted to look while it moves.
+    rng = Random(f"script:{seed}")
+    events = []
+    for r in config.robots:
+        t = Fraction(rng.randrange(3), 4)
+        for _ in range(4):
+            decide = t + Fraction(rng.randint(1, 2), 4)
+            events.append((r.robot_id, t, decide))
+            t = decide + 1 + Fraction(rng.randrange(4), 4)
+    return ScriptedPolicy(events)
+
+
+# (n, denominator bound, seed, policy, threshold, strict, max mult, sha256)
+PINNED_TRACES = [
+    (5, 30, 1, "fsync", QUARTER_TURN, False, 1,
+     "572c57f908e589546c581dec91fe6ce5999e29d5885a4b5b644c9c7730337cc3"),
+    (8, 48, 2, "fsync", HALF_TURN, True, 1,
+     "3060bb55a726a99ee27f985f2a0a3c48bb011fcb394a24fa8da4726b4389d2c6"),
+    (20, 160, 3, "fsync", HALF_TURN, False, 1,
+     "1dd1f7cbf00f9f695e9b44c2490849bd5ee9c777789164e1885ec4e3891c0c73"),
+    (6, 36, 4, "ssync", QUARTER_TURN, True, 1,
+     "5dc2af725ebf82167f78d09bad707fa36219b042757b9cd268506e5750a34cd6"),
+    (10, 60, 5, "ssync", HALF_TURN, False, 1,
+     "fbc81cdceaf3731184cb43bdbbee4aa60ea36e6c3d5f308602b74e2c5e278d6f"),
+    (16, 96, 6, "ssync", HALF_TURN, True, 1,
+     "024dd520bfd8e320c2973ace7ee739b6b961ddcc66aa891f61344d267746879b"),
+    (7, 42, 8, "async", QUARTER_TURN, True, 1,
+     "44f955a25716f627079aeb006dc4888bf4d8f17e3c828bb73d895f29d76e07c4"),
+    (10, 60, 34, "async", HALF_TURN, False, 2,
+     "cc0d1fd2f993b233d287169beb8a8dabf07ee394a27f22dceef717f9d07a9541"),
+    (12, 72, 33, "async", HALF_TURN, True, 2,
+     "47ebfd22616161a6aba01a1fb69d99fc2485dafe203bcc57361f50031d35d142"),
+    # Two runs past the package's own bound of two multiplicity points.
+    (12, 72, 8, "async", HALF_TURN, False, 3,
+     "a7872b8db2efc0417937d3fce97aaa44d72c94bb1f0d98f81d1d8e468b4c22fe"),
+    (16, 96, 61, "async", HALF_TURN, False, 4,
+     "f1b0da097ad7825fbbde4bc27b308013198862d4825f630994923b2a78a7c291"),
+    (16, 96, 61, "async", HALF_TURN, True, 1,
+     "395831efb1381490803e2a9337d5521aa357de74ec9d9b66f36a5b93fa5bb7e1"),
+    (20, 160, 12, "async", HALF_TURN, False, 1,
+     "0b17b57ee54280a4af993532bde0554bfdbeb5f87e5fecce9d7890b805b842e7"),
+    # Stalls under the narrow threshold: a partial trace at the event limit.
+    (8, 48, 37, "async", QUARTER_TURN, False, 2,
+     "063aa70b8d7f755e8b0b67870fb9f15c8ab776d4d1a9f59b19407db9b4374099"),
+    (4, 24, 9, "scripted", QUARTER_TURN, False, 1,
+     "c2d0c2c8c1bbb8a30b25ee567bd522bce156d7b64d023a5324d2f4d869004e8a"),
+    (6, 36, 10, "scripted", HALF_TURN, True, 1,
+     "6d3da4dfcb734fbc31781cef21bbcbfd047f75bfe9a1bfa70a0216b6aed1b011"),
+    (8, 48, 14, "scripted", HALF_TURN, False, 1,
+     "943575258837eb76bf5f16fd1f0078a6f0a93bf0bc551a636df4b6becccb736f"),
+    (12, 72, 13, "scripted", QUARTER_TURN, True, 1,
+     "0a7e8a749a5d71193fd3a818d350c4217e4d3222450abef89273d8e1ea31a778"),
+]
+
+
+def _pinned_id(case):
+    n, _, seed, kind, threshold, strict, _, _ = case
+    wide = "pi" if threshold == HALF_TURN else "pi/2"
+    return f"{kind}-n{n}-seed{seed}-{wide}-{'strict' if strict else 'relaxed'}"
+
+
+@pytest.mark.parametrize("case", PINNED_TRACES, ids=_pinned_id)
+def test_pinned_trace_digests(case):
+    n, bound, seed, kind, threshold, strict, max_mult, digest = case
+    config = random_config(GeneratorSpec(n, bound, seed))
+    options = RunOptions(multiplicity_threshold=threshold, strict_transient_multiplicity=strict)
+    try:
+        trace = run(config, _pinned_policy(kind, seed, config), RunLimits(max_events=2000), options)
+    except LimitExceeded as exc:
+        trace = exc.trace
+    assert trace.summary["max_simultaneous_multiplicities"] == max_mult
+    assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Hand-built scripted edge cases of the world state
+
+
+def config_of(**positions):
+    return Configuration.from_json(
+        {"robots": [{"id": rid, "pos": pos} for rid, pos in positions.items()]}
+    )
+
+
+def snapshots_at(trace, t):
+    return {r.robot: r.payload for r in trace.records if r.kind == "snapshot" and r.t == t}
+
+
+def test_two_robots_arriving_at_one_point_at_the_same_instant():
+    # ``a`` is the sure leader and steps onto ``b``; the merged point then
+    # draws ``c`` (counter-clockwise) and ``d`` (clockwise) from equal
+    # distances, in fsync-like rounds.
+    initial = config_of(a="19/20", b="0/1", c="1/5", d="4/5")
+    events = [(r, F(k), F(k) + F("1/4")) for k in range(3) for r in "abcd"]
+    events.append(("a", F("29/20"), F("3/2")))  # looks at the arrival instant
+    trace = run(initial, ScriptedPolicy(sorted(events, key=lambda e: e[1])))
+    arrivals = [(r.robot, r.payload["to"]) for r in trace.records
+                if r.kind == "move-end" and r.t == F("29/20")]
+    assert arrivals == [("c", "0/1"), ("d", "0/1")]
+    # Both move-ends come before a look at the same instant.
+    assert snapshots_at(trace, F("29/20")) == {
+        "a": {"visible": [], "self_multiplicity": True}
+    }
+    assert trace.summary["max_simultaneous_multiplicities"] == 1
+    assert trace.summary["gathered"] and trace.summary["gather_point"] == "0/1"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_look_at_the_instant_a_robot_starts_moving(strict):
+    # ``r2`` steps onto ``r0`` (arriving at 7/12). ``r0``, which looked while
+    # still alone, steps off that multiplicity point toward ``r1`` at 3/4.
+    # ``r1`` decides not to move at 3/4 and looks again at once: ``r0`` is
+    # still on its origin and not yet moving, so even the strict option sees
+    # a multiplicity there. ``r2`` looks at 5/6, while ``r0`` is mid-move.
+    initial = config_of(r0="0/1", r1="1/6", r2="2/3")
+    events = [
+        ("r0", F(0), F("3/4")),
+        ("r1", F(0), F("3/4")),
+        ("r1", F("3/4"), F(1)),
+        ("r2", F(0), F("1/4")),
+        ("r2", F("5/6"), F(1)),
+    ]
+    trace = run(initial, ScriptedPolicy(events),
+                options=RunOptions(strict_transient_multiplicity=strict))
+    starts = [(r.t, r.robot) for r in trace.records if r.kind == "move-start"]
+    assert starts[:2] == [(F("1/4"), "r2"), (F("3/4"), "r0")]
+    assert snapshots_at(trace, F("3/4")) == {
+        "r1": {"visible": [{"offset": "5/6", "multiplicity": True}], "self_multiplicity": False}
+    }
+    assert snapshots_at(trace, F("5/6")) == {
+        "r2": {
+            "visible": [
+                {"offset": "1/12", "multiplicity": False},
+                {"offset": "1/6", "multiplicity": False},
+            ],
+            "self_multiplicity": False,
+        }
+    }
+    assert trace.summary["max_simultaneous_multiplicities"] == 1
+
+
+def test_mover_passing_through_an_occupied_point():
+    # ``r1`` steps onto ``r2`` at 5/8. ``r0`` then walks the shorter arc to
+    # that multiplicity, counter-clockwise from 0, through ``r3`` at 3/4,
+    # which it passes at t=1, the instant ``r1`` and ``r3`` look.
+    initial = config_of(r0="0/1", r1="1/2", r2="5/8", r3="3/4")
+    events = [
+        ("r1", F(0), F("1/4")),
+        ("r2", F(0), F("1/4")),
+        ("r3", F(0), F("1/4")),
+        ("r0", F("1/2"), F("3/4")),
+        ("r1", F(1), F("5/4")),
+        ("r3", F(1), F("5/4")),
+    ]
+
+    def run_with(strict):
+        return run(initial, ScriptedPolicy(events),
+                   options=RunOptions(strict_transient_multiplicity=strict))
+
+    relaxed, strict = run_with(False), run_with(True)
+    # The passing robot makes 3/4 look like a multiplicity point ...
+    assert snapshots_at(relaxed, F(1)) == {
+        "r1": {"visible": [{"offset": "1/8", "multiplicity": True}], "self_multiplicity": True},
+        "r3": {"visible": [{"offset": "7/8", "multiplicity": True}], "self_multiplicity": True},
+    }
+    # ... unless the strict option leaves robots in transit out of the flags.
+    assert snapshots_at(strict, F(1)) == {
+        "r1": {"visible": [{"offset": "1/8", "multiplicity": False}], "self_multiplicity": True},
+        "r3": {"visible": [{"offset": "7/8", "multiplicity": True}], "self_multiplicity": False},
+    }
+    # Relaxed, r1 walks to the phantom point and two real multiplicity points
+    # form; the pass itself is never counted as one. Strict, all gather.
+    assert relaxed.summary["final"] == {"r0": "5/8", "r1": "3/4", "r2": "5/8", "r3": "3/4"}
+    assert relaxed.summary["max_simultaneous_multiplicities"] == 2
+    assert strict.summary["gathered"] and strict.summary["gather_point"] == "5/8"
+    assert strict.summary["max_simultaneous_multiplicities"] == 1
