@@ -4,10 +4,12 @@ Because a robot never sees its antipodal point, every multiplicity-free view
 spawns two hypothesis configurations: the view as-is (antipode empty) and
 the view plus one robot at the antipode. Classification, the safe-neighbor
 test and the A/BI/BII/C taxonomy are all built on electing leaders inside
-those hypotheses, which ``configuration`` does by least rotation of their
-integer gap lists. ``classify`` and friends consume a Snapshot only, so a
-robot could run them from purely local information; the whole-configuration
-operations at the bottom exist for the simulator and the test oracles.
+those hypotheses. Each hypothesis gets one integer gap list per snapshot
+(``configuration.lattice``), which its symmetry test and its election (the
+least rotation of the gaps) both read, so it is elected once. ``classify``
+and friends consume a Snapshot only, so a robot could run them from purely
+local information; the whole-configuration operations at the bottom exist
+for the simulator and the test oracles.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .angles import HALF_TURN, antipode, cw_angle, format_angle
+from .angles import HALF_TURN, antipode, format_angle
 from .configuration import (
     Configuration,
     Snapshot,
+    has_period,
     is_rotationally_symmetric,
-    leader_of_positions,
+    lattice,
+    least_rotation,
     snapshot_of_positions,
     take_snapshot,
     true_leader,
@@ -82,28 +86,28 @@ def _require_plain(snapshot: Snapshot) -> None:
 
 @lru_cache(maxsize=1 << 16)
 def _hypothesis_data(snapshot: Snapshot):
-    """(c0 positions, c1 positions, possibility) in the observer frame.
+    """(c0 positions, c1 positions, possibility, c0 leader, c1 leader).
 
-    The observer sits at 0; c1 adds the hypothetical antipodal robot at 1/2.
+    Positions are in the observer frame: the observer sits at 0 and c1 adds
+    the hypothetical antipodal robot at 1/2. A hypothesis's leader is None
+    when that hypothesis is symmetric.
     """
     c0 = (Fraction(0),) + snapshot.offsets
     c1 = tuple(sorted(c0 + (HALF_TURN,)))
-    sym0 = is_rotationally_symmetric(c0)
-    sym1 = is_rotationally_symmetric(c1)
-    if sym0 and sym1:
+    leaders = []
+    for positions in (c0, c1):
+        pts, gaps = lattice(positions)
+        leaders.append(None if has_period(gaps) else pts[least_rotation(gaps)])
+    lead0, lead1 = leaders
+    if lead0 is None and lead1 is None:
         raise AmbiguousSymmetric("both antipodal hypotheses are symmetric")
-    if sym0:
+    if lead0 is None:
         possibility = Possibility.ONLY_C1
-    elif sym1:
+    elif lead1 is None:
         possibility = Possibility.ONLY_C0
     else:
         possibility = Possibility.BOTH
-    return c0, c1, possibility
-
-
-@lru_cache(maxsize=1 << 16)
-def _leader(positions: Tuple[Fraction, ...]) -> Fraction:
-    return leader_of_positions(positions)
+    return c0, c1, possibility, lead0, lead1
 
 
 def hypothesis_configs(snapshot: Snapshot):
@@ -114,7 +118,7 @@ def hypothesis_configs(snapshot: Snapshot):
     ``"v<k>"`` and the hypothetical antipodal robot as ``"antipodal"``.
     """
     _require_plain(snapshot)
-    c0, c1, possibility = _hypothesis_data(snapshot)
+    c0, _, possibility, _, _ = _hypothesis_data(snapshot)
     conf0 = Configuration.from_points(c0, prefix="v")
     robots = list(conf0.robots)
     robots.append(type(robots[0])("antipodal", HALF_TURN))
@@ -131,15 +135,12 @@ def classify(snapshot: Snapshot) -> LeaderClass:
     opposite split would contradict a checked model invariant and aborts.
     """
     _require_plain(snapshot)
-    c0, c1, possibility = _hypothesis_data(snapshot)
+    _, _, possibility, lead0, lead1 = _hypothesis_data(snapshot)
+    leads0, leads1 = lead0 == 0, lead1 == 0
     if possibility is Possibility.ONLY_C0:
-        leads = _leader(c0) == 0
-        return LeaderClass(LeaderTag.SURE_LEADER if leads else LeaderTag.FOLLOWER, possibility)
+        return LeaderClass(LeaderTag.SURE_LEADER if leads0 else LeaderTag.FOLLOWER, possibility)
     if possibility is Possibility.ONLY_C1:
-        leads = _leader(c1) == 0
-        return LeaderClass(LeaderTag.SURE_LEADER if leads else LeaderTag.FOLLOWER, possibility)
-    leads0 = _leader(c0) == 0
-    leads1 = _leader(c1) == 0
+        return LeaderClass(LeaderTag.SURE_LEADER if leads1 else LeaderTag.FOLLOWER, possibility)
     if leads0 and leads1:
         return LeaderClass(LeaderTag.SURE_LEADER, possibility)
     if not leads0 and not leads1:
@@ -163,12 +164,9 @@ def is_safe_neighbor(snapshot: Snapshot) -> bool:
     """
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("safe-neighbor test applies to confused leaders only")
-    _, c1, _ = _hypothesis_data(snapshot)
+    _, c1, _, _, lead1 = _hypothesis_data(snapshot)
     s = min(snapshot.offsets)
-    lead = _leader(c1)
-    neighbor = min(
-        (p for p in c1 if p != lead), key=lambda p: cw_angle(lead, p)
-    )
+    neighbor = c1[(c1.index(lead1) + 1) % len(c1)]
     return antipode(s) != neighbor
 
 
@@ -181,7 +179,7 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
     """
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("peer detection applies to confused leaders only")
-    c0, _, _ = _hypothesis_data(snapshot)
+    c0 = _hypothesis_data(snapshot)[0]
     for p in c0:
         if p == 0:
             continue

@@ -254,17 +254,26 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+def _parse_range(text: str) -> range:
+    lo, dots, hi = text.partition("..")
+    try:
+        span = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ParseError(f"--n must be N or LO..HI, got {text!r}")
+    if not span:
+        raise ParseError(f"--n range {text!r} is empty")
+    return span
 
 
 def cmd_verify(args) -> int:
+    n_range = _parse_range(args.n)
+    try:
+        # A spec at the smallest robot count checks both --n and the bound.
+        GeneratorSpec(n=n_range[0], denominator_bound=args.denominator_bound, seed=args.seed)
+    except ValueError as exc:
+        raise ParseError(str(exc))
     report = verify_sweep(
-        n_range=_parse_range(args.n),
+        n_range=n_range,
         count=args.count,
         seed=args.seed,
         denominator_bound=args.denominator_bound,

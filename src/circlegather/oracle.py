@@ -1,12 +1,14 @@
 """Independent brute-force oracles and randomized searchers.
 
-Everything here re-derives verdicts through a second code path: leader
-election by comparing every cyclic rotation of the Fraction gap sequence
-with every other, symmetry by the same naive rotation scan, per-robot
-classification built directly from raw position sets, and direct
-enumeration of the structural claims the analysis layer relies on. Failures
-are data (reported with a witness), not exceptions, so a sweep can tally
-them.
+Everything here re-derives verdicts through a second code path. Each point
+set (a configuration, a robot's two hypotheses C0 and C1, a configuration
+with one probe robot inserted) gets its sorted ``Fraction`` gap list built
+once by ``gap_sequence``; the symmetry test and the leader election both
+read that list, and the leader is elected once per point set by comparing
+every cyclic rotation of it with every other. Per-robot classification is
+built directly from raw position sets, and the structural claims the
+analysis layer relies on are enumerated directly. Failures are data
+(reported with a witness), not exceptions, so a sweep can tally them.
 """
 
 from __future__ import annotations
@@ -71,26 +73,31 @@ def _has_period(gaps: Tuple[Fraction, ...]) -> bool:
 # Independent leader election: least cyclic rotation of the gap sequence
 
 
-def brute_force_leader(config: Configuration) -> Fraction:
-    """Leader position via the least cyclic rotation of the sorted gap list.
+def _least_rotation(gaps: Tuple[Fraction, ...]) -> int:
+    """Start index of the least cyclic rotation of ``gaps``.
 
     Every rotation is compared naively on Fractions: deliberately a
     different algorithm from the linear-time integer election of the
     analysis layer.
     """
-    positions = sorted(set(config.positions))
-    if len(positions) != len(config.positions):
-        raise SymmetricConfiguration("leader undefined with a multiplicity point")
-    n = len(positions)
-    gaps = [cw_angle(positions[i], positions[(i + 1) % n]) for i in range(n)]
-    if _has_period(tuple(gaps)):
-        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
+    n = len(gaps)
     doubled = gaps + gaps
     best = 0
     for k in range(1, n):
         if doubled[k : k + n] < doubled[best : best + n]:
             best = k
-    return positions[best]
+    return best
+
+
+def brute_force_leader(config: Configuration) -> Fraction:
+    """Leader position via the least cyclic rotation of the sorted gap list."""
+    positions = sorted(set(config.positions))
+    if len(positions) != len(config.positions):
+        raise SymmetricConfiguration("leader undefined with a multiplicity point")
+    gaps = gap_sequence(positions)
+    if _has_period(gaps):
+        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
+    return positions[_least_rotation(gaps)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +120,10 @@ def oracle_classify(positions: Sequence[Fraction], me: Fraction) -> RobotVerdict
     ]
     c0 = sorted(visible + [me])
     c1 = sorted(c0 + [antipode(me)])
-    sym0 = _has_period(gap_sequence(c0))
-    sym1 = _has_period(gap_sequence(c1))
-    leads0 = None if sym0 else _least_rotation_leader(c0) == me
-    leads1 = None if sym1 else _least_rotation_leader(c1) == me
+    gaps0, gaps1 = gap_sequence(c0), gap_sequence(c1)
+    sym0, sym1 = _has_period(gaps0), _has_period(gaps1)
+    leads0 = None if sym0 else c0[_least_rotation(gaps0)] == me
+    leads1 = None if sym1 else c1[_least_rotation(gaps1)] == me
     if sym0 and sym1:
         raise SymmetricConfiguration("both hypotheses symmetric")
     if sym0:
@@ -132,17 +139,6 @@ def oracle_classify(positions: Sequence[Fraction], me: Fraction) -> RobotVerdict
         else:
             tag = "follower"
     return RobotVerdict(me, tag, leads0, leads1, possibility)
-
-
-def _least_rotation_leader(positions: List[Fraction]) -> Fraction:
-    n = len(positions)
-    gaps = [cw_angle(positions[i], positions[(i + 1) % n]) for i in range(n)]
-    doubled = gaps + gaps
-    best = 0
-    for k in range(1, n):
-        if doubled[k : k + n] < doubled[best : best + n]:
-            best = k
-    return positions[best]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +183,8 @@ def check_propositions(
     n = len(positions)
     occupied = set(positions)
     leader = brute_force_leader(config)
+    lead_at = positions.index(leader)
+    doubled = gap_sequence(positions) * 2
     verdicts = [oracle_classify(positions, p) for p in positions]
     by_pos = {v.pos: v for v in verdicts}
     expected = [v for v in verdicts if v.tag != "follower"]
@@ -196,15 +194,15 @@ def check_propositions(
     report: Dict[str, CheckResult] = {}
 
     # 1. No robot left of the leader matches the leader's sequence prefix up
-    #    to the leader's own position.
-    leader_seq = _sequence(positions, leader)
+    #    to the leader's own position. Robot i's sequence is the rotation of
+    #    the gap list starting at i, and the leader is (lead_at - i) % n hops
+    #    clockwise from it.
     bad = None
-    for p in positions:
+    for i, p in enumerate(positions):
         if p == leader or cw_angle(leader, p) <= HALF_TURN:
             continue
-        seq = _sequence(positions, p)
-        hops = _cw_index(positions, p, leader)
-        if tuple(seq[:hops]) == tuple(leader_seq[:hops]):
+        hops = (lead_at - i) % n
+        if doubled[i : i + hops] == doubled[lead_at : lead_at + hops]:
             bad = p
             break
     report["no_left_prefix_rival"] = CheckResult(
@@ -218,9 +216,10 @@ def check_propositions(
         if probe in occupied:
             continue
         new_positions = sorted(positions + [probe])
-        if _has_period(gap_sequence(new_positions)):
+        gaps = gap_sequence(new_positions)
+        if _has_period(gaps):
             continue
-        new_leader = _least_rotation_leader(new_positions)
+        new_leader = new_positions[_least_rotation(gaps)]
         if cw_angle(leader, new_leader) > cw_angle(leader, probe):
             bad = (probe, new_leader)
             break
@@ -302,8 +301,8 @@ def check_propositions(
     #    to each other.
     bad = None
     if len(confused) == 2:
-        nb0 = _first_cw_neighbor(positions, confused[0].pos)
-        nb1 = _first_cw_neighbor(positions, confused[1].pos)
+        nb0 = positions[(positions.index(confused[0].pos) + 1) % n]
+        nb1 = positions[(positions.index(confused[1].pos) + 1) % n]
         if nb0 == antipode(nb1):
             bad = (nb0, nb1)
     report["confused_pair_neighbors_not_antipodal"] = CheckResult(
@@ -314,22 +313,6 @@ def check_propositions(
     )
 
     return report
-
-
-def _sequence(positions: Sequence[Fraction], r: Fraction) -> List[Fraction]:
-    ordered = [r] + sorted((p for p in positions if p != r), key=lambda p: cw_angle(r, p))
-    n = len(ordered)
-    return [cw_angle(ordered[i], ordered[(i + 1) % n]) for i in range(n)]
-
-
-def _cw_index(positions: Sequence[Fraction], start: Fraction, target: Fraction) -> int:
-    """1-based clockwise hop count from ``start`` to ``target``."""
-    ordered = sorted((p for p in positions if p != start), key=lambda p: cw_angle(start, p))
-    return ordered.index(target) + 1
-
-
-def _first_cw_neighbor(positions: Sequence[Fraction], r: Fraction) -> Fraction:
-    return min((p for p in positions if p != r), key=lambda p: cw_angle(r, p))
 
 
 def _probe_grid(denominator_bound: int) -> List[Fraction]:

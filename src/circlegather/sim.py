@@ -92,9 +92,6 @@ class SchedulerPolicy:
         """(t_look, t_decide) of the robot's next cycle, or None when done."""
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class FsyncPolicy(SchedulerPolicy):
     """All robots look together at integer rounds and decide a quarter unit later."""
@@ -110,9 +107,6 @@ class FsyncPolicy(SchedulerPolicy):
         k = max(self._next_round[robot_id], math.ceil(not_before))
         self._next_round[robot_id] = k + 1
         return Fraction(k), Fraction(k) + Fraction(1, 4)
-
-    def to_json(self):
-        return {"kind": "fsync"}
 
 
 class SsyncPolicy(SchedulerPolicy):
@@ -155,9 +149,6 @@ class SsyncPolicy(SchedulerPolicy):
             k += 1
         return Fraction(k), Fraction(k) + Fraction(1, 4)
 
-    def to_json(self):
-        return {"kind": "ssync", "seed": self.seed, "max_skips": self.max_skips}
-
 
 class AsyncRandomPolicy(SchedulerPolicy):
     """Fully asynchronous adversary with seeded rational delays.
@@ -185,27 +176,18 @@ class AsyncRandomPolicy(SchedulerPolicy):
         t_look = not_before + gap
         return t_look, t_look + look_compute
 
-    def to_json(self):
-        return {
-            "kind": "async-random",
-            "seed": self.seed,
-            "delay_denominator_bound": self.bound,
-        }
-
 
 class ScriptedPolicy(SchedulerPolicy):
     """Replays an explicit, validated list of (robot, t_look, t_decide) events."""
 
     def __init__(self, events: Iterable[Tuple[str, Fraction, Fraction]]):
         self._queues: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
-        self._events = []
         for robot_id, t_look, t_decide in events:
             t_look, t_decide = Fraction(t_look), Fraction(t_decide)
             if t_look < 0:
                 raise ScheduleError("scripted times must be nonnegative")
             if t_decide <= t_look:
                 raise ScheduleError("look and compute must take strictly positive time")
-            self._events.append((robot_id, t_look, t_decide))
             self._queues.setdefault(robot_id, []).append((t_look, t_decide))
         for robot_id, q in self._queues.items():
             for (l0, d0), (l1, _) in zip(q, q[1:]):
@@ -237,20 +219,6 @@ class ScriptedPolicy(SchedulerPolicy):
             return None
         return q[i]
 
-    def to_json(self):
-        return {
-            "kind": "scripted",
-            "events": [
-                {"robot": r, "look": format_angle_time(l), "decide": format_angle_time(d)}
-                for r, l, d in self._events
-            ],
-        }
-
-
-def format_angle_time(t: Fraction) -> str:
-    t = Fraction(t)
-    return f"{t.numerator}/{t.denominator}"
-
 
 def parse_time(text: str) -> Fraction:
     """Parse a time literal ``"p/q"`` or ``"p"``; anything else is a :class:`ParseError`."""
@@ -276,7 +244,7 @@ class TraceRecord:
 
     def to_json(self) -> dict:
         return {
-            "t": format_angle_time(self.t),
+            "t": f"{self.t.numerator}/{self.t.denominator}",
             "robot": self.robot,
             "kind": self.kind,
             "payload": self.payload,
@@ -301,10 +269,6 @@ class Trace:
             )
         )
         return "\n".join(lines) + "\n"
-
-    @property
-    def event_count(self) -> int:
-        return len(self.records)
 
 
 # ---------------------------------------------------------------------------

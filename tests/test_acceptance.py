@@ -326,9 +326,7 @@ def test_criterion_8_worked_example_regression():
 
     # Independent C1 election to find who leads once the antipode is occupied.
     c1 = sorted(list(positions) + [antipode(me)])
-    from circlegather.oracle import _least_rotation_leader
-
-    c1_leader = _least_rotation_leader(c1)
+    c1_leader = brute_force_leader(Configuration.from_points(c1))
 
     # Safe-neighbor re-derivation from raw positions.
     s = min((p for p in positions if p != me), key=lambda p: cw_angle(me, p))

@@ -164,6 +164,26 @@ def test_verify_small_sweep(capsys):
     assert set(report["classes_found"]) == {"A", "BI", "BII", "C"}
 
 
+BAD_VERIFY_FLAGS = {
+    "n_not_a_number": ["--n", "abc"],
+    "n_range_empty": ["--n", "5..3"],
+    "n_below_two": ["--n", "1"],
+    "denominator_bound_zero": ["--denominator-bound", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VERIFY_FLAGS))
+def test_verify_bad_flags_are_parse_errors_before_any_work(name, monkeypatch, capsys):
+    import circlegather.cli as cli
+
+    swept = []
+    monkeypatch.setattr(cli, "verify_sweep", lambda **kw: swept.append(kw))
+    assert main(["verify", *BAD_VERIFY_FLAGS[name]]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert not out and not swept
+
+
 def _worked_robots():
     return json.loads((FIXTURES / "worked_example.json").read_text())["robots"]
 

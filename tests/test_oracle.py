@@ -131,3 +131,27 @@ def test_shrink_config_reduces_while_preserving_predicate():
     assert sum(p.denominator for p in small.positions) <= sum(
         p.denominator for p in cfg.positions
     )
+
+
+# Failure paths: a wrong leader must make the prefix and insertion checks fail.
+WRONG_LEADER_CASES = [
+    (["0", "1/5", "2/5", "7/10"], "1/5", "no_left_prefix_rival", "rival at 0/1"),
+    (["2/5", "1/2", "7/10", "9/10"], "1/2", "insertion_keeps_leader_in_arc",
+     "probe 0/1 elects 2/5"),
+]
+
+
+@pytest.mark.parametrize(
+    "points, wrong, check, witness", WRONG_LEADER_CASES, ids=[c[2] for c in WRONG_LEADER_CASES]
+)
+def test_checks_fail_with_a_witness_under_a_wrong_leader(
+    points, wrong, check, witness, monkeypatch
+):
+    import circlegather.oracle as oracle
+
+    cfg = Configuration.from_points([F(p) for p in points])
+    assert brute_force_leader(cfg) != F(wrong)
+    monkeypatch.setattr(oracle, "brute_force_leader", lambda config: F(wrong))
+    result = check_propositions(cfg)[check]
+    assert not result.passed
+    assert result.witness == witness
