@@ -4,15 +4,11 @@ from .angles import (
     Arc,
     HALF_TURN,
     QUARTER_TURN,
-    angular_distance,
     antipode,
-    ccw_angle,
     cw_angle,
     format_angle,
-    in_arc,
     norm,
     parse_angle,
-    sort_cw_from,
 )
 from .analysis import (
     ConfigurationClass,
@@ -35,7 +31,6 @@ from .configuration import (
     angle_sequence,
     gap_sequence,
     is_rotationally_symmetric,
-    lex_compare,
     take_snapshot,
     true_leader,
 )

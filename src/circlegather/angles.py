@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Union
+from typing import Union
 
 from .errors import ParseError
 
@@ -35,17 +35,6 @@ def norm(x: Rational) -> Fraction:
 def cw_angle(a: Rational, b: Rational) -> Fraction:
     """Angular distance travelled clockwise from ``a`` to ``b``."""
     return (Fraction(b) - Fraction(a)) % 1
-
-
-def ccw_angle(a: Rational, b: Rational) -> Fraction:
-    """Angular distance travelled counter-clockwise from ``a`` to ``b``."""
-    return (Fraction(a) - Fraction(b)) % 1
-
-
-def angular_distance(a: Rational, b: Rational) -> Fraction:
-    """Length of the shorter arc between ``a`` and ``b``; at most 1/2."""
-    d = cw_angle(a, b)
-    return d if d <= HALF_TURN else 1 - d
 
 
 def antipode(a: Rational) -> Fraction:
@@ -79,23 +68,6 @@ class Arc:
         lower_ok = d > 0 or self.closure[0] == "["
         upper_ok = d < self.extent or (d == self.extent and self.closure[1] == "]")
         return lower_ok and upper_ok
-
-
-def in_arc(x: Rational, arc: Arc) -> bool:
-    """Exact arc membership respecting endpoint closure."""
-    return x in arc
-
-
-def sort_cw_from(origin: Rational, points: Iterable[Rational]) -> List[Fraction]:
-    """Points ordered by increasing clockwise angle from ``origin``.
-
-    Points equal to ``origin`` are excluded; exact duplicates keep their
-    input order.
-    """
-    o = norm(origin)
-    kept = [norm(p) for p in points]
-    kept = [p for p in kept if p != o]
-    return sorted(kept, key=lambda p: cw_angle(o, p))
 
 
 def format_angle(a: Rational) -> str:

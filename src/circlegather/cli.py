@@ -5,6 +5,10 @@ malformed document, field or flag, or a file that cannot be read or
 written), 2 illegal input (symmetric or multiplicity-bearing configuration,
 or a schedule that cannot be replayed), 3 limit exceeded or target not
 reached. All output is deterministic given the flags.
+
+``verify`` runs :func:`oracle.proposition_sweep`, the acceptance suite's
+sweep: ``--n 3..10 --count 10000 --seed 0 --denominator-bound 120`` checks
+exactly the corpus of acceptance criteria 1, 2 and 6.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ from .errors import (
     ScheduleError,
     SymmetricConfiguration,
 )
-from .oracle import (
-    GeneratorSpec,
-    brute_force_leader,
-    check_propositions,
-    random_config,
-    search_class,
-)
+from .oracle import GeneratorSpec, proposition_sweep, random_config, search_class
 from .render import RenderSpec, render_svg
 from .sim import (
     AsyncRandomPolicy,
@@ -135,6 +133,12 @@ def _int(obj: dict, key: str, default: int) -> int:
         raise ParseError(f"{key!r} must be an integer, got {value!r}")
 
 
+def _at_least(value: int, low: int, what: str) -> int:
+    if value < low:
+        raise ParseError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 def _event_from_json(obj):
     obj = _object(obj, "each scripted event")
     try:
@@ -201,7 +205,8 @@ def load_run_config(obj):
         raise ParseError("run configuration needs an 'initial' configuration")
     policy = _policy_from_json(obj.get("policy", {"kind": "fsync"}))
     lim = _object(obj.get("limits", {}), "'limits'")
-    limits = RunLimits(max_events=_int(lim, "max_events", 100000))
+    max_events = _at_least(_int(lim, "max_events", 100000), 1, "'max_events'")
+    limits = RunLimits(max_events=max_events)
     if "max_time" in lim:
         limits.max_time = parse_time(lim["max_time"])
     options = _options_from_json(obj.get("options", {}))
@@ -267,6 +272,10 @@ def _parse_range(text: str) -> range:
 
 def cmd_verify(args) -> int:
     n_range = _parse_range(args.n)
+    _at_least(args.count, 1, "--count")
+    _at_least(args.sim_count, 0, "--sim-count")
+    _at_least(args.search_budget, 0, "--search-budget")
+    _at_least(args.max_events, 1, "--max-events")
     try:
         # A spec at the smallest robot count checks both --n and the bound.
         GeneratorSpec(n=n_range[0], denominator_bound=args.denominator_bound, seed=args.seed)
@@ -295,27 +304,8 @@ def verify_sweep(
     max_events: int = 100000,
 ) -> dict:
     """Proposition sweep + taxonomy search + batch simulations, as one report."""
-    from random import Random
-
-    proposition_failures = []
-    leader_mismatches = 0
-    checked = 0
     ns = list(n_range)
-    rng = Random(f"verify:{seed}")
-    for i in range(count):
-        n = ns[i % len(ns)]
-        spec = GeneratorSpec(n=n, denominator_bound=denominator_bound, seed=seed + i)
-        config = random_config(spec, rng)
-        checked += 1
-        from .configuration import true_leader
-
-        if brute_force_leader(config) != true_leader(config):
-            leader_mismatches += 1
-        for name, result in check_propositions(config).items():
-            if not result.passed:
-                proposition_failures.append(
-                    {"check": name, "witness": result.witness, "config": config.to_json()}
-                )
+    sweep = proposition_sweep(ns, count, seed, denominator_bound)
 
     classes_found = {}
     for target in ConfigurationClass:
@@ -338,16 +328,16 @@ def verify_sweep(
             sim_failures.append({"config": config.to_json(), "reason": "multiplicities"})
 
     ok = (
-        not proposition_failures
-        and leader_mismatches == 0
+        not sweep.proposition_failures
+        and not sweep.leader_mismatches
         and all(v is not None for v in classes_found.values())
         and not sim_failures
     )
     return {
         "ok": ok,
-        "configs_checked": checked,
-        "leader_mismatches": leader_mismatches,
-        "proposition_failures": proposition_failures,
+        "configs_checked": sweep.checked,
+        "leader_mismatches": len(sweep.leader_mismatches),
+        "proposition_failures": sweep.proposition_failures,
         "classes_found": classes_found,
         "sim_failures": sim_failures,
     }

@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .angles import HALF_TURN, cw_angle, format_angle, norm, parse_angle
 from .errors import (
     ContractViolation,
-    LengthMismatch,
     MultiplicityPresent,
     ParseError,
     SymmetricConfiguration,
@@ -185,16 +184,6 @@ def sequence_from(positions: Sequence[Fraction], r: Fraction) -> AngleSeq:
     )
     n = len(ordered)
     return tuple(cw_angle(ordered[i], ordered[(i + 1) % n]) for i in range(n))
-
-
-def lex_compare(a: AngleSeq, b: AngleSeq) -> int:
-    """-1, 0 or 1 as ``a`` is lexicographically smaller, equal or greater."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"cannot compare sequences of lengths {len(a)} and {len(b)}")
-    ta, tb = tuple(a), tuple(b)
-    if ta == tb:
-        return 0
-    return -1 if ta < tb else 1
 
 
 def lattice(positions: Sequence[Fraction]) -> Tuple[Tuple[Fraction, ...], List[int]]:

@@ -17,10 +17,6 @@ class MultiplicityInSnapshot(CircleGatherError):
     """Hypothesis reasoning is only defined for multiplicity-free snapshots."""
 
 
-class LengthMismatch(CircleGatherError):
-    """Sequences of different lengths cannot be compared."""
-
-
 class SymmetricConfiguration(CircleGatherError):
     """Operation requires a rotationally asymmetric configuration."""
 

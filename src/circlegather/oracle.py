@@ -9,18 +9,22 @@ every cyclic rotation of it with every other. Per-robot classification is
 built directly from raw position sets, and the structural claims the
 analysis layer relies on are enumerated directly. Failures are data
 (reported with a witness), not exceptions, so a sweep can tally them.
+
+:func:`proposition_sweep` is the one sweep over random configurations that
+both ``gather-sim verify`` and the acceptance suite run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .angles import HALF_TURN, antipode, cw_angle, format_angle
 from .analysis import ConfigurationClass, configuration_class
-from .configuration import Configuration, gap_sequence
+from .configuration import Configuration, gap_sequence, true_leader
 from .errors import GenerationExhausted, SymmetricConfiguration
 
 # ---------------------------------------------------------------------------
@@ -179,6 +183,11 @@ def check_propositions(
     Requires an asymmetric multiplicity-free input. Failures come back as
     results with witnesses; nothing raises for a false claim.
     """
+    return _check(config, probe_denominator_bound)[0]
+
+
+def _check(config: Configuration, probe_denominator_bound: int = 12):
+    """(:func:`check_propositions` report, oracle leader, robot verdicts)."""
     positions = sorted(config.positions)
     n = len(positions)
     occupied = set(positions)
@@ -312,7 +321,7 @@ def check_propositions(
         else f"neighbors {format_angle(bad[0])}, {format_angle(bad[1])}",
     )
 
-    return report
+    return report, leader, verdicts
 
 
 def _probe_grid(denominator_bound: int) -> List[Fraction]:
@@ -324,6 +333,48 @@ def _probe_grid(denominator_bound: int) -> List[Fraction]:
         }
     )
     return grid
+
+
+# ---------------------------------------------------------------------------
+# Proposition sweep
+
+
+@dataclass
+class SweepResult:
+    """Tallies of :func:`proposition_sweep`; configurations appear as JSON."""
+
+    checked: int = 0
+    #: ``{"check", "witness", "config"}`` for every failed claim.
+    proposition_failures: List[dict] = field(default_factory=list)
+    #: Configurations whose oracle leader differs from ``true_leader``'s.
+    leader_mismatches: List[dict] = field(default_factory=list)
+    #: Sorted non-follower tags of a configuration -> configurations with them.
+    cases: Counter = field(default_factory=Counter)
+
+
+def proposition_sweep(
+    ns: Sequence[int], count: int, seed: int, denominator_bound: int
+) -> SweepResult:
+    """Check ``count`` random configurations with one oracle pass each.
+
+    Config ``i`` has ``ns[i % len(ns)]`` robots and generator seed
+    ``seed + i``. The pass gives the nine claims, the leader to compare with
+    ``true_leader`` and the expected-leader case.
+    """
+    result = SweepResult()
+    for i in range(count):
+        config = random_config(GeneratorSpec(ns[i % len(ns)], denominator_bound, seed + i))
+        report, leader, verdicts = _check(config)
+        result.checked += 1
+        for name, check in report.items():
+            if not check.passed:
+                result.proposition_failures.append(
+                    {"check": name, "witness": check.witness, "config": config.to_json()}
+                )
+        if leader != true_leader(config):
+            result.leader_mismatches.append(config.to_json())
+        result.cases[tuple(sorted(v.tag for v in verdicts if v.tag != "follower"))] += 1
+    return result
 
 
 # ---------------------------------------------------------------------------

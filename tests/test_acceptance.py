@@ -22,14 +22,14 @@ from circlegather.analysis import (
 )
 from circlegather.angles import HALF_TURN, antipode, cw_angle, parse_angle
 from circlegather.cli import main
-from circlegather.configuration import Configuration, take_snapshot, true_leader
+from circlegather.configuration import Configuration, take_snapshot
 from circlegather.errors import LimitExceeded
 from circlegather.oracle import (
     CHECK_NAMES,
     GeneratorSpec,
     brute_force_leader,
-    check_propositions,
     oracle_classify,
+    proposition_sweep,
     random_config,
 )
 from circlegather.protocol import CCW
@@ -73,42 +73,20 @@ def load_fixture(name):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Shared corpus for criteria 1, 2 and 6: configs with oracle verdicts."""
-    ns = list(SWEEP_NS)
-    results = {
-        "count": 0,
-        "proposition_failures": [],
-        "leader_mismatches": [],
-        "bad_cardinality": [],
-        "case_counts": {},
-    }
-    for i in range(SWEEP_SIZE):
-        spec = GeneratorSpec(n=ns[i % len(ns)], denominator_bound=SWEEP_DENOMINATOR, seed=i)
-        config = random_config(spec)
-        results["count"] += 1
-        for name, check in check_propositions(config).items():
-            if not check.passed:
-                results["proposition_failures"].append((name, check.witness, config.to_json()))
-        if brute_force_leader(config) != true_leader(config):
-            results["leader_mismatches"].append(config.to_json())
-        verdicts = [oracle_classify(config.positions, p) for p in config.positions]
-        tags = tuple(sorted(v.tag for v in verdicts if v.tag != "follower"))
-        if len(tags) not in (1, 2):
-            results["bad_cardinality"].append(config.to_json())
-        results["case_counts"][tags] = results["case_counts"].get(tags, 0) + 1
-    return results
+    """Shared corpus for criteria 1, 2 and 6: one oracle pass per config."""
+    return proposition_sweep(SWEEP_NS, SWEEP_SIZE, seed=0, denominator_bound=SWEEP_DENOMINATOR)
 
 
 def test_criterion_1_proposition_sweep(sweep):
-    failures = sweep["proposition_failures"]
-    ok = sweep["count"] >= SWEEP_SIZE and not failures
+    failures = sweep.proposition_failures
+    ok = sweep.checked >= SWEEP_SIZE and not failures
     report(
         1,
         ok,
-        f"{sweep['count']} configs x {len(CHECK_NAMES)} checks, "
+        f"{sweep.checked} configs x {len(CHECK_NAMES)} checks, "
         f"{len(failures)} failures",
     )
-    assert sweep["count"] >= SWEEP_SIZE
+    assert sweep.checked >= SWEEP_SIZE
     assert not failures, failures[:3]
 
 
@@ -119,7 +97,8 @@ def test_criterion_2_expected_leader_cardinality(sweep):
         ("confused-leader", "confused-leader"),
         ("confused-leader", "sure-leader"),
     }
-    observed = set(sweep["case_counts"])
+    bad_cardinality = [case for case in sweep.cases if len(case) not in (1, 2)]
+    observed = set(sweep.cases)
     # Committed fixtures witness each case even if the random corpus missed one.
     for name in (
         "leaders_one_sure",
@@ -131,7 +110,7 @@ def test_criterion_2_expected_leader_cardinality(sweep):
         verdicts = [oracle_classify(config.positions, p) for p in config.positions]
         observed.add(tuple(sorted(v.tag for v in verdicts if v.tag != "follower")))
     ok = (
-        not sweep["bad_cardinality"]
+        not bad_cardinality
         and observed <= four_cases
         and observed == four_cases
     )
@@ -141,7 +120,7 @@ def test_criterion_2_expected_leader_cardinality(sweep):
         f"counts always 1 or 2; cases observed: "
         f"{sorted('+'.join(c) for c in observed)}",
     )
-    assert not sweep["bad_cardinality"]
+    assert not bad_cardinality, bad_cardinality
     assert observed == four_cases
 
 
@@ -283,8 +262,8 @@ def test_criterion_5_countermove_cancellation(gathering_runs):
 
 
 def test_criterion_6_leader_oracle_equivalence(sweep):
-    mismatches = sweep["leader_mismatches"]
-    report(6, not mismatches, f"{sweep['count']} configs, {len(mismatches)} mismatches")
+    mismatches = sweep.leader_mismatches
+    report(6, not mismatches, f"{sweep.checked} configs, {len(mismatches)} mismatches")
     assert not mismatches, mismatches[:3]
 
 

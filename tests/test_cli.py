@@ -164,11 +164,50 @@ def test_verify_small_sweep(capsys):
     assert set(report["classes_found"]) == {"A", "BI", "BII", "C"}
 
 
+def test_verify_reports_sweep_failures_with_exit_3(monkeypatch, capsys):
+    import circlegather.oracle as oracle
+
+    elect = oracle.brute_force_leader
+
+    def next_after_leader(config):
+        """A wrong leader: the robot clockwise after the true one."""
+        positions = sorted(config.positions)
+        return positions[(positions.index(elect(config)) + 1) % len(positions)]
+
+    monkeypatch.setattr(oracle, "brute_force_leader", next_after_leader)
+    code = main(
+        [
+            "verify",
+            "--n", "3..5",
+            "--count", "30",
+            "--seed", "1",
+            "--denominator-bound", "40",
+            "--search-budget", "5000",
+            "--sim-count", "0",
+        ]
+    )
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["configs_checked"] == 30
+    assert report["leader_mismatches"] > 0
+    failures = report["proposition_failures"]
+    assert failures
+    assert all(f["check"] in oracle.CHECK_NAMES for f in failures)
+    assert all(f["witness"] and f["config"]["robots"] for f in failures)
+    # Only the sweep failed: every class was found and nothing was simulated.
+    assert all(report["classes_found"].values()) and report["sim_failures"] == []
+
+
 BAD_VERIFY_FLAGS = {
     "n_not_a_number": ["--n", "abc"],
     "n_range_empty": ["--n", "5..3"],
     "n_below_two": ["--n", "1"],
     "denominator_bound_zero": ["--denominator-bound", "0"],
+    "count_zero": ["--count", "0"],
+    "sim_count_negative": ["--sim-count", "-1"],
+    "search_budget_negative": ["--search-budget", "-1"],
+    "max_events_zero": ["--max-events", "0"],
 }
 
 
@@ -204,6 +243,8 @@ MALFORMED_RUN_CONFIGS = {
     "scripted_event_missing_field": run_config_doc(
         policy={"kind": "scripted", "events": [{"robot": "r0", "look": "0/1"}]}
     ),
+    "max_events_zero": run_config_doc(limits={"max_events": 0}),
+    "max_events_negative": run_config_doc(limits={"max_events": -1}),
 }
 
 

@@ -18,7 +18,6 @@ from circlegather.configuration import (
     lattice,
     leader_of_positions,
     least_rotation,
-    lex_compare,
     require_legal_initial,
     sequence_from,
     snapshot_of_positions,
@@ -27,7 +26,6 @@ from circlegather.configuration import (
 )
 from circlegather.errors import (
     ContractViolation,
-    LengthMismatch,
     MultiplicityPresent,
     ParseError,
     SymmetricConfiguration,
@@ -94,14 +92,6 @@ def test_angle_sequence_starts_at_the_robot():
     assert angle_sequence(cfg, F("1/10")) == (F("7/20"), F("1/4"), F("3/10"), F("1/10"))
     with pytest.raises(UnknownRobot):
         angle_sequence(cfg, F("1/3"))
-
-
-def test_lex_compare():
-    assert lex_compare((F(1), F(2)), (F(1), F(3))) == -1
-    assert lex_compare((F(1), F(3)), (F(1), F(2))) == 1
-    assert lex_compare((F(1), F(2)), (F(1), F(2))) == 0
-    with pytest.raises(LengthMismatch):
-        lex_compare((F(1),), (F(1), F(2)))
 
 
 def test_rotational_symmetry():
