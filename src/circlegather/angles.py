@@ -28,7 +28,13 @@ _ANGLE_RE = re.compile(r"^\s*(\d+)\s*/\s*([1-9]\d*)\s*$")
 
 
 def norm(x: Rational) -> Fraction:
-    """Canonical representative of ``x`` in [0, 1)."""
+    """Canonical representative of ``x`` in [0, 1).
+
+    A ``Fraction`` already in [0, 1) is returned as it is (most callers pass
+    positions and offsets that are), so it costs no new ``Fraction``.
+    """
+    if type(x) is Fraction and 0 <= x.numerator < x.denominator:
+        return x
     return Fraction(x) % 1
 
 

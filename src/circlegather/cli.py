@@ -1,10 +1,11 @@
 """Operator entry point: analyze configurations, run simulations, verify.
 
 Exit codes are fixed for scriptability: 0 success, 1 parse error (any
-malformed document, field or flag, or a file that cannot be read or
-written), 2 illegal input (symmetric or multiplicity-bearing configuration,
-or a schedule that cannot be replayed), 3 limit exceeded or target not
-reached. All output is deterministic given the flags.
+malformed document, field or flag, a file that cannot be read or written,
+or ``verify`` flags that no random configuration can satisfy), 2 illegal
+input (symmetric or multiplicity-bearing configuration, or a schedule that
+cannot be replayed), 3 limit exceeded or target not reached. All output is
+deterministic given the flags.
 
 ``verify`` runs :func:`oracle.proposition_sweep`, the acceptance suite's
 sweep: ``--n 3..10 --count 10000 --seed 0 --denominator-bound 120`` checks
@@ -22,6 +23,7 @@ from .analysis import ConfigurationClass
 from .angles import HALF_TURN, QUARTER_TURN
 from .configuration import Configuration
 from .errors import (
+    GenerationExhausted,
     LimitExceeded,
     MultiplicityPresent,
     ParseError,
@@ -53,7 +55,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, GenerationExhausted) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SymmetricConfiguration, MultiplicityPresent) as exc:

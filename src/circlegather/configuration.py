@@ -154,13 +154,16 @@ def _require_distinct(positions: Sequence[Fraction]) -> None:
 
 
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:
-    """Clockwise gaps between consecutive occupied points, from the smallest position."""
+    """Clockwise gaps between consecutive occupied points, from the smallest position.
+
+    Neighbours of the sorted positions are subtracted directly, one
+    ``Fraction`` operation per gap; the last gap wraps past a full turn.
+    """
     _require_distinct(positions)
     pts = sorted(norm(p) for p in positions)
-    n = len(pts)
-    if n == 1:
+    if len(pts) == 1:
         return (Fraction(1),)
-    return tuple(cw_angle(pts[i], pts[(i + 1) % n]) for i in range(n))
+    return tuple(b - a for a, b in zip(pts, pts[1:])) + (1 - pts[-1] + pts[0],)
 
 
 def angle_sequence(config: Configuration, r: Fraction) -> AngleSeq:

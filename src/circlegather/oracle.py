@@ -3,12 +3,16 @@
 Everything here re-derives verdicts through a second code path. Each point
 set (a configuration, a robot's two hypotheses C0 and C1, a configuration
 with one probe robot inserted) gets its sorted ``Fraction`` gap list built
-once by ``gap_sequence``; the symmetry test and the leader election both
-read that list, and the leader is elected once per point set by comparing
-every cyclic rotation of it with every other. Per-robot classification is
-built directly from raw position sets, and the structural claims the
-analysis layer relies on are enumerated directly. Failures are data
-(reported with a witness), not exceptions, so a sweep can tally them.
+once: ``gap_sequence`` builds it for a configuration and for C0, and a set
+that is its parent set plus one point (C1 is C0 plus the antipode, a probe
+set is the configuration plus the probe) gets it spliced from the parent's
+list by :func:`_insert`, since the new point only splits one gap. The
+symmetry test and the leader election both read that list, and the leader
+is elected once per point set by comparing every cyclic rotation of it with
+every other. Per-robot classification is built directly from raw position
+sets, and the structural claims the analysis layer relies on are enumerated
+directly. Failures are data (reported with a witness), not exceptions, so a
+sweep can tally them.
 
 :func:`proposition_sweep` is the one sweep over random configurations that
 both ``gather-sim verify`` and the acceptance suite run.
@@ -16,9 +20,11 @@ both ``gather-sim verify`` and the acceptance suite run.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -104,6 +110,27 @@ def brute_force_leader(config: Configuration) -> Fraction:
     return positions[_least_rotation(gaps)]
 
 
+def _insert(
+    positions: List[Fraction], gaps: Tuple[Fraction, ...], p: Fraction
+) -> Tuple[List[Fraction], Tuple[Fraction, ...]]:
+    """``positions`` with ``p`` added, and its gap list, spliced from ``gaps``.
+
+    ``positions`` are sorted distinct points of [0, 1) with gap list
+    ``gaps``; ``p`` is a new point of [0, 1). It splits the one gap it falls
+    in, so this equals ``gap_sequence`` of the new set.
+    """
+    i = bisect(positions, p)
+    if i == 0:
+        # p becomes the smallest point: its gap leads, the wrap gap shrinks.
+        d = positions[0] - p
+        return [p] + positions, (d,) + gaps[:-1] + (gaps[-1] - d,)
+    d = p - positions[i - 1]
+    return (
+        positions[:i] + [p] + positions[i:],
+        gaps[: i - 1] + (d, gaps[i - 1] - d) + gaps[i:],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Per-robot classification rebuilt from raw positions
 
@@ -118,13 +145,14 @@ class RobotVerdict:
 
 
 def oracle_classify(positions: Sequence[Fraction], me: Fraction) -> RobotVerdict:
-    """Classify one robot straight from the raw position multiset."""
-    visible = [
-        p for p in positions if p != me and cw_angle(me, p) != HALF_TURN
-    ]
-    c0 = sorted(visible + [me])
-    c1 = sorted(c0 + [antipode(me)])
-    gaps0, gaps1 = gap_sequence(c0), gap_sequence(c1)
+    """Classify one robot straight from the raw position multiset.
+
+    ``positions`` and ``me`` are angles in [0, 1), as in a configuration.
+    """
+    far = antipode(me)
+    c0 = sorted([p for p in positions if p != me and p != far] + [me])
+    gaps0 = gap_sequence(c0)
+    c1, gaps1 = _insert(c0, gaps0, far)
     sym0, sym1 = _has_period(gaps0), _has_period(gaps1)
     leads0 = None if sym0 else c0[_least_rotation(gaps0)] == me
     leads1 = None if sym1 else c1[_least_rotation(gaps1)] == me
@@ -193,7 +221,8 @@ def _check(config: Configuration, probe_denominator_bound: int = 12):
     occupied = set(positions)
     leader = brute_force_leader(config)
     lead_at = positions.index(leader)
-    doubled = gap_sequence(positions) * 2
+    gaps = gap_sequence(positions)
+    doubled = gaps * 2
     verdicts = [oracle_classify(positions, p) for p in positions]
     by_pos = {v.pos: v for v in verdicts}
     expected = [v for v in verdicts if v.tag != "follower"]
@@ -224,11 +253,10 @@ def _check(config: Configuration, probe_denominator_bound: int = 12):
     for probe in _probe_grid(probe_denominator_bound):
         if probe in occupied:
             continue
-        new_positions = sorted(positions + [probe])
-        gaps = gap_sequence(new_positions)
-        if _has_period(gaps):
+        new_positions, new_gaps = _insert(positions, gaps, probe)
+        if _has_period(new_gaps):
             continue
-        new_leader = new_positions[_least_rotation(gaps)]
+        new_leader = new_positions[_least_rotation(new_gaps)]
         if cw_angle(leader, new_leader) > cw_angle(leader, probe):
             bad = (probe, new_leader)
             break
@@ -324,15 +352,10 @@ def _check(config: Configuration, probe_denominator_bound: int = 12):
     return report, leader, verdicts
 
 
-def _probe_grid(denominator_bound: int) -> List[Fraction]:
-    grid = sorted(
-        {
-            Fraction(k, d)
-            for d in range(1, denominator_bound + 1)
-            for k in range(d)
-        }
-    )
-    return grid
+@lru_cache(maxsize=None)
+def _probe_grid(denominator_bound: int) -> Tuple[Fraction, ...]:
+    grid = {Fraction(k, d) for d in range(1, denominator_bound + 1) for k in range(d)}
+    return tuple(sorted(grid))
 
 
 # ---------------------------------------------------------------------------

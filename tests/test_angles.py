@@ -29,6 +29,29 @@ def test_norm_wraps_into_unit_interval():
     assert norm(Fraction(2)) == 0
 
 
+@given(angles)
+def test_norm_returns_an_in_range_fraction_itself(a):
+    assert norm(a) is a
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (Fraction(-1, 4), Fraction(3, 4)),
+        (Fraction(1), Fraction(0)),
+        (Fraction(7, 3), Fraction(1, 3)),
+        (3, Fraction(0)),
+        (-1, Fraction(0)),
+        ("5/4", Fraction(1, 4)),
+        ("-1/3", Fraction(2, 3)),
+        ("1/3", Fraction(1, 3)),
+    ],
+)
+def test_norm_still_normalises_every_other_input(x, expected):
+    result = norm(x)
+    assert type(result) is Fraction and result == expected
+
+
 def test_cw_and_ccw_angles():
     a, b = Fraction(1, 10), Fraction(4, 10)
     assert cw_angle(a, b) == Fraction(3, 10)
@@ -90,6 +113,8 @@ def test_arc_membership_matches_unrolled_interval(start, extent, x):
 def test_format_and_parse_roundtrip():
     assert format_angle(Fraction(2, 20)) == "1/10"
     assert format_angle(Fraction(0)) == "0/1"
+    assert format_angle(Fraction(5, 4)) == "1/4"
+    assert format_angle(Fraction(-1, 4)) == "3/4"
     assert parse_angle("3/4") == Fraction(3, 4)
     assert parse_angle(" 3 / 4 ") == Fraction(3, 4)
 

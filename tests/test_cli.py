@@ -223,6 +223,15 @@ def test_verify_bad_flags_are_parse_errors_before_any_work(name, monkeypatch, ca
     assert not out and not swept
 
 
+def test_verify_with_no_configuration_to_generate_is_a_parse_error(capsys):
+    # No asymmetric 10-robot configuration fits on 5 lattice points.
+    argv = ["verify", "--n", "10", "--denominator-bound", "5", "--count", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out
+
+
 def _worked_robots():
     return json.loads((FIXTURES / "worked_example.json").read_text())["robots"]
 

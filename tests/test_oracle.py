@@ -3,9 +3,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from circlegather.analysis import ConfigurationClass, classify, configuration_class
-from circlegather.configuration import Configuration, take_snapshot, true_leader
+from circlegather.configuration import (
+    Configuration,
+    gap_sequence,
+    take_snapshot,
+    true_leader,
+)
 from circlegather.errors import GenerationExhausted, SymmetricConfiguration
 from circlegather.oracle import (
     CHECK_NAMES,
@@ -155,3 +161,25 @@ def test_checks_fail_with_a_witness_under_a_wrong_leader(
     result = check_propositions(cfg)[check]
     assert not result.passed
     assert result.witness == witness
+
+
+@given(st.data())
+def test_insert_splices_the_gap_list_of_the_larger_set(data):
+    import circlegather.oracle as oracle
+
+    d = data.draw(st.sampled_from((7, 12, 120)))
+    ks = data.draw(
+        st.lists(st.integers(0, d - 1), min_size=2, max_size=min(13, d), unique=True)
+    )
+    points = sorted(F(k) / d for k in ks)
+    # Below the first and above the last point are the two wrap cases.
+    j = data.draw(st.sampled_from((0, -1)) | st.integers(0, len(points) - 1))
+    p = points.pop(j)
+    grown = sorted(points + [p])
+    assert oracle._insert(points, gap_sequence(points), p) == (grown, gap_sequence(grown))
+
+
+def test_oracle_stays_independent_of_the_lattice_election():
+    import circlegather.oracle as oracle
+
+    assert not {"lattice", "least_rotation", "has_period"} & set(vars(oracle))
