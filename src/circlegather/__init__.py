@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     ScheduleError,
     SymmetricConfiguration,
+    TooFewRobots,
 )
 from .oracle import (
     CheckResult,

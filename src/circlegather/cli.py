@@ -3,9 +3,9 @@
 Exit codes are fixed for scriptability: 0 success, 1 parse error (any
 malformed document, field or flag, a file that cannot be read or written,
 or ``verify`` flags that no random configuration can satisfy), 2 illegal
-input (symmetric or multiplicity-bearing configuration, or a schedule that
-cannot be replayed), 3 limit exceeded or target not reached. All output is
-deterministic given the flags.
+input (symmetric or multiplicity-bearing configuration, a run of fewer than
+two robots, or a schedule that cannot be replayed), 3 limit exceeded or
+target not reached. All output is deterministic given the flags.
 
 ``verify`` runs :func:`oracle.proposition_sweep`, the acceptance suite's
 sweep: ``--n 3..10 --count 10000 --seed 0 --denominator-bound 120`` checks
@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     ScheduleError,
     SymmetricConfiguration,
+    TooFewRobots,
 )
 from .oracle import GeneratorSpec, proposition_sweep, random_config, search_class
 from .render import RenderSpec, render_svg
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
     except (ParseError, GenerationExhausted) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SymmetricConfiguration, MultiplicityPresent) as exc:
+    except (SymmetricConfiguration, MultiplicityPresent, TooFewRobots) as exc:
         print(f"illegal configuration: {exc}", file=sys.stderr)
         return EXIT_ILLEGAL
     except ScheduleError as exc:
@@ -182,18 +183,14 @@ def _policy_from_json(obj):
 
 def _options_from_json(obj) -> RunOptions:
     obj = _object(obj, "'options'")
-    options = RunOptions()
-    threshold = obj.get("multiplicity_threshold", "pi/2")
-    if threshold == "pi/2":
-        options.multiplicity_threshold = QUARTER_TURN
-    elif threshold == "pi":
-        options.multiplicity_threshold = HALF_TURN
-    else:
+    unknown = sorted(set(obj) - {"multiplicity_threshold"})
+    if unknown:
+        raise ParseError(f"unknown run option(s) {unknown}")
+    threshold = obj.get("multiplicity_threshold", "pi")
+    if threshold not in ("pi/2", "pi"):
         raise ParseError("multiplicity_threshold must be 'pi/2' or 'pi'")
-    options.strict_transient_multiplicity = bool(
-        obj.get("strict_transient_multiplicity", False)
-    )
-    return options
+    wide = threshold == "pi"
+    return RunOptions(multiplicity_threshold=HALF_TURN if wide else QUARTER_TURN)
 
 
 def load_run_config(obj):

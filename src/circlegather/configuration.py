@@ -27,6 +27,7 @@ from .errors import (
     MultiplicityPresent,
     ParseError,
     SymmetricConfiguration,
+    TooFewRobots,
     UnknownRobot,
 )
 
@@ -340,5 +341,7 @@ def require_legal_initial(config: Configuration) -> None:
 
     Coincident robots raise :class:`MultiplicityPresent` from the lattice.
     """
+    if len(config.robots) < 2:
+        raise TooFewRobots("a run needs at least two robots")
     if is_rotationally_symmetric(config):
         raise SymmetricConfiguration("initial configuration must be asymmetric")

@@ -21,6 +21,10 @@ class SymmetricConfiguration(CircleGatherError):
     """Operation requires a rotationally asymmetric configuration."""
 
 
+class TooFewRobots(CircleGatherError):
+    """A run needs at least two robots: a lone robot never sees a peer."""
+
+
 class AmbiguousSymmetric(CircleGatherError):
     """Both antipodal hypotheses are rotationally symmetric.
 

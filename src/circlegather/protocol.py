@@ -84,13 +84,13 @@ STAY = MoveCommand(NONE, 0)
 def decide(
     snapshot: Snapshot,
     memory: Memory,
-    multiplicity_threshold: Fraction = QUARTER_TURN,
+    multiplicity_threshold: Fraction = HALF_TURN,
 ) -> Tuple[Memory, MoveCommand]:
     """One compute step. Total over legal snapshots and deterministic.
 
     ``multiplicity_threshold`` bounds the clockwise distance at which a robot
-    already sitting on a multiplicity point walks to another one; 1/4 by
-    default, 1/2 selectable.
+    already sitting on a multiplicity point walks to another one; 1/2 by
+    default, 1/4 selectable.
     """
     if snapshot.self_is_multiplicity:
         return memory, _from_own_multiplicity(snapshot, multiplicity_threshold)

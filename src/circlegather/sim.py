@@ -10,7 +10,10 @@ The run loop keeps the world state incrementally instead of rescanning every
 robot after each event: a count of robots per resting position plus the set
 of robots in flight, both changed only when a move starts or ends. The
 number of multiplicity points follows from those two updates in O(1), and a
-look interpolates only the robots in flight. :func:`world_snapshot`,
+look interpolates only the robots in flight. A look flags a point as a
+multiplicity only from robots at rest on it, the same count that defines
+the multiplicity points: a mover passing through an occupied point is seen
+there, but does not make it a multiplicity. :func:`world_snapshot`,
 :func:`multiplicity_points` and :func:`is_gathered` remain whole-world scans
 over ``RobotRuntime`` maps, for tests and for use outside the run loop.
 """
@@ -27,7 +30,7 @@ from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import protocol
-from .angles import QUARTER_TURN, format_angle
+from .angles import HALF_TURN, format_angle
 from .configuration import (
     Configuration,
     Snapshot,
@@ -300,27 +303,18 @@ def is_gathered(world: Dict[str, RobotRuntime], t: Fraction) -> bool:
     return len(positions) == 1
 
 
-def world_snapshot(
-    world: Dict[str, RobotRuntime],
-    observer: str,
-    t: Fraction,
-    strict_transient_multiplicity: bool = False,
-) -> Snapshot:
+def world_snapshot(world: Dict[str, RobotRuntime], observer: str, t: Fraction) -> Snapshot:
     """The observer's view of everyone's exact position at time ``t``.
 
-    Robots seen mid-move count toward multiplicity flags unless the strict
-    option excludes them. This scans the whole world; :func:`run` builds the
-    same view from its resting-position index.
+    Exactly the :func:`multiplicity_points` are flagged; robots seen mid-move
+    raise no flag. This scans the whole world; :func:`run` builds the same
+    view from its resting-position index.
     """
     me = world[observer]
     if me.is_moving_at(t):
         raise ObserverMoving(f"robot {observer!r} cannot look while moving")
     occupancy = Counter(rr.position_at(t) for rr in world.values())
-    flags = None
-    if strict_transient_multiplicity:
-        flags = Counter(
-            rr.position_at(t) for rr in world.values() if not rr.is_moving_at(t)
-        )
+    flags = dict(multiplicity_points(world, t))
     return build_snapshot(occupancy, me.position_at(t), flags)
 
 
@@ -336,8 +330,7 @@ class RunLimits:
 
 @dataclass
 class RunOptions:
-    multiplicity_threshold: Fraction = QUARTER_TURN
-    strict_transient_multiplicity: bool = False
+    multiplicity_threshold: Fraction = HALF_TURN
     #: Costly diagnostic: re-elect leaders globally after every decision and
     #: abort if the expected-leader count leaves {1, 2}.
     check_expected_leaders: bool = False
@@ -379,7 +372,9 @@ def run(
     ``resting`` counts the robots per resting position and ``in_flight``
     holds the robots mid-move (see the module docstring). A look with nobody
     in flight sees ``resting`` itself; otherwise it sees a copy with the
-    movers added at their interpolated positions.
+    movers added at their interpolated positions, and flags multiplicities
+    from ``resting`` plus any mover whose move starts at the look instant,
+    still on its origin.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
@@ -398,7 +393,6 @@ def run(
     gathered_confirmed: set = set()
     limit_hit = False
 
-    strict = options.strict_transient_multiplicity
     resting: Counter = Counter(rr.anchor for rr in world.values())
     in_flight: Dict[str, RobotRuntime] = {}
     mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
@@ -436,12 +430,11 @@ def run(
                 raise ObserverMoving(f"robot {rid!r} cannot look while moving")
             occupancy, flags = resting, None
             if in_flight:
-                occupancy = resting.copy()
-                flags = resting.copy() if strict else None
+                occupancy, flags = resting.copy(), resting.copy()
                 for mover in in_flight.values():
                     pos = mover.position_at(t)
                     occupancy[pos] += 1
-                    if flags is not None and not mover.is_moving_at(t):
+                    if not mover.is_moving_at(t):
                         flags[pos] += 1
             snap = build_snapshot(occupancy, rr.position_at(t), flags)
             snapshots[rid] = snap

@@ -254,6 +254,10 @@ MALFORMED_RUN_CONFIGS = {
     ),
     "max_events_zero": run_config_doc(limits={"max_events": 0}),
     "max_events_negative": run_config_doc(limits={"max_events": -1}),
+    "removed_option_key": run_config_doc(
+        options={"strict_transient_multiplicity": "false"}
+    ),
+    "misspelled_option_key": run_config_doc(options={"multiplicity_treshold": "pi"}),
 }
 
 
@@ -262,8 +266,19 @@ def test_run_malformed_config_is_a_parse_error(name, tmp_path, capsys):
     rc = write_json(tmp_path / "run.json", MALFORMED_RUN_CONFIGS[name])
     assert main(["run", rc]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("parse error: ")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_run_rejects_a_lone_robot_before_simulating(tmp_path, capsys):
+    rc = write_json(
+        tmp_path / "run.json",
+        run_config_doc(initial={"robots": [{"id": "r0", "pos": "0/1"}]}),
+    )
+    assert main(["run", rc]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("illegal configuration: ") and err.count("\n") == 1
 
 
 def test_run_rejects_script_naming_an_unknown_robot(tmp_path, capsys):

@@ -29,6 +29,7 @@ from circlegather.errors import (
     MultiplicityPresent,
     ParseError,
     SymmetricConfiguration,
+    TooFewRobots,
     UnknownRobot,
 )
 from circlegather.oracle import brute_force_leader
@@ -174,6 +175,8 @@ def test_require_legal_initial():
         require_legal_initial(Configuration.from_points([F(0), F(0)]))
     with pytest.raises(SymmetricConfiguration):
         require_legal_initial(Configuration.from_points([F(0), F("1/4"), F("1/2"), F("3/4")]))
+    with pytest.raises(TooFewRobots):
+        require_legal_initial(Configuration.from_points([F(0)]))
 
 
 # ---------------------------------------------------------------------------

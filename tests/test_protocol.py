@@ -71,10 +71,11 @@ def test_own_multiplicity_walks_to_close_second_point():
 
 def test_own_multiplicity_threshold_default_and_wide():
     s = snap(("3/10", True), self_mult=True)
-    _, cmd = decide(s, Memory.OFF)
+    _, cmd = decide(s, Memory.OFF, multiplicity_threshold=QUARTER_TURN)
     assert cmd == STAY
-    _, cmd = decide(s, Memory.OFF, multiplicity_threshold=HALF_TURN)
-    assert cmd.direction == CW and cmd.amount == F("3/10")
+    for threshold in ({}, {"multiplicity_threshold": HALF_TURN}):
+        _, cmd = decide(s, Memory.OFF, **threshold)
+        assert cmd.direction == CW and cmd.amount == F("3/10")
 
 
 def test_own_multiplicity_stays_without_second_point():
