@@ -130,10 +130,16 @@ def _object(obj, what: str) -> dict:
 
 def _int(obj: dict, key: str, default: int) -> int:
     value = obj.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    # JSON true and false are bools, which Python counts as ints.
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _only(obj: dict, allowed: set, what: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ParseError(f"unknown {what}(s) {unknown}")
 
 
 def _at_least(value: int, low: int, what: str) -> int:
@@ -153,15 +159,27 @@ def _event_from_json(obj):
     return robot, parse_time(look), parse_time(decide)
 
 
+#: The keys each policy kind reads; any other key is a parse error.
+_POLICY_KEYS = {
+    "fsync": {"kind"},
+    "ssync": {"kind", "seed", "max_skips"},
+    "async-random": {"kind", "seed", "delay_denominator_bound"},
+    "scripted": {"kind", "events"},
+}
+
+
 def _policy_from_json(obj):
     obj = _object(obj, "'policy'")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _POLICY_KEYS:
+        raise ParseError(f"unknown policy kind {kind!r}")
+    if kind == "ssync" and "fairness_window" in obj:
+        raise ParseError("ssync policy field 'fairness_window' is now 'max_skips'")
+    _only(obj, _POLICY_KEYS[kind], f"{kind} policy field")
     try:
         if kind == "fsync":
             return FsyncPolicy()
         if kind == "ssync":
-            if "fairness_window" in obj:
-                raise ParseError("ssync policy field 'fairness_window' is now 'max_skips'")
             return SsyncPolicy(
                 seed=_int(obj, "seed", 0),
                 max_skips=_int(obj, "max_skips", 3),
@@ -173,19 +191,16 @@ def _policy_from_json(obj):
             )
     except ValueError as exc:
         raise ParseError(f"bad {kind} policy: {exc}")
-    if kind == "scripted":
-        events = obj.get("events", [])
-        if not isinstance(events, list):
-            raise ParseError("scripted policy 'events' must be a list")
-        return ScriptedPolicy([_event_from_json(e) for e in events])
-    raise ParseError(f"unknown policy kind {kind!r}")
+    # The scripted policy.
+    events = obj.get("events", [])
+    if not isinstance(events, list):
+        raise ParseError("scripted policy 'events' must be a list")
+    return ScriptedPolicy([_event_from_json(e) for e in events])
 
 
 def _options_from_json(obj) -> RunOptions:
     obj = _object(obj, "'options'")
-    unknown = sorted(set(obj) - {"multiplicity_threshold"})
-    if unknown:
-        raise ParseError(f"unknown run option(s) {unknown}")
+    _only(obj, {"multiplicity_threshold"}, "run option")
     threshold = obj.get("multiplicity_threshold", "pi")
     if threshold not in ("pi/2", "pi"):
         raise ParseError("multiplicity_threshold must be 'pi/2' or 'pi'")
@@ -204,6 +219,7 @@ def load_run_config(obj):
         raise ParseError("run configuration needs an 'initial' configuration")
     policy = _policy_from_json(obj.get("policy", {"kind": "fsync"}))
     lim = _object(obj.get("limits", {}), "'limits'")
+    _only(lim, {"max_events", "max_time"}, "limits field")
     max_events = _at_least(_int(lim, "max_events", 100000), 1, "'max_events'")
     limits = RunLimits(max_events=max_events)
     if "max_time" in lim:

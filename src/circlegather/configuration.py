@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .angles import HALF_TURN, cw_angle, format_angle, norm, parse_angle
+from .angles import cw_angle, format_angle, norm, parse_angle
 from .errors import (
     ContractViolation,
     MultiplicityPresent,
@@ -104,13 +104,20 @@ class Configuration:
 
 @dataclass(frozen=True)
 class VisiblePoint:
-    """One occupied point in a snapshot, as a clockwise offset from the observer."""
+    """One occupied point in a snapshot, as a clockwise offset from the observer.
+
+    The offset is an exact rational strictly between 0 and 1 turn and never
+    the half turn. The check reads its numerator and denominator (a
+    ``Fraction`` is in lowest terms with a positive denominator), so it makes
+    no ``Fraction`` comparison; an int offset is never in range.
+    """
 
     offset: Fraction
     is_multiplicity: bool
 
     def __post_init__(self):
-        if not 0 < self.offset < 1 or self.offset == HALF_TURN:
+        num, den = self.offset.numerator, self.offset.denominator
+        if not 0 < num < den or 2 * num == den:
             raise ContractViolation(
                 f"visible offset must be in (0,1) and never 1/2, got {self.offset}"
             )
@@ -118,18 +125,27 @@ class VisiblePoint:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """What one robot sees: visible occupied points plus its own-point flag."""
+    """What one robot sees: visible occupied points plus its own-point flag.
+
+    ``visible`` is pairwise distinct and sorted by offset, so ``visible[0]``
+    is the first clockwise neighbour and ``visible[-1]`` the first
+    counter-clockwise one. The offsets are checked and ordered on their
+    common-denominator lattice (see :func:`lattice`): one int per point, no
+    ``Fraction`` hashing or comparison.
+    """
 
     visible: Tuple[VisiblePoint, ...]
     self_is_multiplicity: bool = False
 
     def __post_init__(self):
-        offsets = [v.offset for v in self.visible]
-        if len(set(offsets)) != len(offsets):
+        visible = self.visible
+        ratios = [(v.offset.numerator, v.offset.denominator) for v in visible]
+        d = lcm(*[q for _, q in ratios])
+        ticks = [num * (d // q) for num, q in ratios]
+        if len(set(ticks)) != len(ticks):
             raise ContractViolation("visible offsets must be pairwise distinct")
-        object.__setattr__(
-            self, "visible", tuple(sorted(self.visible, key=lambda v: v.offset))
-        )
+        order = sorted(range(len(ticks)), key=ticks.__getitem__)
+        object.__setattr__(self, "visible", tuple([visible[i] for i in order]))
 
     @property
     def offsets(self) -> Tuple[Fraction, ...]:
@@ -142,7 +158,10 @@ class Snapshot:
     def to_json(self) -> dict:
         return {
             "visible": [
-                {"offset": format_angle(v.offset), "multiplicity": v.is_multiplicity}
+                {
+                    "offset": f"{v.offset.numerator}/{v.offset.denominator}",
+                    "multiplicity": v.is_multiplicity,
+                }
                 for v in self.visible
             ],
             "self_multiplicity": self.self_is_multiplicity,

@@ -126,8 +126,7 @@ def _toward_neighbor_multiplicity(snapshot: Snapshot) -> MoveCommand:
     Movement follows the shorter arc, which stays below a half turn because
     the point is visible. Equal distances break clockwise.
     """
-    first_cw = min(snapshot.visible, key=lambda v: v.offset)
-    first_ccw = max(snapshot.visible, key=lambda v: v.offset)
+    first_cw, first_ccw = snapshot.visible[0], snapshot.visible[-1]
     options = []
     if first_cw.is_multiplicity:
         off = first_cw.offset
@@ -151,7 +150,7 @@ def _decide_off(snapshot: Snapshot) -> Tuple[Memory, MoveCommand]:
     cls = classify(snapshot)
     if cls.tag is LeaderTag.FOLLOWER:
         return Memory.OFF, STAY
-    leading = min(snapshot.offsets)
+    leading = snapshot.visible[0].offset
     if cls.tag is LeaderTag.SURE_LEADER:
         return Memory.OFF, _checked_step(CW, leading, "neighbor-position")
     if is_safe_neighbor(snapshot):
@@ -169,7 +168,7 @@ def _decide_staged(snapshot: Snapshot, memory: Memory) -> Tuple[Memory, MoveComm
     probed for interference is centered on the observer's (invisible)
     antipodal point, so it sits at offset 1/2 in the view frame.
     """
-    leading = min(snapshot.offsets)
+    leading = snapshot.visible[0].offset
     neighbor_antipode_occupied = ((leading + HALF_TURN) % 1) in set(snapshot.offsets)
     if not neighbor_antipode_occupied:
         return Memory.TERMINATE, STAY

@@ -96,10 +96,31 @@ class SchedulerPolicy:
         raise NotImplementedError
 
 
-class FsyncPolicy(SchedulerPolicy):
+class _RoundPolicy(SchedulerPolicy):
+    """A policy whose cycles look at an integer round k and decide at k + 1/4.
+
+    The policy builds each round's ``(k, k + 1/4)`` pair once and hands the
+    same two objects to every robot active in that round, so equal instants
+    in the event heap and in the trace sort are one object and compare by
+    identity instead of by ``Fraction.__eq__``.
+    """
+
+    def __init__(self):
+        self._instants: List[Tuple[Fraction, Fraction]] = []
+
+    def _round(self, k: int) -> Tuple[Fraction, Fraction]:
+        instants = self._instants
+        while len(instants) <= k:
+            j = len(instants)
+            instants.append((Fraction(j), Fraction(4 * j + 1, 4)))
+        return instants[k]
+
+
+class FsyncPolicy(_RoundPolicy):
     """All robots look together at integer rounds and decide a quarter unit later."""
 
     def __init__(self):
+        super().__init__()
         self._next_round: Dict[str, int] = {}
 
     def bind(self, robot_ids):
@@ -109,10 +130,10 @@ class FsyncPolicy(SchedulerPolicy):
     def next_cycle(self, robot_id, not_before):
         k = max(self._next_round[robot_id], math.ceil(not_before))
         self._next_round[robot_id] = k + 1
-        return Fraction(k), Fraction(k) + Fraction(1, 4)
+        return self._round(k)
 
 
-class SsyncPolicy(SchedulerPolicy):
+class SsyncPolicy(_RoundPolicy):
     """Round-based activation of seeded random nonempty subsets.
 
     A robot left out for ``max_skips`` consecutive rounds is force-included,
@@ -123,6 +144,7 @@ class SsyncPolicy(SchedulerPolicy):
     def __init__(self, seed: int = 0, max_skips: int = 3):
         if max_skips < 0:
             raise ValueError("max_skips must be nonnegative")
+        super().__init__()
         self.seed = seed
         self.max_skips = max_skips
         self._rng = Random(f"ssync:{seed}")
@@ -150,7 +172,7 @@ class SsyncPolicy(SchedulerPolicy):
         k = math.ceil(not_before)
         while robot_id not in self._membership(k):
             k += 1
-        return Fraction(k), Fraction(k) + Fraction(1, 4)
+        return self._round(k)
 
 
 class AsyncRandomPolicy(SchedulerPolicy):
@@ -401,7 +423,9 @@ def run(
         cycle = policy.next_cycle(robot_id, not_before)
         if cycle is None:
             return
-        t_look, t_decide = Fraction(cycle[0]), Fraction(cycle[1])
+        # Fractions pass through as they are, so a round's shared instant
+        # objects reach the heap; other rationals are converted.
+        t_look, t_decide = (t if isinstance(t, Fraction) else Fraction(t) for t in cycle)
         if t_look < not_before:
             raise ScheduleError(
                 f"policy scheduled robot {robot_id!r} to look at {t_look} "

@@ -258,6 +258,24 @@ MALFORMED_RUN_CONFIGS = {
         options={"strict_transient_multiplicity": "false"}
     ),
     "misspelled_option_key": run_config_doc(options={"multiplicity_treshold": "pi"}),
+    "float_seed": run_config_doc(policy={"kind": "ssync", "seed": 3.9}),
+    "string_seed": run_config_doc(policy={"kind": "async-random", "seed": "3"}),
+    "bool_delay_denominator_bound": run_config_doc(
+        policy={"kind": "async-random", "delay_denominator_bound": True}
+    ),
+    "float_max_skips": run_config_doc(policy={"kind": "ssync", "max_skips": 2.0}),
+    "bool_max_events": run_config_doc(limits={"max_events": True}),
+    "unknown_policy_kind": run_config_doc(policy={"kind": "round-robin"}),
+    "unhashable_policy_kind": run_config_doc(policy={"kind": ["fsync"]}),
+    "fsync_policy_with_seed": run_config_doc(policy={"kind": "fsync", "seed": 1}),
+    "misspelled_ssync_key": run_config_doc(policy={"kind": "ssync", "sed": 3}),
+    "async_policy_with_max_skips": run_config_doc(
+        policy={"kind": "async-random", "seed": 1, "max_skips": 2}
+    ),
+    "scripted_policy_with_seed": run_config_doc(
+        policy={"kind": "scripted", "events": [], "seed": 1}
+    ),
+    "misspelled_limits_key": run_config_doc(limits={"max_event": 10}),
 }
 
 

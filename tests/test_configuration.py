@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from collections import Counter
 
-from circlegather.angles import HALF_TURN, antipode, cw_angle
+from circlegather.angles import HALF_TURN, antipode, cw_angle, format_angle
 from circlegather.configuration import (
     Configuration,
     Snapshot,
@@ -343,3 +343,53 @@ def test_build_snapshot_matches_the_definition(entries, antipode_occupied, data)
     assert build_snapshot(occupancy, observer) == naive_snapshot(
         occupancy, observer, occupancy
     )
+
+
+# ---------------------------------------------------------------------------
+# The snapshot contract, checked on lattice ints, against Fraction arithmetic
+
+#: 12 and 120 share factors with each other, 7 and 101 are prime.
+SNAPSHOT_DENOMINATORS = (7, 12, 101, 120)
+
+
+def visible_offset():
+    return (
+        st.sampled_from(SNAPSHOT_DENOMINATORS)
+        .flatmap(lambda d: st.integers(1, d - 1).map(lambda k: Fraction(k, d)))
+        .filter(lambda o: o != HALF_TURN)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(visible_offset(), st.booleans()), max_size=25,
+             unique_by=lambda e: e[0]),
+    st.lists(st.integers(0, 24), max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd):
+    points = [VisiblePoint(o, m) for o, m in entries]
+    # Value-equal copies of some offsets, each a new Fraction object.
+    for i in repeats:
+        if i < len(entries):
+            o, m = entries[i]
+            points.append(VisiblePoint(Fraction(3 * o.numerator, 3 * o.denominator), not m))
+    rnd.shuffle(points)
+    offsets = [p.offset for p in points]
+    if len(set(offsets)) != len(offsets):
+        with pytest.raises(ContractViolation):
+            Snapshot(tuple(points))
+        return
+    snap = Snapshot(tuple(points))
+    assert snap.visible == tuple(sorted(points, key=lambda p: p.offset))
+    assert [v["offset"] for v in snap.to_json()["visible"]] == [
+        format_angle(p.offset) for p in snap.visible
+    ]
+
+
+@pytest.mark.parametrize(
+    "offset", [F(0), F(1), F("1/2"), F("-1/4"), F("5/4"), 0, 1], ids=repr
+)
+def test_visible_point_rejects_offsets_outside_the_open_turn_or_at_half(offset):
+    with pytest.raises(ContractViolation):
+        VisiblePoint(offset, False)

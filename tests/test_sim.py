@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -24,6 +25,7 @@ from circlegather.sim import (
     RobotRuntime,
     RunLimits,
     RunOptions,
+    SchedulerPolicy,
     ScriptedPolicy,
     SsyncPolicy,
     is_gathered,
@@ -277,6 +279,51 @@ def test_async_delays_stay_on_the_rational_grid():
         assert look.denominator <= 8 and decide.denominator <= 8
         assert t < look < decide
         t = decide
+
+
+@pytest.mark.parametrize(
+    "make_policy", [FsyncPolicy, lambda: SsyncPolicy(seed=5)], ids=["fsync", "ssync"]
+)
+def test_round_policies_hand_out_one_instant_object_per_round(make_policy):
+    policy = make_policy()
+    robots = ("a", "b", "c")
+    policy.bind(robots)
+    cycles = {r: {} for r in robots}
+    for r in robots:
+        t = F(0)
+        while not cycles[r] or max(cycles[r]) < 50:
+            look, decide = policy.next_cycle(r, t)
+            assert type(look) is Fraction and type(decide) is Fraction
+            k = look.numerator
+            assert look == Fraction(k) and decide == Fraction(k) + Fraction(1, 4)
+            assert k >= t and k not in cycles[r]
+            cycles[r][k] = (look, decide)
+            t = decide
+    shared = set(cycles["a"]) & set(cycles["b"]) & set(cycles["c"])
+    assert shared
+    for k in shared:
+        (la, da), (lb, db), (lc, dc) = (cycles[r][k] for r in robots)
+        assert la is lb is lc and da is db is dc
+
+
+def test_policy_with_int_look_instants_matches_fsync():
+    class IntLookFsync(SchedulerPolicy):
+        """Fsync's schedule with each look instant as a plain int."""
+
+        def bind(self, robot_ids):
+            super().bind(robot_ids)
+            self._next_round = {r: 0 for r in robot_ids}
+
+        def next_cycle(self, robot_id, not_before):
+            k = max(self._next_round[robot_id], math.ceil(not_before))
+            self._next_round[robot_id] = k + 1
+            return k, Fraction(4 * k + 1, 4)
+
+    cfg = load_fixture("worked_example")
+    expected = run(cfg, FsyncPolicy()).to_jsonl()
+    trace = run(cfg, IntLookFsync())
+    assert all(type(r.t) is Fraction for r in trace.records)
+    assert trace.to_jsonl() == expected
 
 
 # ---------------------------------------------------------------------------
