@@ -114,8 +114,9 @@ def hypothesis_configs(snapshot: Snapshot):
     """The observer's two candidate worlds and which of them are possible.
 
     Returns ``(c0, c1, possibility)`` as Configurations in the observer
-    frame: the observer at 0 with id ``"observer"``, visible robots as
-    ``"v<k>"`` and the hypothetical antipodal robot as ``"antipodal"``.
+    frame: the observer at 0 with id ``"v0"``, the visible robots as
+    ``"v1"`` to ``"v<k>"`` in clockwise order and the hypothetical antipodal
+    robot as ``"antipodal"``.
     """
     _require_plain(snapshot)
     c0, _, possibility, _, _ = _hypothesis_data(snapshot)

@@ -1,7 +1,8 @@
 """Operator entry point: analyze configurations, run simulations, verify.
 
 Exit codes are fixed for scriptability: 0 success, 1 parse error (any
-malformed document, field or flag, a file that cannot be read or written,
+malformed document, field or flag, a usage error such as a missing or
+unknown command, a file that cannot be read or written,
 or ``verify`` flags that no random configuration can satisfy), 2 illegal
 input (symmetric or multiplicity-bearing configuration, a run of fewer than
 two robots, or a schedule that cannot be replayed), 3 limit exceeded or
@@ -52,9 +53,8 @@ EXIT_LIMIT = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, GenerationExhausted) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -67,8 +67,19 @@ def main(argv=None) -> int:
         return EXIT_ILLEGAL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ParseError`, so it exits 1.
+
+    argparse's own ``error`` exits 2, the illegal-input code. Subparsers are
+    built from the same class.
+    """
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gather-sim",
         description="Simulator and verifier for circle gathering with limited visibility",
     )
@@ -154,6 +165,7 @@ def _event_from_json(obj):
         robot, look, decide = obj["robot"], obj["look"], obj["decide"]
     except KeyError:
         raise ParseError("each scripted event needs 'robot', 'look' and 'decide' fields")
+    _only(obj, {"robot", "look", "decide"}, "scripted event field")
     if not isinstance(robot, str):
         raise ParseError("scripted event 'robot' must be a string")
     return robot, parse_time(look), parse_time(decide)
@@ -217,6 +229,7 @@ def load_run_config(obj):
         initial = Configuration.from_json(obj["initial"])
     except (TypeError, KeyError):
         raise ParseError("run configuration needs an 'initial' configuration")
+    _only(obj, {"initial", "policy", "limits", "options"}, "run configuration key")
     policy = _policy_from_json(obj.get("policy", {"kind": "fsync"}))
     lim = _object(obj.get("limits", {}), "'limits'")
     _only(lim, {"max_events", "max_time"}, "limits field")

@@ -16,6 +16,16 @@ the multiplicity points: a mover passing through an occupied point is seen
 there, but does not make it a multiplicity. :func:`world_snapshot`,
 :func:`multiplicity_points` and :func:`is_gathered` remain whole-world scans
 over ``RobotRuntime`` maps, for tests and for use outside the run loop.
+
+Each queued event carries the data its handler needs: a look its decide
+instant, a decide the snapshot of its look. The fsync and ssync policies
+share one round rule: a robot's next cycle is the first round from
+``ceil(not_before)`` in which it is active. Whatever the policy, the run
+loop rejects a cycle that looks before the robot's previous one, move
+included, has ended. The loop checks no global property such as the
+expected-leader count; a trace records every move start, so the positions
+at any instant can be replayed from the trace alone, and the tests check
+that property that way.
 """
 
 from __future__ import annotations
@@ -92,21 +102,30 @@ class SchedulerPolicy:
         self.robot_ids = tuple(robot_ids)
 
     def next_cycle(self, robot_id: str, not_before: Fraction):
-        """(t_look, t_decide) of the robot's next cycle, or None when done."""
+        """(t_look, t_decide) of the robot's next cycle, or None when done.
+
+        The run loop raises :class:`ScheduleError` if ``t_look`` is before
+        ``not_before`` or ``t_decide`` is not after ``t_look``.
+        """
         raise NotImplementedError
 
 
 class _RoundPolicy(SchedulerPolicy):
     """A policy whose cycles look at an integer round k and decide at k + 1/4.
 
-    The policy builds each round's ``(k, k + 1/4)`` pair once and hands the
-    same two objects to every robot active in that round, so equal instants
-    in the event heap and in the trace sort are one object and compare by
-    identity instead of by ``Fraction.__eq__``.
+    A robot's next cycle is the first round from ``ceil(not_before)`` in
+    which :meth:`_active` admits it. The policy builds each round's
+    ``(k, k + 1/4)`` pair once and hands the same two objects to every robot
+    active in that round, so equal instants in the event heap and in the
+    trace sort are one object and compare by identity instead of by
+    ``Fraction.__eq__``.
     """
 
     def __init__(self):
         self._instants: List[Tuple[Fraction, Fraction]] = []
+
+    def _active(self, robot_id: str, k: int) -> bool:
+        raise NotImplementedError
 
     def _round(self, k: int) -> Tuple[Fraction, Fraction]:
         instants = self._instants
@@ -115,22 +134,18 @@ class _RoundPolicy(SchedulerPolicy):
             instants.append((Fraction(j), Fraction(4 * j + 1, 4)))
         return instants[k]
 
+    def next_cycle(self, robot_id, not_before):
+        k = math.ceil(not_before)
+        while not self._active(robot_id, k):
+            k += 1
+        return self._round(k)
+
 
 class FsyncPolicy(_RoundPolicy):
     """All robots look together at integer rounds and decide a quarter unit later."""
 
-    def __init__(self):
-        super().__init__()
-        self._next_round: Dict[str, int] = {}
-
-    def bind(self, robot_ids):
-        super().bind(robot_ids)
-        self._next_round = {r: 0 for r in robot_ids}
-
-    def next_cycle(self, robot_id, not_before):
-        k = max(self._next_round[robot_id], math.ceil(not_before))
-        self._next_round[robot_id] = k + 1
-        return self._round(k)
+    def _active(self, robot_id, k):
+        return True
 
 
 class SsyncPolicy(_RoundPolicy):
@@ -168,11 +183,8 @@ class SsyncPolicy(_RoundPolicy):
             self._rounds.append(frozenset(chosen))
         return self._rounds[k]
 
-    def next_cycle(self, robot_id, not_before):
-        k = math.ceil(not_before)
-        while robot_id not in self._membership(k):
-            k += 1
-        return self._round(k)
+    def _active(self, robot_id, k):
+        return robot_id in self._membership(k)
 
 
 class AsyncRandomPolicy(SchedulerPolicy):
@@ -227,22 +239,10 @@ class ScriptedPolicy(SchedulerPolicy):
         unknown = sorted(set(self._queues) - set(robot_ids))
         if unknown:
             raise ScheduleError(f"scripted events name unknown robots {unknown}")
-        self._cursor = {r: 0 for r in robot_ids}
+        self._cursor = {r: iter(self._queues.get(r, ())) for r in robot_ids}
 
     def next_cycle(self, robot_id, not_before):
-        q = self._queues.get(robot_id, [])
-        i = self._cursor.get(robot_id, 0)
-        if i < len(q) and q[i][0] < not_before:
-            # Scheduled before the robot finished its move: a robot never
-            # snapshots mid-move, so the entry is rejected.
-            raise ScheduleError(
-                f"robot {robot_id!r} scripted to look at {q[i][0]} while busy "
-                f"until {not_before}"
-            )
-        self._cursor[robot_id] = i + 1
-        if i >= len(q):
-            return None
-        return q[i]
+        return next(self._cursor[robot_id], None)
 
 
 def parse_time(text: str) -> Fraction:
@@ -353,30 +353,10 @@ class RunLimits:
 @dataclass
 class RunOptions:
     multiplicity_threshold: Fraction = HALF_TURN
-    #: Costly diagnostic: re-elect leaders globally after every decision and
-    #: abort if the expected-leader count leaves {1, 2}.
-    check_expected_leaders: bool = False
 
 
-def _check_expected_leader_count(world, t) -> None:
-    from .analysis import expected_leaders
-    from .configuration import Configuration, is_rotationally_symmetric
-
-    positions = [rr.position_at(t) for rr in world.values()]
-    if len(set(positions)) != len(positions):
-        return
-    if len(positions) > 1 and is_rotationally_symmetric(tuple(positions)):
-        return
-    config = Configuration.from_points(positions)
-    count = len(expected_leaders(config))
-    if count not in (1, 2):
-        raise InvariantViolation(
-            f"{count} expected leaders at t={t}: "
-            f"{[format_angle(p) for p in positions]}"
-        )
-
-
-_KIND_RANK = {"move_end": 0, "look": 1, "decide": 2}
+#: Event ranks: at one instant move-ends come before looks before decides.
+MOVE_END, LOOK, DECIDE = 0, 1, 2
 
 
 def run(
@@ -408,9 +388,10 @@ def run(
     all_ids = sorted(world)
     policy.bind(all_ids)
 
-    heap: List[Tuple[Fraction, int, str, str]] = []
-    snapshots: Dict[str, Snapshot] = {}
-    decide_times: Dict[str, Fraction] = {}
+    # Entries are (t, rank, robot, data): a look carries its decide instant,
+    # a decide its snapshot. A robot has exactly one event queued at a time,
+    # so (t, rank, robot) never ties and data is never compared.
+    heap: List[Tuple[Fraction, int, str, object]] = []
     records: List[TraceRecord] = []
     gathered_confirmed: set = set()
     limit_hit = False
@@ -433,14 +414,13 @@ def run(
             )
         if t_decide <= t_look:
             raise ScheduleError("look and compute must take strictly positive time")
-        decide_times[robot_id] = t_decide
-        heapq.heappush(heap, (t_look, _KIND_RANK["look"], robot_id, "look"))
+        heapq.heappush(heap, (t_look, LOOK, robot_id, t_decide))
 
     for rid in all_ids:
         schedule_cycle(rid, Fraction(0))
 
     while heap:
-        t, _rank, rid, kind = heapq.heappop(heap)
+        t, rank, rid, data = heapq.heappop(heap)
         if limits.max_time is not None and t > limits.max_time:
             limit_hit = True
             break
@@ -449,7 +429,7 @@ def run(
             break
         rr = world[rid]
 
-        if kind == "look":
+        if rank == LOOK:
             if rr.is_moving_at(t):
                 raise ObserverMoving(f"robot {rid!r} cannot look while moving")
             occupancy, flags = resting, None
@@ -461,16 +441,15 @@ def run(
                     if not mover.is_moving_at(t):
                         flags[pos] += 1
             snap = build_snapshot(occupancy, rr.position_at(t), flags)
-            snapshots[rid] = snap
             records.append(TraceRecord(t, rid, "activate", {"state": rr.memory.value}))
             records.append(TraceRecord(t, rid, "snapshot", snap.to_json()))
-            heapq.heappush(heap, (decide_times[rid], _KIND_RANK["decide"], rid, "decide"))
+            heapq.heappush(heap, (data, DECIDE, rid, snap))
             continue
 
-        if kind == "decide":
+        if rank == DECIDE:
             state_before = rr.memory
             new_memory, command = protocol.decide(
-                snapshots[rid], rr.memory, options.multiplicity_threshold
+                data, rr.memory, options.multiplicity_threshold
             )
             if (state_before, new_memory) not in protocol.LEGAL_TRANSITIONS:
                 raise InvariantViolation(
@@ -508,7 +487,7 @@ def run(
                         },
                     )
                 )
-                heapq.heappush(heap, (rr.pending.end, _KIND_RANK["move_end"], rid, "move_end"))
+                heapq.heappush(heap, (rr.pending.end, MOVE_END, rid, None))
                 gathered_confirmed.clear()
                 # Lift the robot off its origin.
                 count = resting[origin]
@@ -529,8 +508,6 @@ def run(
                 else:
                     gathered_confirmed.clear()
                 schedule_cycle(rid, t)
-            if options.check_expected_leaders:
-                _check_expected_leader_count(world, t)
             continue
 
         # move_end: the robot rests at its destination.

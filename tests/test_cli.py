@@ -223,6 +223,29 @@ def test_verify_bad_flags_are_parse_errors_before_any_work(name, monkeypatch, ca
     assert not out and not swept
 
 
+USAGE_ERRORS = {
+    "verify_count_not_an_int": ["verify", "--count", "abc"],
+    "run_frame_stride_not_an_int": ["run", "x.json", "--frame-stride", "x"],
+    "no_command": [],
+    "unknown_command": ["bogus"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_are_parse_errors(name, capsys):
+    assert main(USAGE_ERRORS[name]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert not out
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "gather-sim" in capsys.readouterr().out
+
+
 def test_verify_with_no_configuration_to_generate_is_a_parse_error(capsys):
     # No asymmetric 10-robot configuration fits on 5 lattice points.
     argv = ["verify", "--n", "10", "--denominator-bound", "5", "--count", "1"]
@@ -276,6 +299,15 @@ MALFORMED_RUN_CONFIGS = {
         policy={"kind": "scripted", "events": [], "seed": 1}
     ),
     "misspelled_limits_key": run_config_doc(limits={"max_event": 10}),
+    "misspelled_top_level_key": {
+        "polcy" if k == "policy" else k: v for k, v in run_config_doc().items()
+    },
+    "scripted_event_extra_key": run_config_doc(
+        policy={
+            "kind": "scripted",
+            "events": [{"robot": "r0", "look": "0/1", "decide": "1/4", "decdie": "1/2"}],
+        }
+    ),
 }
 
 

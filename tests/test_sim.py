@@ -7,9 +7,10 @@ from random import Random
 
 import pytest
 
-from circlegather.angles import HALF_TURN, QUARTER_TURN
-from circlegather.cli import load_run_config
-from circlegather.configuration import Configuration
+from circlegather.analysis import expected_leaders
+from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
+from circlegather.cli import load_run_config, main
+from circlegather.configuration import Configuration, is_rotationally_symmetric
 from circlegather.errors import (
     LimitExceeded,
     ObserverMoving,
@@ -550,16 +551,79 @@ MONITORED_FIXTURES = [
 ]
 
 
+def positions_at_decides(trace):
+    """(t, positions) at every decide record, replayed from the trace alone.
+
+    A robot sits at its initial position until its first move-start, and
+    afterwards on the arc of its latest move, clamped at the move's end.
+    """
+    moves = {
+        rid: (parse_angle(pos), F(0), F(0), 1) for rid, pos in trace.summary["initial"].items()
+    }
+    for rec in trace.records:
+        if rec.kind == "move-start":
+            sign = 1 if rec.payload["direction"] == CW else -1
+            origin, amount = parse_angle(rec.payload["from"]), parse_angle(rec.payload["amount"])
+            moves[rec.robot] = (origin, rec.t, amount, sign)
+        elif rec.kind == "decide":
+            yield rec.t, [
+                (origin + sign * min(rec.t - start, amount)) % 1
+                for origin, start, amount, sign in moves.values()
+            ]
+
+
 @pytest.mark.parametrize("name", MONITORED_FIXTURES)
 def test_expected_leader_count_holds_along_runs(name):
-    """After every decision the configuration keeps one or two expected leaders."""
+    """After every decision the configuration keeps one or two expected leaders.
+
+    Configurations holding a multiplicity (the gathered one included) or a
+    rotational symmetry have no expected leaders to count and are skipped.
+    """
     cfg = load_fixture(name)
-    options = RunOptions(check_expected_leaders=True)
     for policy in (
         FsyncPolicy(),
         SsyncPolicy(seed=0),
         AsyncRandomPolicy(seed=0),
         AsyncRandomPolicy(seed=1),
     ):
-        trace = run(cfg, policy, options=options)
+        trace = run(cfg, policy)
         assert trace.summary["gathered"], type(policy).__name__
+        for t, positions in positions_at_decides(trace):
+            if len(set(positions)) != len(positions) or is_rotationally_symmetric(
+                tuple(positions)
+            ):
+                continue
+            count = len(expected_leaders(Configuration.from_points(positions)))
+            assert count in (1, 2), (type(policy).__name__, t, positions)
+
+
+@pytest.mark.parametrize("name", MONITORED_FIXTURES)
+def test_ssync_without_skips_runs_the_fsync_schedule(name):
+    cfg = load_fixture(name)
+    expected = run(cfg, FsyncPolicy()).to_jsonl()
+    for seed in range(3):
+        assert run(cfg, SsyncPolicy(seed=seed, max_skips=0)).to_jsonl() == expected, seed
+
+
+def test_run_loop_rejects_a_look_while_busy(tmp_path, capsys):
+    # r0 decides at 1/4 to step 1/10 onto r1, so it is busy until 7/20, but
+    # its next cycle is scripted to look at 3/10.
+    cfg = Configuration.from_points([F(0), F("1/10")])
+    events = [("r0", F(0), F("1/4")), ("r0", F("3/10"), F("1/2"))]
+    with pytest.raises(ScheduleError) as exc:
+        run(cfg, ScriptedPolicy(events))
+    assert all(part in str(exc.value) for part in ("'r0'", "3/10", "7/20"))
+
+    doc = {
+        "initial": cfg.to_json(),
+        "policy": {
+            "kind": "scripted",
+            "events": [{"robot": r, "look": str(look), "decide": str(decide)}
+                       for r, look, decide in events],
+        },
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad schedule: ") and err.count("\n") == 1
