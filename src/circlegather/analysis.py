@@ -23,13 +23,12 @@ from typing import Dict, List, Tuple
 from .angles import HALF_TURN, antipode, format_angle
 from .configuration import (
     Configuration,
+    LatticeView,
     Snapshot,
     has_period,
     is_rotationally_symmetric,
     lattice,
     least_rotation,
-    snapshot_of_positions,
-    take_snapshot,
     true_leader,
 )
 from .errors import (
@@ -180,19 +179,23 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
     """
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("peer detection applies to confused leaders only")
-    c0 = _hypothesis_data(snapshot)[0]
-    for p in c0:
-        if p == 0:
-            continue
-        peer_view = snapshot_of_positions(c0, p)
-        if classify(peer_view).tag is LeaderTag.CONFUSED_LEADER:
+    # The observer sits at tick 0 of c0's view; every other tick is a peer.
+    view = LatticeView((p, 1) for p in _hypothesis_data(snapshot)[0])
+    for tick in view.ticks[1:]:
+        if classify(view.snapshot(tick)).tag is LeaderTag.CONFUSED_LEADER:
             return True
     return False
 
 
+def _snapshots(config: Configuration) -> Dict[str, Snapshot]:
+    """Every robot's snapshot, read off one lattice view of the configuration."""
+    view = LatticeView((r.pos, 1) for r in config.robots)
+    return {r.robot_id: view.snapshot(view.tick(r.pos)) for r in config.robots}
+
+
 def classify_all(config: Configuration) -> Dict[str, LeaderClass]:
     """Every robot's self-classification from its own snapshot."""
-    return {r.robot_id: classify(take_snapshot(config, r.robot_id)) for r in config.robots}
+    return {rid: classify(snap) for rid, snap in _snapshots(config).items()}
 
 
 def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
@@ -204,17 +207,22 @@ def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
 
 def configuration_class(config: Configuration) -> ConfigurationClass:
     """The A / BI / BII / C taxonomy of an asymmetric multiplicity-free configuration."""
+    return _taxonomy(config, _snapshots(config))
+
+
+def _taxonomy(config: Configuration, snapshots: Dict[str, Snapshot]) -> ConfigurationClass:
     positions = config.positions
     if len(set(positions)) != len(positions):
         raise MultiplicityPresent("taxonomy undefined with a multiplicity point")
     if is_rotationally_symmetric(positions):
         raise SymmetricConfiguration("taxonomy undefined for symmetric configurations")
-    leaders = expected_leaders(config)
+    verdicts = ((rid, classify(snap)) for rid, snap in snapshots.items())
+    leaders = [(rid, cls) for rid, cls in verdicts if cls.is_expected_leader]
     if len(leaders) == 1:
         rid, cls = leaders[0]
         if cls.tag is LeaderTag.SURE_LEADER:
             return ConfigurationClass.A
-        safe = is_safe_neighbor(take_snapshot(config, rid))
+        safe = is_safe_neighbor(snapshots[rid])
         return ConfigurationClass.A if safe else ConfigurationClass.C
     if len(leaders) == 2:
         lead_pos = true_leader(config)
@@ -228,7 +236,7 @@ def configuration_class(config: Configuration) -> ConfigurationClass:
             raise InvariantViolation(
                 "the expected leader away from the true leader must be confused"
             )
-        safe = is_safe_neighbor(take_snapshot(config, others[0]))
+        safe = is_safe_neighbor(snapshots[others[0]])
         return ConfigurationClass.BI if safe else ConfigurationClass.BII
     raise InvariantViolation(
         f"expected-leader count must be 1 or 2, got {len(leaders)} "
@@ -238,11 +246,12 @@ def configuration_class(config: Configuration) -> ConfigurationClass:
 
 def analysis_report(config: Configuration) -> dict:
     """JSON-ready report: taxonomy class, leader, and per-robot verdicts."""
-    cls = configuration_class(config)
+    snapshots = _snapshots(config)
+    cls = _taxonomy(config, snapshots)
     leader_pos = true_leader(config)
     per_robot = []
     for r in config.robots:
-        lc = classify(take_snapshot(config, r.robot_id))
+        lc = classify(snapshots[r.robot_id])
         per_robot.append(
             {
                 "id": r.robot_id,

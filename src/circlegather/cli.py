@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 from .analysis import ConfigurationClass
 from .angles import HALF_TURN, QUARTER_TURN
-from .configuration import Configuration
+from .configuration import Configuration, reject_unknown_keys
 from .errors import (
     GenerationExhausted,
     LimitExceeded,
@@ -55,7 +56,14 @@ EXIT_LIMIT = 3
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Point stdout at
+        # devnull so that the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ParseError, GenerationExhausted) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -147,12 +155,6 @@ def _int(obj: dict, key: str, default: int) -> int:
     return value
 
 
-def _only(obj: dict, allowed: set, what: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ParseError(f"unknown {what}(s) {unknown}")
-
-
 def _at_least(value: int, low: int, what: str) -> int:
     if value < low:
         raise ParseError(f"{what} must be at least {low}, got {value}")
@@ -165,7 +167,7 @@ def _event_from_json(obj):
         robot, look, decide = obj["robot"], obj["look"], obj["decide"]
     except KeyError:
         raise ParseError("each scripted event needs 'robot', 'look' and 'decide' fields")
-    _only(obj, {"robot", "look", "decide"}, "scripted event field")
+    reject_unknown_keys(obj, {"robot", "look", "decide"}, "scripted event field")
     if not isinstance(robot, str):
         raise ParseError("scripted event 'robot' must be a string")
     return robot, parse_time(look), parse_time(decide)
@@ -187,7 +189,7 @@ def _policy_from_json(obj):
         raise ParseError(f"unknown policy kind {kind!r}")
     if kind == "ssync" and "fairness_window" in obj:
         raise ParseError("ssync policy field 'fairness_window' is now 'max_skips'")
-    _only(obj, _POLICY_KEYS[kind], f"{kind} policy field")
+    reject_unknown_keys(obj, _POLICY_KEYS[kind], f"{kind} policy field")
     try:
         if kind == "fsync":
             return FsyncPolicy()
@@ -212,7 +214,7 @@ def _policy_from_json(obj):
 
 def _options_from_json(obj) -> RunOptions:
     obj = _object(obj, "'options'")
-    _only(obj, {"multiplicity_threshold"}, "run option")
+    reject_unknown_keys(obj, {"multiplicity_threshold"}, "run option")
     threshold = obj.get("multiplicity_threshold", "pi")
     if threshold not in ("pi/2", "pi"):
         raise ParseError("multiplicity_threshold must be 'pi/2' or 'pi'")
@@ -229,10 +231,12 @@ def load_run_config(obj):
         initial = Configuration.from_json(obj["initial"])
     except (TypeError, KeyError):
         raise ParseError("run configuration needs an 'initial' configuration")
-    _only(obj, {"initial", "policy", "limits", "options"}, "run configuration key")
+    reject_unknown_keys(
+        obj, {"initial", "policy", "limits", "options"}, "run configuration key"
+    )
     policy = _policy_from_json(obj.get("policy", {"kind": "fsync"}))
     lim = _object(obj.get("limits", {}), "'limits'")
-    _only(lim, {"max_events", "max_time"}, "limits field")
+    reject_unknown_keys(lim, {"max_events", "max_time"}, "limits field")
     max_events = _at_least(_int(lim, "max_events", 100000), 1, "'max_events'")
     limits = RunLimits(max_events=max_events)
     if "max_time" in lim:

@@ -10,7 +10,10 @@ Angles are exact Fractions at every public boundary. Leader election and
 the symmetry test convert the positions once to integer gaps on the
 common-denominator lattice (:func:`lattice`) and run there in linear time:
 the leader starts the least rotation of the gap list, and the configuration
-is symmetric iff the gap list has a nontrivial period.
+is symmetric iff the gap list has a nontrivial period. Snapshots are read
+off a :class:`LatticeView`: the occupied points scaled to the same lattice
+once and sorted clockwise, so every observer's view of one world state is a
+walk round one ring of ints.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .angles import cw_angle, format_angle, norm, parse_angle
 from .errors import (
@@ -32,6 +35,13 @@ from .errors import (
 )
 
 AngleSeq = Tuple[Fraction, ...]
+
+
+def reject_unknown_keys(obj: Mapping, allowed: set, what: str) -> None:
+    """Raise :class:`ParseError` naming every key of ``obj`` outside ``allowed``."""
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ParseError(f"unknown {what}(s) {unknown}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +72,14 @@ class Configuration:
             raise ParseError("configuration document must have a 'robots' list")
         if not isinstance(entries, list) or not entries:
             raise ParseError("'robots' must be a non-empty list")
+        reject_unknown_keys(obj, {"robots"}, "configuration key")
         robots = []
         for e in entries:
             try:
                 rid, pos = e["id"], e["pos"]
             except (TypeError, KeyError):
                 raise ParseError("each robot needs 'id' and 'pos' fields")
+            reject_unknown_keys(e, {"id", "pos"}, "robot field")
             if not isinstance(rid, str):
                 raise ParseError("robot 'id' must be a string")
             robots.append(Robot(rid, parse_angle(pos)))
@@ -131,7 +143,9 @@ class Snapshot:
     is the first clockwise neighbour and ``visible[-1]`` the first
     counter-clockwise one. The offsets are checked and ordered on their
     common-denominator lattice (see :func:`lattice`): one int per point, no
-    ``Fraction`` hashing or comparison.
+    ``Fraction`` hashing or comparison. The hash is taken once, from those
+    ints, their lcm and the flags: snapshots key the analysis caches, and
+    equal snapshots have equal offsets in lowest terms, hence equal ints.
     """
 
     visible: Tuple[VisiblePoint, ...]
@@ -145,7 +159,18 @@ class Snapshot:
         if len(set(ticks)) != len(ticks):
             raise ContractViolation("visible offsets must be pairwise distinct")
         order = sorted(range(len(ticks)), key=ticks.__getitem__)
-        object.__setattr__(self, "visible", tuple([visible[i] for i in order]))
+        visible = tuple([visible[i] for i in order])
+        object.__setattr__(self, "visible", visible)
+        key = (
+            d,
+            tuple([ticks[i] for i in order]),
+            tuple([v.is_multiplicity for v in visible]),
+            self.self_is_multiplicity,
+        )
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def offsets(self) -> Tuple[Fraction, ...]:
@@ -306,53 +331,78 @@ def leader_of_positions(positions: Sequence[Fraction]) -> Fraction:
     return pts[least_rotation(gaps)]
 
 
-def build_snapshot(
-    occupancy: Mapping[Fraction, int],
-    observer: Fraction,
-    flags: Optional[Mapping[Fraction, int]] = None,
-) -> Snapshot:
-    """The view from ``observer`` of the occupied points in ``occupancy``.
+class LatticeView:
+    """One world state on its common-denominator lattice, seen from any occupied point.
 
-    Every occupied point strictly closer than a half turn is visible; the
-    antipodal point is excluded even if occupied, and the observer's own
-    point only contributes ``self_is_multiplicity``. A point counted at
-    least twice in ``flags`` is flagged as a multiplicity. ``flags``
-    defaults to ``occupancy``; it may leave out robots that ``occupancy``
-    holds, never the other way round.
+    Built from ``(position, weight)`` pairs, where a weight counts the robots
+    that may flag their point: every robot counts 1 in a static
+    configuration, and a robot seen mid-move counts 0. Positions are read
+    modulo one turn. The points are scaled once to ints in steps of 1/D, D
+    being the lcm of their denominators; pairs on one point are merged,
+    adding their weights, and the points are sorted clockwise from 0. A
+    point of weight two or more is a multiplicity.
     """
-    # Offsets are taken on the common-denominator lattice (see lattice):
-    # one Fraction per visible point instead of a subtraction and a modulo.
-    # Snapshot orders the visible points itself.
-    obs_num, obs_den = observer.as_integer_ratio()
-    ratios = [p.as_integer_ratio() for p in occupancy]
-    d = lcm(obs_den, *[q for _, q in ratios])
-    mine = obs_num * (d // obs_den)
-    seen = []
-    for (pos, count), (num, den) in zip(occupancy.items(), ratios):
-        off = (num * (d // den) - mine) % d
-        if off and 2 * off != d:
-            seen.append((off, count if flags is None else flags.get(pos, 0)))
-    visible = tuple(VisiblePoint(Fraction(off, d), count >= 2) for off, count in seen)
-    own = occupancy if flags is None else flags
-    return Snapshot(visible, own.get(observer, 0) >= 2)
+
+    __slots__ = ("d", "ticks", "weights", "index")
+
+    def __init__(self, points: Iterable[Tuple[Fraction, int]]):
+        points = list(points)
+        ratios = [p.as_integer_ratio() for p, _ in points]
+        d = lcm(*[q for _, q in ratios])
+        merged: Dict[int, int] = {}
+        for (num, q), (_, weight) in zip(ratios, points):
+            tick = num * (d // q) % d
+            merged[tick] = merged.get(tick, 0) + weight
+        self.d = d
+        self.ticks = sorted(merged)
+        self.weights = [merged[t] for t in self.ticks]
+        self.index = {t: i for i, t in enumerate(self.ticks)}
+
+    def tick(self, pos: Fraction) -> int:
+        """The lattice int of the occupied point ``pos``."""
+        num, q = pos.as_integer_ratio()
+        d = self.d
+        if d % q == 0:
+            tick = num * (d // q) % d
+            if tick in self.index:
+                return tick
+        raise UnknownRobot(f"no robot at position {format_angle(pos)}")
+
+    def snapshot(self, tick: int) -> Snapshot:
+        """The view from the occupied point at lattice int ``tick``.
+
+        Every other occupied point strictly closer than a half turn is
+        visible; the antipodal point is skipped even if occupied, and the
+        observer's own point only contributes ``self_is_multiplicity``. The
+        ring is read clockwise from the observer, so the visible points come
+        out in the order :class:`Snapshot` keeps.
+        """
+        ticks, weights, d = self.ticks, self.weights, self.d
+        i = self.index[tick]
+        visible = []
+        # Negative indices wrap, so k = i + 1 - n .. i - 1 goes clockwise
+        # from the observer's successor round the ring to its predecessor.
+        for k in range(i + 1 - len(ticks), i):
+            off = (ticks[k] - tick) % d
+            if 2 * off != d:
+                visible.append(VisiblePoint(Fraction(off, d), weights[k] >= 2))
+        return Snapshot(tuple(visible), weights[i] >= 2)
 
 
 def take_snapshot(config: Configuration, observer: str) -> Snapshot:
-    """The observer's view of a configuration (see :func:`build_snapshot`).
+    """The observer's view of a configuration (see :class:`LatticeView`).
 
     Coincident robots collapse to one visible point with a multiplicity flag.
     """
-    counts = config.position_counts
-    return build_snapshot(counts, config.robot(observer).pos)
+    pos = config.robot(observer).pos
+    view = LatticeView((r.pos, 1) for r in config.robots)
+    return view.snapshot(view.tick(pos))
 
 
 def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction) -> Snapshot:
     """Snapshot seen from ``observer_pos`` in a raw multiset of positions."""
-    counts = Counter(norm(p) for p in positions)
-    me = norm(observer_pos)
-    if me not in counts:
-        raise UnknownRobot(f"no robot at position {format_angle(me)}")
-    return build_snapshot(counts, me)
+    view = LatticeView((p, 1) for p in positions)
+    return view.snapshot(view.tick(observer_pos))
 
 
 def require_legal_initial(config: Configuration) -> None:

@@ -17,6 +17,14 @@ there, but does not make it a multiplicity. :func:`world_snapshot`,
 :func:`multiplicity_points` and :func:`is_gathered` remain whole-world scans
 over ``RobotRuntime`` maps, for tests and for use outside the run loop.
 
+Events at one instant run move-ends first, then looks, then decides, so
+every look at an instant sees one world. The run loop builds one
+:class:`~circlegather.configuration.LatticeView` of it at the first look of
+the instant and memoises each look by the observer's lattice int: robots
+resting on one point share one ``Snapshot`` and one trace payload dict. The
+view is dropped when the look instant changes and on every move start and
+move end.
+
 Each queued event carries the data its handler needs: a look its decide
 instant, a decide the snapshot of its look. The fsync and ssync policies
 share one round rule: a robot's next cycle is the first round from
@@ -43,8 +51,8 @@ from . import protocol
 from .angles import HALF_TURN, format_angle
 from .configuration import (
     Configuration,
+    LatticeView,
     Snapshot,
-    build_snapshot,
     require_legal_initial,
 )
 from .errors import (
@@ -335,9 +343,10 @@ def world_snapshot(world: Dict[str, RobotRuntime], observer: str, t: Fraction) -
     me = world[observer]
     if me.is_moving_at(t):
         raise ObserverMoving(f"robot {observer!r} cannot look while moving")
-    occupancy = Counter(rr.position_at(t) for rr in world.values())
-    flags = dict(multiplicity_points(world, t))
-    return build_snapshot(occupancy, me.position_at(t), flags)
+    view = LatticeView(
+        (rr.position_at(t), 0 if rr.is_moving_at(t) else 1) for rr in world.values()
+    )
+    return view.snapshot(view.tick(me.position_at(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +381,10 @@ def run(
     or time limit raises :class:`LimitExceeded` carrying the partial trace.
 
     ``resting`` counts the robots per resting position and ``in_flight``
-    holds the robots mid-move (see the module docstring). A look with nobody
-    in flight sees ``resting`` itself; otherwise it sees a copy with the
-    movers added at their interpolated positions, and flags multiplicities
-    from ``resting`` plus any mover whose move starts at the look instant,
-    still on its origin.
+    holds the robots mid-move (see the module docstring). A look instant's
+    view holds ``resting``, each robot weighing 1, and the movers at their
+    interpolated positions, weighing 0, except a mover whose move starts at
+    the look instant: it is still at rest on its origin and weighs 1.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
@@ -399,6 +407,11 @@ def run(
     resting: Counter = Counter(rr.anchor for rr in world.values())
     in_flight: Dict[str, RobotRuntime] = {}
     mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
+    # The world as every look at instant view_t sees it, and the looks
+    # already taken there, keyed by the observer's lattice int.
+    view: Optional[LatticeView] = None
+    view_t: Optional[Fraction] = None
+    looks: Dict[int, Tuple[Snapshot, dict]] = {}
 
     def schedule_cycle(robot_id: str, not_before: Fraction) -> None:
         cycle = policy.next_cycle(robot_id, not_before)
@@ -432,17 +445,19 @@ def run(
         if rank == LOOK:
             if rr.is_moving_at(t):
                 raise ObserverMoving(f"robot {rid!r} cannot look while moving")
-            occupancy, flags = resting, None
-            if in_flight:
-                occupancy, flags = resting.copy(), resting.copy()
+            if view is None or t != view_t:
+                points = list(resting.items())
                 for mover in in_flight.values():
-                    pos = mover.position_at(t)
-                    occupancy[pos] += 1
-                    if not mover.is_moving_at(t):
-                        flags[pos] += 1
-            snap = build_snapshot(occupancy, rr.position_at(t), flags)
+                    points.append((mover.position_at(t), 0 if mover.is_moving_at(t) else 1))
+                view, view_t, looks = LatticeView(points), t, {}
+            tick = view.tick(rr.position_at(t))
+            look = looks.get(tick)
+            if look is None:
+                snap = view.snapshot(tick)
+                look = looks[tick] = (snap, snap.to_json())
+            snap, payload = look
             records.append(TraceRecord(t, rid, "activate", {"state": rr.memory.value}))
-            records.append(TraceRecord(t, rid, "snapshot", snap.to_json()))
+            records.append(TraceRecord(t, rid, "snapshot", payload))
             heapq.heappush(heap, (data, DECIDE, rid, snap))
             continue
 
@@ -489,6 +504,7 @@ def run(
                 )
                 heapq.heappush(heap, (rr.pending.end, MOVE_END, rid, None))
                 gathered_confirmed.clear()
+                view = None
                 # Lift the robot off its origin.
                 count = resting[origin]
                 if count == 1:
@@ -514,6 +530,7 @@ def run(
         rr.anchor = rr.pending.destination
         rr.pending = None
         del in_flight[rid]
+        view = None
         count = resting[rr.anchor] + 1
         resting[rr.anchor] = count
         if count == 2:

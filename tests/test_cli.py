@@ -1,8 +1,13 @@
+import fcntl
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import circlegather
 from circlegather.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,6 +48,50 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["analyze", str(bad)]) == 1
     assert main(["analyze", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"robots": [{"id": "a", "pos": "0/1", "pso": "1/2"}, {"id": "b", "pos": "1/3"},
+                    {"id": "c", "pos": "1/2"}]},
+        {"robots": [{"id": "a", "pos": "0/1"}, {"id": "b", "pos": "1/3"},
+                    {"id": "c", "pos": "1/2"}], "robts": 1},
+    ],
+    ids=["pso", "robts"],
+)
+def test_configuration_unknown_keys_are_parse_errors(doc, tmp_path, capsys):
+    path = write_json(tmp_path / "config.json", doc)
+    assert main(["analyze", path]) == 1
+    assert main(["run", write_json(tmp_path / "run.json", run_config_doc(initial=doc))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("parse error: unknown ") for line in lines)
+
+
+def test_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
+    n = 200
+    doc = {"robots": [{"id": f"r{i}", "pos": f"{i}/{2 * n + 1}"} for i in range(n)]}
+    path = write_json(tmp_path / "big.json", doc)
+    read_end, write_end = os.pipe()
+    # A one-page pipe cannot hold the report (over 20 kB), so the writer is
+    # still writing when the reader closes its end after the first line.
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(circlegather.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circlegather.cli", "analyze", path],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    os.close(write_end)
+    with os.fdopen(read_end) as out:
+        first = out.readline()
+    _, err = proc.communicate(timeout=120)
+    assert first == "{\n"
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_analyze_rejects_illegal_configurations(tmp_path, capsys):

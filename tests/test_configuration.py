@@ -8,10 +8,10 @@ from collections import Counter
 from circlegather.angles import HALF_TURN, antipode, cw_angle, format_angle
 from circlegather.configuration import (
     Configuration,
+    LatticeView,
     Snapshot,
     VisiblePoint,
     angle_sequence,
-    build_snapshot,
     gap_sequence,
     has_period,
     is_rotationally_symmetric,
@@ -306,17 +306,18 @@ def test_election_on_adversarial_gap_patterns():
 
 
 # ---------------------------------------------------------------------------
-# The snapshot builder against the definition
+# The lattice view against the definition
 
 
-def naive_snapshot(occupancy, observer, flags):
-    """The definition in Fraction arithmetic: every occupied point but the
+def reference_snapshot(occupancy, flags, observer):
+    """The definition in plain Fraction arithmetic: every occupied point but the
     observer's own and its antipode is visible, flagged when counted twice."""
-    visible = [
-        VisiblePoint(cw_angle(observer, pos), flags[pos] >= 2)
-        for pos in occupancy
-        if pos != observer and cw_angle(observer, pos) != HALF_TURN
-    ]
+    visible = []
+    for pos in occupancy:
+        offset = (pos - observer) % 1
+        if offset != 0 and offset != Fraction(1, 2):
+            visible.append(VisiblePoint(offset, flags[pos] >= 2))
+    visible.sort(key=lambda v: v.offset)
     return Snapshot(tuple(visible), flags[observer] >= 2)
 
 
@@ -325,24 +326,37 @@ def naive_snapshot(occupancy, observer, flags):
     st.lists(st.tuples(mixed_point(), st.integers(1, 3), st.integers(0, 3)), min_size=1,
              max_size=30),
     st.booleans(),
-    st.data(),
 )
-def test_build_snapshot_matches_the_definition(entries, antipode_occupied, data):
-    # Each entry is (position, robots there, robots there that raise flags).
+def test_lattice_view_matches_the_definition(entries, antipode_occupied):
+    # Each entry is (position, robots there, robots there that raise flags);
+    # a position may come up in several entries.
     occupancy, flags = Counter(), Counter()
     for pos, count, flagged in entries:
         occupancy[pos] += count
         flags[pos] += min(count, flagged)
-    observer = data.draw(st.sampled_from(sorted(occupancy)))
+    pairs = [(pos, min(count, flagged)) for pos, count, flagged in entries]
     if antipode_occupied:
-        occupancy[antipode(observer)] += 2
-        flags[antipode(observer)] += 2
-    assert build_snapshot(occupancy, observer, flags) == naive_snapshot(
-        occupancy, observer, flags
-    )
-    assert build_snapshot(occupancy, observer) == naive_snapshot(
-        occupancy, observer, occupancy
-    )
+        far = antipode(entries[0][0])
+        occupancy[far] += 2
+        flags[far] += 2
+        pairs.append((far, 2))
+    view = LatticeView(pairs)
+    assert len(view.ticks) == len(occupancy)
+    for observer in occupancy:
+        snap = view.snapshot(view.tick(observer))
+        assert snap == reference_snapshot(occupancy, flags, observer)
+
+
+def test_lattice_view_reads_positions_modulo_a_turn_and_rejects_empty_points():
+    view = LatticeView([(F("5/4"), 1), (F("1/4"), 1), (F("-1/3"), 1)])
+    assert view.tick(F("1/4")) == view.tick(F("-3/4"))
+    snap = view.snapshot(view.tick(F("2/3")))
+    assert snap == Snapshot((VisiblePoint(F("7/12"), True),), False)
+    for empty in (F("1/2"), F("1/5")):
+        with pytest.raises(UnknownRobot):
+            view.tick(empty)
+    with pytest.raises(UnknownRobot):
+        snapshot_of_positions([F(0), F("1/3")], F("1/6"))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +399,32 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
     assert [v["offset"] for v in snap.to_json()["visible"]] == [
         format_angle(p.offset) for p in snap.visible
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(visible_offset(), st.booleans()), max_size=25,
+             unique_by=lambda e: e[0]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_equal_snapshots_hash_equal(entries, own_flag, rnd):
+    snap = Snapshot(tuple(VisiblePoint(o, m) for o, m in entries), own_flag)
+    # The same points in another order, each offset a new Fraction built
+    # from a scaled numerator and denominator.
+    points = [VisiblePoint(Fraction(3 * o.numerator, 3 * o.denominator), m) for o, m in entries]
+    rnd.shuffle(points)
+    again = Snapshot(tuple(points), own_flag)
+    assert again == snap and hash(again) == hash(snap)
+    # The same view read off a world rotated onto another lattice: 13 divides
+    # none of the offset denominators.
+    turn = Fraction(rnd.randrange(1, 13), 13)
+    view = LatticeView(
+        [(turn, 2 if own_flag else 1)] + [(o + turn, 2 if m else 1) for o, m in entries]
+    )
+    seen = view.snapshot(view.tick(turn))
+    assert seen == snap and hash(seen) == hash(snap)
+    assert len({snap, again, seen}) == 1
 
 
 @pytest.mark.parametrize(

@@ -509,6 +509,45 @@ def test_mover_passing_through_an_occupied_point():
     assert trace.summary["max_simultaneous_multiplicities"] == 1
 
 
+def test_robots_on_one_point_share_one_look_per_instant():
+    # Under fsync the leader r0 steps onto r1 in round 0, and the rest join
+    # them in round 1 (see the worked example).
+    trace = run(load_fixture("worked_example"), FsyncPolicy())
+    looks = {}
+    for r in trace.records:
+        if r.kind == "snapshot":
+            looks.setdefault(r.t, {})[r.robot] = r.payload
+    at_1, at_2 = looks[F(1)], looks[F(2)]
+    assert at_1["r0"] is at_1["r1"]
+    assert at_1["r2"] is not at_1["r0"] and at_1["r3"] is not at_1["r0"]
+    # Gathered: one payload for all four.
+    assert len({id(p) for p in at_2.values()}) == 1
+    assert at_2["r0"] is not at_1["r0"]
+
+
+def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
+    # r0 walks from 0 onto r1 at 1/10 during [1/4, 7/20]. r2 and r3 look
+    # twice in that interval and stay, so no move starts or ends between
+    # their looks: only the instant changes.
+    initial = load_fixture("worked_example")
+    events = [("r0", F(0), F("1/4"))]
+    for t_look, t_decide in ((F("3/10"), F("13/40")), (F("27/80"), F("29/80"))):
+        events += [("r2", t_look, t_decide), ("r3", t_look, t_decide)]
+    trace = run(initial, ScriptedPolicy(events))
+    assert [(r.t, r.robot) for r in trace.records if r.kind == "move-start"] == [
+        (F("1/4"), "r0")
+    ]
+    world = {r.robot_id: RobotRuntime(r.robot_id, r.pos) for r in initial.robots}
+    world["r0"] = moving_robot("r0", F(0), F("1/10"), F("1/4"))
+    seen = {}
+    for t in (F("3/10"), F("27/80")):
+        for rid, payload in snapshots_at(trace, t).items():
+            assert payload == world_snapshot(world, rid, t).to_json(), (t, rid)
+            seen[t, rid] = payload
+    assert [v["offset"] for v in seen[F("3/10"), "r2"]["visible"]] == ["1/4", "3/5", "13/20"]
+    assert [v["offset"] for v in seen[F("27/80"), "r2"]["visible"]] == ["1/4", "51/80", "13/20"]
+
+
 # ---------------------------------------------------------------------------
 # The bound of two multiplicity points along asynchronous runs
 
