@@ -165,7 +165,7 @@ def is_safe_neighbor(snapshot: Snapshot) -> bool:
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("safe-neighbor test applies to confused leaders only")
     _, c1, _, _, lead1 = _hypothesis_data(snapshot)
-    s = snapshot.visible[0].offset
+    s = snapshot.offsets[0]
     neighbor = c1[(c1.index(lead1) + 1) % len(c1)]
     return antipode(s) != neighbor
 

@@ -13,7 +13,10 @@ the leader starts the least rotation of the gap list, and the configuration
 is symmetric iff the gap list has a nontrivial period. Snapshots are read
 off a :class:`LatticeView`: the occupied points scaled to the same lattice
 once and sorted clockwise, so every observer's view of one world state is a
-walk round one ring of ints.
+walk round one ring of ints. A :class:`Snapshot` keeps those ints: its
+visible points are ticks over one denominator, reduced by their gcd, each
+with one flag. ``Snapshot.offsets`` derives the Fractions for the callers
+that want them, and ``Snapshot.of`` builds a snapshot from Fraction offsets.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .angles import cw_angle, format_angle, norm, parse_angle
@@ -115,82 +118,69 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class VisiblePoint:
-    """One occupied point in a snapshot, as a clockwise offset from the observer.
-
-    The offset is an exact rational strictly between 0 and 1 turn and never
-    the half turn. The check reads its numerator and denominator (a
-    ``Fraction`` is in lowest terms with a positive denominator), so it makes
-    no ``Fraction`` comparison; an int offset is never in range.
-    """
-
-    offset: Fraction
-    is_multiplicity: bool
-
-    def __post_init__(self):
-        num, den = self.offset.numerator, self.offset.denominator
-        if not 0 < num < den or 2 * num == den:
-            raise ContractViolation(
-                f"visible offset must be in (0,1) and never 1/2, got {self.offset}"
-            )
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """What one robot sees: visible occupied points plus its own-point flag.
 
-    ``visible`` is pairwise distinct and sorted by offset, so ``visible[0]``
-    is the first clockwise neighbour and ``visible[-1]`` the first
-    counter-clockwise one. The offsets are checked and ordered on their
-    common-denominator lattice (see :func:`lattice`): one int per point, no
-    ``Fraction`` hashing or comparison. The hash is taken once, from those
-    ints, their lcm and the flags: snapshots key the analysis caches, and
-    equal snapshots have equal offsets in lowest terms, hence equal ints.
+    The visible points are clockwise offsets from the observer on one
+    lattice: point ``i`` lies ``ticks[i] / d`` of a turn clockwise and
+    ``flags[i]`` is its multiplicity flag. The ticks are strictly
+    increasing, so ``ticks[0]`` is the first clockwise neighbour and
+    ``ticks[-1]`` the first counter-clockwise one, and each lies strictly
+    between 0 and ``d`` and off the half turn. The lattice is reduced by
+    ``gcd(d, *ticks)``, so equal views are equal field by field and the
+    dataclass equality and hash serve as the analysis cache keys.
     """
 
-    visible: Tuple[VisiblePoint, ...]
+    d: int
+    ticks: Tuple[int, ...]
+    flags: Tuple[bool, ...]
     self_is_multiplicity: bool = False
 
     def __post_init__(self):
-        visible = self.visible
-        ratios = [(v.offset.numerator, v.offset.denominator) for v in visible]
-        d = lcm(*[q for _, q in ratios])
-        ticks = [num * (d // q) for num, q in ratios]
-        if len(set(ticks)) != len(ticks):
-            raise ContractViolation("visible offsets must be pairwise distinct")
-        order = sorted(range(len(ticks)), key=ticks.__getitem__)
-        visible = tuple([visible[i] for i in order])
-        object.__setattr__(self, "visible", visible)
-        key = (
-            d,
-            tuple([ticks[i] for i in order]),
-            tuple([v.is_multiplicity for v in visible]),
-            self.self_is_multiplicity,
-        )
-        object.__setattr__(self, "_hash", hash(key))
+        d, ticks = self.d, self.ticks
+        if len(self.flags) != len(ticks):
+            raise ContractViolation("a snapshot needs one flag per visible point")
+        if d < 1 or any(not 0 < t < d or 2 * t == d for t in ticks):
+            raise ContractViolation(
+                f"visible offsets must be in (0,1) and never 1/2, got {ticks} over {d}"
+            )
+        if any(a >= b for a, b in zip(ticks, ticks[1:])):
+            raise ContractViolation("visible offsets must be distinct and sorted")
+        g = gcd(d, *ticks)
+        if g > 1:
+            object.__setattr__(self, "d", d // g)
+            object.__setattr__(self, "ticks", tuple([t // g for t in ticks]))
 
-    def __hash__(self):
-        return self._hash
+    @classmethod
+    def of(
+        cls, pairs: Iterable[Tuple[Fraction, bool]], self_is_multiplicity: bool = False
+    ) -> "Snapshot":
+        """A snapshot from ``(offset, flag)`` pairs given in any order.
+
+        The offsets are scaled to the lcm of their denominators and sorted;
+        the constructor makes every check.
+        """
+        pairs = list(pairs)
+        d = lcm(*[o.denominator for o, _ in pairs])
+        points = sorted((o.numerator * (d // o.denominator), flag) for o, flag in pairs)
+        ticks, flags = tuple([t for t, _ in points]), tuple([f for _, f in points])
+        return cls(d, ticks, flags, self_is_multiplicity)
 
     @property
     def offsets(self) -> Tuple[Fraction, ...]:
-        return tuple(v.offset for v in self.visible)
+        return tuple([Fraction(t, self.d) for t in self.ticks])
 
     @property
     def has_multiplicity(self) -> bool:
-        return self.self_is_multiplicity or any(v.is_multiplicity for v in self.visible)
+        return self.self_is_multiplicity or any(self.flags)
 
     def to_json(self) -> dict:
-        return {
-            "visible": [
-                {
-                    "offset": f"{v.offset.numerator}/{v.offset.denominator}",
-                    "multiplicity": v.is_multiplicity,
-                }
-                for v in self.visible
-            ],
-            "self_multiplicity": self.self_is_multiplicity,
-        }
+        d = self.d
+        visible = []
+        for t, flag in zip(self.ticks, self.flags):
+            g = gcd(t, d)
+            visible.append({"offset": f"{t // g}/{d // g}", "multiplicity": flag})
+        return {"visible": visible, "self_multiplicity": self.self_is_multiplicity}
 
 
 def _require_distinct(positions: Sequence[Fraction]) -> None:
@@ -379,14 +369,15 @@ class LatticeView:
         """
         ticks, weights, d = self.ticks, self.weights, self.d
         i = self.index[tick]
-        visible = []
+        offs, flags = [], []
         # Negative indices wrap, so k = i + 1 - n .. i - 1 goes clockwise
         # from the observer's successor round the ring to its predecessor.
         for k in range(i + 1 - len(ticks), i):
             off = (ticks[k] - tick) % d
             if 2 * off != d:
-                visible.append(VisiblePoint(Fraction(off, d), weights[k] >= 2))
-        return Snapshot(tuple(visible), weights[i] >= 2)
+                offs.append(off)
+                flags.append(weights[k] >= 2)
+        return Snapshot(d, tuple(offs), tuple(flags), weights[i] >= 2)
 
 
 def take_snapshot(config: Configuration, observer: str) -> Snapshot:

@@ -94,9 +94,9 @@ def decide(
     """
     if snapshot.self_is_multiplicity:
         return memory, _from_own_multiplicity(snapshot, multiplicity_threshold)
-    if any(v.is_multiplicity for v in snapshot.visible):
+    if any(snapshot.flags):
         return memory, _toward_neighbor_multiplicity(snapshot)
-    if not snapshot.visible:
+    if not snapshot.ticks:
         # Nothing visible at all: quarter turn clockwise, state unchanged.
         return memory, MoveCommand(CW, QUARTER_TURN)
     if memory is Memory.OFF:
@@ -109,48 +109,44 @@ def decide(
 
 
 def _from_own_multiplicity(snapshot: Snapshot, threshold: Fraction) -> MoveCommand:
-    """Observer sits on a multiplicity point; maybe walk to a nearby second one."""
-    candidates = [
-        v.offset
-        for v in snapshot.visible
-        if v.is_multiplicity and v.offset < threshold
-    ]
-    if not candidates:
-        return STAY
-    return MoveCommand(CW, min(candidates), "multiplicity-position")
+    """Observer sits on a multiplicity point; maybe walk to a nearby second one.
+
+    The ticks are sorted, so the first flagged one is the nearest clockwise.
+    """
+    for t, flag in zip(snapshot.ticks, snapshot.flags):
+        if flag:
+            off = Fraction(t, snapshot.d)
+            return MoveCommand(CW, off, "multiplicity-position") if off < threshold else STAY
+    return STAY
 
 
 def _toward_neighbor_multiplicity(snapshot: Snapshot) -> MoveCommand:
     """Observer is off every multiplicity point; join one if it is a direct neighbor.
 
-    Movement follows the shorter arc, which stays below a half turn because
-    the point is visible. Equal distances break clockwise.
+    The candidates are the first clockwise neighbor (index 0) and the first
+    counter-clockwise one (index -1), the same point when only one is
+    visible. Movement follows the shorter arc, which stays below a half turn
+    because the point is visible. Index 0 is the nearer unless its tick
+    exceeds the counter-clockwise distance ``d - ticks[-1]``; on a tie it
+    lies below the half turn, so equal distances break clockwise.
     """
-    first_cw, first_ccw = snapshot.visible[0], snapshot.visible[-1]
-    options = []
-    if first_cw.is_multiplicity:
-        off = first_cw.offset
-        if off < HALF_TURN:
-            options.append((off, MoveCommand(CW, off, "multiplicity-position")))
-        else:
-            options.append((1 - off, MoveCommand(CCW, 1 - off, "multiplicity-position")))
-    if first_ccw.is_multiplicity and first_ccw is not first_cw:
-        off = first_ccw.offset
-        if off < HALF_TURN:
-            options.append((off, MoveCommand(CW, off, "multiplicity-position")))
-        else:
-            options.append((1 - off, MoveCommand(CCW, 1 - off, "multiplicity-position")))
-    if not options:
+    ticks, flags, d = snapshot.ticks, snapshot.flags, snapshot.d
+    if flags[0] and (not flags[-1] or ticks[0] <= d - ticks[-1]):
+        t = ticks[0]
+    elif flags[-1]:
+        t = ticks[-1]
+    else:
         return STAY
-    options.sort(key=lambda o: (o[0], o[1].direction != CW))
-    return options[0][1]
+    if 2 * t < d:
+        return MoveCommand(CW, Fraction(t, d), "multiplicity-position")
+    return MoveCommand(CCW, Fraction(d - t, d), "multiplicity-position")
 
 
 def _decide_off(snapshot: Snapshot) -> Tuple[Memory, MoveCommand]:
     cls = classify(snapshot)
     if cls.tag is LeaderTag.FOLLOWER:
         return Memory.OFF, STAY
-    leading = snapshot.visible[0].offset
+    leading = Fraction(snapshot.ticks[0], snapshot.d)
     if cls.tag is LeaderTag.SURE_LEADER:
         return Memory.OFF, _checked_step(CW, leading, "neighbor-position")
     if is_safe_neighbor(snapshot):
@@ -168,21 +164,22 @@ def _decide_staged(snapshot: Snapshot, memory: Memory) -> Tuple[Memory, MoveComm
     probed for interference is centered on the observer's (invisible)
     antipodal point, so it sits at offset 1/2 in the view frame.
     """
-    leading = snapshot.visible[0].offset
-    neighbor_antipode_occupied = ((leading + HALF_TURN) % 1) in set(snapshot.offsets)
+    offsets = snapshot.offsets
+    leading = offsets[0]
+    neighbor_antipode_occupied = ((leading + HALF_TURN) % 1) in set(offsets)
     if not neighbor_antipode_occupied:
         return Memory.TERMINATE, STAY
     if memory is Memory.MOVE_HALF:
         # Current leading angle is half the original step budget.
         half = leading
         arc = Arc(HALF_TURN - half, 2 * half, "[)")
-        if any(off in arc for off in snapshot.offsets):
+        if any(off in arc for off in offsets):
             return Memory.TERMINATE, _checked_step(CCW, half)
         return Memory.MOVE_MORE, _checked_step(CW, half / 2)
     quarter = leading
     # An extent of a full turn or more always contains the neighbor itself.
     arc = Arc(HALF_TURN - 3 * quarter, min(4 * quarter, Fraction(1)), "[)")
-    if any(off in arc for off in snapshot.offsets):
+    if any(off in arc for off in offsets):
         return Memory.TERMINATE, _checked_step(CCW, 3 * quarter)
     return Memory.OFF, _checked_step(CW, quarter, "neighbor-position")
 

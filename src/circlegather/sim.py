@@ -22,8 +22,9 @@ every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
 the instant and memoises each look by the observer's lattice int: robots
 resting on one point share one ``Snapshot`` and one trace payload dict. The
-view is dropped when the look instant changes and on every move start and
-move end.
+view is rebuilt only when the look instant changes: no move ends between
+the looks of one instant, and a move that starts at the look instant leaves
+its mover at rest on its origin, as the view already has it.
 
 Each queued event carries the data its handler needs: a look its decide
 instant, a decide the snapshot of its look. The fsync and ssync policies
@@ -445,7 +446,7 @@ def run(
         if rank == LOOK:
             if rr.is_moving_at(t):
                 raise ObserverMoving(f"robot {rid!r} cannot look while moving")
-            if view is None or t != view_t:
+            if t != view_t:
                 points = list(resting.items())
                 for mover in in_flight.values():
                     points.append((mover.position_at(t), 0 if mover.is_moving_at(t) else 1))
@@ -504,7 +505,6 @@ def run(
                 )
                 heapq.heappush(heap, (rr.pending.end, MOVE_END, rid, None))
                 gathered_confirmed.clear()
-                view = None
                 # Lift the robot off its origin.
                 count = resting[origin]
                 if count == 1:
@@ -530,7 +530,6 @@ def run(
         rr.anchor = rr.pending.destination
         rr.pending = None
         del in_flight[rid]
-        view = None
         count = resting[rr.anchor] + 1
         resting[rr.anchor] = count
         if count == 2:

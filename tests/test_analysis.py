@@ -20,7 +20,6 @@ from circlegather.analysis import (
 from circlegather.configuration import (
     Configuration,
     Snapshot,
-    VisiblePoint,
     take_snapshot,
     true_leader,
 )
@@ -58,7 +57,7 @@ def test_hypothesis_configs_frame(worked):
 
 
 def test_hypothesis_rejects_multiplicity_snapshot():
-    snap = Snapshot((VisiblePoint(F("1/10"), True),))
+    snap = Snapshot.of([(F("1/10"), True)])
     with pytest.raises(MultiplicityInSnapshot):
         hypothesis_configs(snap)
     with pytest.raises(MultiplicityInSnapshot):
@@ -67,15 +66,13 @@ def test_hypothesis_rejects_multiplicity_snapshot():
 
 def test_only_c0_when_adding_the_antipode_creates_symmetry():
     # Observer at 0 with robots at 1/4 and 3/4: adding 1/2 makes a square.
-    snap = Snapshot((VisiblePoint(F("1/4"), False), VisiblePoint(F("3/4"), False)))
+    snap = Snapshot.of([(F("1/4"), False), (F("3/4"), False)])
     _, _, possibility = hypothesis_configs(snap)
     assert possibility is Possibility.ONLY_C0
 
 
 def test_only_c1_when_the_view_alone_is_symmetric():
-    snap = Snapshot(
-        (VisiblePoint(F("1/3"), False), VisiblePoint(F("2/3"), False))
-    )
+    snap = Snapshot.of([(F("1/3"), False), (F("2/3"), False)])
     _, _, possibility = hypothesis_configs(snap)
     assert possibility is Possibility.ONLY_C1
 
@@ -94,7 +91,7 @@ def test_no_snapshot_with_both_hypotheses_symmetric_found():
             for combo in combinations(offsets, size):
                 if F("1/2") in combo:
                     continue
-                snap = Snapshot(tuple(VisiblePoint(o, False) for o in combo))
+                snap = Snapshot.of((o, False) for o in combo)
                 classify(snap)
 
 

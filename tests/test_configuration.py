@@ -10,7 +10,6 @@ from circlegather.configuration import (
     Configuration,
     LatticeView,
     Snapshot,
-    VisiblePoint,
     angle_sequence,
     gap_sequence,
     has_period,
@@ -143,7 +142,7 @@ def test_snapshot_collapses_coincident_robots():
     cfg = Configuration.from_points([F(0), F("1/10"), F("1/10")])
     snap = take_snapshot(cfg, "r0")
     assert snap.offsets == (F("1/10"),)
-    assert snap.visible[0].is_multiplicity
+    assert snap.flags == (True,)
     snap_on = take_snapshot(cfg, "r1")
     assert snap_on.self_is_multiplicity
 
@@ -157,16 +156,17 @@ def test_snapshot_of_positions_matches_take_snapshot():
 
 def test_visible_point_validation():
     with pytest.raises(ContractViolation):
-        VisiblePoint(F("1/2"), False)
+        Snapshot.of([(F("1/2"), False)])
     with pytest.raises(ContractViolation):
-        VisiblePoint(F(0), False)
+        Snapshot.of([(F(0), False)])
     with pytest.raises(ContractViolation):
-        Snapshot((VisiblePoint(F("1/4"), False), VisiblePoint(F("1/4"), True)))
+        Snapshot.of([(F("1/4"), False), (F("1/4"), True)])
 
 
 def test_snapshot_sorts_visible_by_offset():
-    snap = Snapshot((VisiblePoint(F("3/4"), False), VisiblePoint(F("1/4"), False)))
+    snap = Snapshot.of([(F("3/4"), True), (F("1/4"), False)])
     assert snap.offsets == (F("1/4"), F("3/4"))
+    assert snap.flags == (False, True)
 
 
 def test_require_legal_initial():
@@ -316,9 +316,9 @@ def reference_snapshot(occupancy, flags, observer):
     for pos in occupancy:
         offset = (pos - observer) % 1
         if offset != 0 and offset != Fraction(1, 2):
-            visible.append(VisiblePoint(offset, flags[pos] >= 2))
-    visible.sort(key=lambda v: v.offset)
-    return Snapshot(tuple(visible), flags[observer] >= 2)
+            visible.append((offset, flags[pos] >= 2))
+    visible.sort()
+    return Snapshot.of(visible, flags[observer] >= 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,7 +351,7 @@ def test_lattice_view_reads_positions_modulo_a_turn_and_rejects_empty_points():
     view = LatticeView([(F("5/4"), 1), (F("1/4"), 1), (F("-1/3"), 1)])
     assert view.tick(F("1/4")) == view.tick(F("-3/4"))
     snap = view.snapshot(view.tick(F("2/3")))
-    assert snap == Snapshot((VisiblePoint(F("7/12"), True),), False)
+    assert snap == Snapshot.of([(F("7/12"), True)], False)
     for empty in (F("1/2"), F("1/5")):
         with pytest.raises(UnknownRobot):
             view.tick(empty)
@@ -382,22 +382,23 @@ def visible_offset():
     st.randoms(use_true_random=False),
 )
 def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd):
-    points = [VisiblePoint(o, m) for o, m in entries]
+    points = list(entries)
     # Value-equal copies of some offsets, each a new Fraction object.
     for i in repeats:
         if i < len(entries):
             o, m = entries[i]
-            points.append(VisiblePoint(Fraction(3 * o.numerator, 3 * o.denominator), not m))
+            points.append((Fraction(3 * o.numerator, 3 * o.denominator), not m))
     rnd.shuffle(points)
-    offsets = [p.offset for p in points]
+    offsets = [o for o, _ in points]
     if len(set(offsets)) != len(offsets):
         with pytest.raises(ContractViolation):
-            Snapshot(tuple(points))
+            Snapshot.of(points)
         return
-    snap = Snapshot(tuple(points))
-    assert snap.visible == tuple(sorted(points, key=lambda p: p.offset))
+    snap = Snapshot.of(points)
+    ordered = sorted(points, key=lambda p: p[0])
+    assert list(zip(snap.offsets, snap.flags)) == ordered
     assert [v["offset"] for v in snap.to_json()["visible"]] == [
-        format_angle(p.offset) for p in snap.visible
+        format_angle(o) for o, _ in ordered
     ]
 
 
@@ -409,13 +410,16 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
     st.randoms(use_true_random=False),
 )
 def test_equal_snapshots_hash_equal(entries, own_flag, rnd):
-    snap = Snapshot(tuple(VisiblePoint(o, m) for o, m in entries), own_flag)
+    snap = Snapshot.of(entries, own_flag)
     # The same points in another order, each offset a new Fraction built
     # from a scaled numerator and denominator.
-    points = [VisiblePoint(Fraction(3 * o.numerator, 3 * o.denominator), m) for o, m in entries]
+    points = [(Fraction(3 * o.numerator, 3 * o.denominator), m) for o, m in entries]
     rnd.shuffle(points)
-    again = Snapshot(tuple(points), own_flag)
+    again = Snapshot.of(points, own_flag)
     assert again == snap and hash(again) == hash(snap)
+    # The same ints on a lattice three times finer, before reduction.
+    scaled = Snapshot(3 * snap.d, tuple(3 * t for t in snap.ticks), snap.flags, own_flag)
+    assert scaled == snap and hash(scaled) == hash(snap)
     # The same view read off a world rotated onto another lattice: 13 divides
     # none of the offset denominators.
     turn = Fraction(rnd.randrange(1, 13), 13)
@@ -424,7 +428,7 @@ def test_equal_snapshots_hash_equal(entries, own_flag, rnd):
     )
     seen = view.snapshot(view.tick(turn))
     assert seen == snap and hash(seen) == hash(snap)
-    assert len({snap, again, seen}) == 1
+    assert len({snap, again, scaled, seen}) == 1
 
 
 @pytest.mark.parametrize(
@@ -432,4 +436,23 @@ def test_equal_snapshots_hash_equal(entries, own_flag, rnd):
 )
 def test_visible_point_rejects_offsets_outside_the_open_turn_or_at_half(offset):
     with pytest.raises(ContractViolation):
-        VisiblePoint(offset, False)
+        Snapshot.of([(offset, False)])
+
+
+@pytest.mark.parametrize(
+    "d, ticks, flags",
+    [
+        (8, (1, 1), (False, False)),
+        (8, (3, 1), (False, False)),
+        (8, (0, 3), (False, False)),
+        (8, (3, 8), (False, False)),
+        (8, (3, 4), (False, False)),
+        (8, (1, 3), (False,)),
+        (0, (), ()),
+    ],
+    ids=["repeated", "descending", "tick-0", "tick-d", "tick-half", "flags-short",
+         "d-0"],
+)
+def test_snapshot_rejects_ints_off_the_contract(d, ticks, flags):
+    with pytest.raises(ContractViolation):
+        Snapshot(d, ticks, flags)

@@ -9,7 +9,6 @@ from circlegather.angles import HALF_TURN, QUARTER_TURN
 from circlegather.configuration import (
     Configuration,
     Snapshot,
-    VisiblePoint,
     take_snapshot,
 )
 from circlegather.errors import ContractViolation
@@ -32,9 +31,7 @@ def F(s):
 
 
 def snap(*entries, self_mult=False):
-    return Snapshot(
-        tuple(VisiblePoint(F(o), m) for o, m in entries), self_mult
-    )
+    return Snapshot.of([(F(o), m) for o, m in entries], self_mult)
 
 
 def load_fixture(name):
@@ -55,7 +52,7 @@ def test_move_command_validation():
 
 def test_empty_view_moves_quarter_turn():
     for state in Memory:
-        new_state, cmd = decide(Snapshot(()), state)
+        new_state, cmd = decide(Snapshot.of(()), state)
         assert new_state is state
         assert cmd == MoveCommand(CW, QUARTER_TURN)
 
@@ -83,6 +80,19 @@ def test_own_multiplicity_stays_without_second_point():
     assert decide(s, Memory.OFF) == (Memory.OFF, STAY)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (("1/10", False), ("1/5", True), ("3/5", False)),
+        (("3/10", True), ("1/5", True)),
+    ],
+    ids=["unflagged-point-nearer", "nearer-flagged-point-wins"],
+)
+def test_own_multiplicity_walks_to_the_nearest_flagged_point(entries):
+    _, cmd = decide(snap(*entries, self_mult=True), Memory.OFF)
+    assert cmd == MoveCommand(CW, F("1/5"), "multiplicity-position")
+
+
 def test_neighbor_multiplicity_clockwise():
     s = snap(("1/10", True), ("2/5", False))
     state, cmd = decide(s, Memory.TERMINATE)
@@ -100,6 +110,17 @@ def test_neighbor_multiplicity_tie_breaks_clockwise():
     s = snap(("1/10", True), ("9/10", True))
     _, cmd = decide(s, Memory.OFF)
     assert cmd.direction == CW and cmd.amount == F("1/10")
+
+
+@pytest.mark.parametrize(
+    "offset, direction, amount",
+    [("1/10", CW, "1/10"), ("9/10", CCW, "1/10"), ("2/5", CW, "2/5")],
+)
+def test_lone_flagged_neighbor_is_joined_by_the_shorter_arc(offset, direction, amount):
+    # With one visible point, the first clockwise and the first
+    # counter-clockwise neighbour are the same point.
+    _, cmd = decide(snap((offset, True)), Memory.OFF)
+    assert cmd == MoveCommand(direction, F(amount), "multiplicity-position")
 
 
 def test_distant_multiplicity_is_not_chased():
@@ -225,10 +246,7 @@ offset_sets = st.lists(
 
 @given(offset_sets, st.sampled_from(list(Memory)), st.booleans())
 def test_decide_is_total_legal_and_bounded(offsets, state, flag_first):
-    entries = tuple(
-        VisiblePoint(o, flag_first and i == 0) for i, o in enumerate(sorted(offsets))
-    )
-    s = Snapshot(entries)
+    s = Snapshot.of((o, flag_first and i == 0) for i, o in enumerate(sorted(offsets)))
     try:
         new_state, cmd = decide(s, state)
     except Exception as exc:  # classification aborts on symmetric views
@@ -240,3 +258,40 @@ def test_decide_is_total_legal_and_bounded(offsets, state, flag_first):
     assert 0 <= cmd.amount < HALF_TURN or (not offsets and cmd.amount == QUARTER_TURN)
     # Deterministic: the same inputs always produce the same decision.
     assert decide(s, state) == (new_state, cmd)
+
+
+def reference_multiplicity_move(offsets, flags, self_mult, threshold):
+    """The multiplicity walks in plain Fraction arithmetic: from an own
+    multiplicity, the nearest flagged point below the threshold; otherwise
+    the nearer flagged direct neighbour by the shorter arc, ties clockwise."""
+    if self_mult:
+        near = [o for o, f in zip(offsets, flags) if f and o < threshold]
+        return MoveCommand(CW, min(near), "multiplicity-position") if near else STAY
+    moves = []
+    for i in {0, len(offsets) - 1}:
+        if flags[i]:
+            o = offsets[i]
+            if o < HALF_TURN:
+                moves.append(MoveCommand(CW, o, "multiplicity-position"))
+            else:
+                moves.append(MoveCommand(CCW, 1 - o, "multiplicity-position"))
+    if not moves:
+        return STAY
+    return min(moves, key=lambda m: (m.amount, m.direction != CW))
+
+
+@given(
+    offset_sets.filter(bool),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    st.booleans(),
+    st.sampled_from([QUARTER_TURN, HALF_TURN]),
+)
+def test_multiplicity_walks_match_their_definition(offsets, flags, self_mult, threshold):
+    offsets = sorted(offsets)
+    flags = flags[: len(offsets)]
+    if not (self_mult or any(flags)):
+        return
+    s = Snapshot.of(zip(offsets, flags), self_mult)
+    state, cmd = decide(s, Memory.MOVE_HALF, threshold)
+    assert state is Memory.MOVE_HALF
+    assert cmd == reference_multiplicity_move(offsets, flags, self_mult, threshold)

@@ -97,7 +97,7 @@ def test_snapshot_flags_only_robots_at_rest():
     }
     snap = world_snapshot(world, "c", F("1/8"))
     assert snap.offsets == (F("5/8"),)
-    assert [v.is_multiplicity for v in snap.visible] == [False]
+    assert snap.flags == (False,)
 
 
 def test_multiplicity_points_ignore_robots_in_transit():
