@@ -4,9 +4,12 @@ Because a robot never sees its antipodal point, every multiplicity-free view
 spawns two hypothesis configurations: the view as-is (antipode empty) and
 the view plus one robot at the antipode. Classification, the safe-neighbor
 test and the A/BI/BII/C taxonomy are all built on electing leaders inside
-those hypotheses. Each hypothesis gets one integer gap list per snapshot
-(``configuration.lattice``), which its symmetry test and its election (the
-least rotation of the gaps) both read, so it is elected once. ``classify``
+those hypotheses, which are elected on the snapshot's own ints with no
+second ``configuration.lattice`` call: c0 is the observer's tick 0 plus the
+snapshot's ticks over ``d``, and c1 doubles them and adds the half turn,
+over ``2d``. Each hypothesis gets one integer gap list, which its symmetry
+test and its election (the least rotation of the gaps) both read, so it is
+elected once; a leader is an index, the observer's being 0. ``classify``
 and friends consume a Snapshot only, so a robot could run them from purely
 local information; the whole-configuration operations at the bottom exist
 for the simulator and the test oracles.
@@ -20,14 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .angles import HALF_TURN, antipode, format_angle
+from .angles import HALF_TURN, format_angle
 from .configuration import (
     Configuration,
     LatticeView,
     Snapshot,
     has_period,
     is_rotationally_symmetric,
-    lattice,
     least_rotation,
     true_leader,
 )
@@ -83,21 +85,30 @@ def _require_plain(snapshot: Snapshot) -> None:
         )
 
 
+def _elect(ticks: Tuple[int, ...], d: int):
+    """Leader index of the points ``ticks`` over ``d``, or None when symmetric.
+
+    ``ticks`` are sorted and distinct, so the gaps are positive and sum to ``d``.
+    """
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    gaps.append(ticks[0] + d - ticks[-1])
+    return None if has_period(gaps) else least_rotation(gaps)
+
+
 @lru_cache(maxsize=1 << 16)
 def _hypothesis_data(snapshot: Snapshot):
-    """(c0 positions, c1 positions, possibility, c0 leader, c1 leader).
+    """(c0 ticks, c1 ticks, possibility, c0 leader, c1 leader).
 
-    Positions are in the observer frame: the observer sits at 0 and c1 adds
-    the hypothetical antipodal robot at 1/2. A hypothesis's leader is None
-    when that hypothesis is symmetric.
+    The ticks are in the observer frame, the observer at tick 0: c0 is over
+    ``snapshot.d`` and c1, which adds the hypothetical antipodal robot at
+    tick ``d``, over ``2d``. No visible tick doubles to ``d``, so the half
+    turn never lands on a visible point. A leader is an index into its
+    hypothesis's ticks, and None when that hypothesis is symmetric.
     """
-    c0 = (Fraction(0),) + snapshot.offsets
-    c1 = tuple(sorted(c0 + (HALF_TURN,)))
-    leaders = []
-    for positions in (c0, c1):
-        pts, gaps = lattice(positions)
-        leaders.append(None if has_period(gaps) else pts[least_rotation(gaps)])
-    lead0, lead1 = leaders
+    d = snapshot.d
+    c0 = (0,) + snapshot.ticks
+    c1 = tuple(sorted([2 * t for t in c0] + [d]))
+    lead0, lead1 = _elect(c0, d), _elect(c1, 2 * d)
     if lead0 is None and lead1 is None:
         raise AmbiguousSymmetric("both antipodal hypotheses are symmetric")
     if lead0 is None:
@@ -119,7 +130,7 @@ def hypothesis_configs(snapshot: Snapshot):
     """
     _require_plain(snapshot)
     c0, _, possibility, _, _ = _hypothesis_data(snapshot)
-    conf0 = Configuration.from_points(c0, prefix="v")
+    conf0 = Configuration.from_points([Fraction(t, snapshot.d) for t in c0], prefix="v")
     robots = list(conf0.robots)
     robots.append(type(robots[0])("antipodal", HALF_TURN))
     conf1 = Configuration(tuple(robots))
@@ -165,9 +176,9 @@ def is_safe_neighbor(snapshot: Snapshot) -> bool:
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("safe-neighbor test applies to confused leaders only")
     _, c1, _, _, lead1 = _hypothesis_data(snapshot)
-    s = snapshot.offsets[0]
-    neighbor = c1[(c1.index(lead1) + 1) % len(c1)]
-    return antipode(s) != neighbor
+    d = snapshot.d
+    # Over 2d the observer's first neighbour sits at 2 * ticks[0], its antipode d further.
+    return (2 * snapshot.ticks[0] + d) % (2 * d) != c1[(lead1 + 1) % len(c1)]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -180,7 +191,8 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("peer detection applies to confused leaders only")
     # The observer sits at tick 0 of c0's view; every other tick is a peer.
-    view = LatticeView((p, 1) for p in _hypothesis_data(snapshot)[0])
+    d = snapshot.d
+    view = LatticeView((Fraction(t, d), 1) for t in _hypothesis_data(snapshot)[0])
     for tick in view.ticks[1:]:
         if classify(view.snapshot(tick)).tag is LeaderTag.CONFUSED_LEADER:
             return True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .angles import HALF_TURN, QUARTER_TURN, Arc
+from .angles import HALF_TURN, QUARTER_TURN, Arc, format_angle
 from .analysis import (
     LeaderTag,
     classify,
@@ -69,8 +69,6 @@ class MoveCommand:
         return self.direction != NONE
 
     def to_json(self) -> dict:
-        from .angles import format_angle
-
         return {
             "direction": self.direction,
             "amount": format_angle(self.amount),

@@ -24,7 +24,10 @@ the instant and memoises each look by the observer's lattice int: robots
 resting on one point share one ``Snapshot`` and one trace payload dict. The
 view is rebuilt only when the look instant changes: no move ends between
 the looks of one instant, and a move that starts at the look instant leaves
-its mover at rest on its origin, as the view already has it.
+its mover at rest on its origin, as the view already has it. Other equal
+payloads are shared too: one activate dict per memory value and, per run,
+one decide dict per (state before, state after, command). Payloads are
+read-only, and :meth:`Trace.to_jsonl` encodes each payload object once.
 
 Each queued event carries the data its handler needs: a look its decide
 instant, a decide the snapshot of its look. The fsync and ssync policies
@@ -276,13 +279,9 @@ class TraceRecord:
     kind: str
     payload: dict
 
-    def to_json(self) -> dict:
-        return {
-            "t": f"{self.t.numerator}/{self.t.denominator}",
-            "robot": self.robot,
-            "kind": self.kind,
-            "payload": self.payload,
-        }
+
+#: The one encoder of trace lines: sorted keys, compact, ASCII-escaped.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -291,17 +290,26 @@ class Trace:
     summary: dict
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
-            for r in self.records
-        ]
-        lines.append(
-            json.dumps(
-                {"kind": "summary", **self.summary},
-                sort_keys=True,
-                separators=(",", ":"),
+        """One JSON object per record, then the summary line.
+
+        A record's line is ``{"kind", "payload", "robot", "t"}`` with sorted
+        keys, assembled from its encoded parts. Records share payload
+        objects (see :func:`run`), so each distinct payload object is
+        encoded once, keyed by its identity while this call holds them all.
+        """
+        encode = _ENCODER.encode
+        payloads: Dict[int, str] = {}
+        lines = []
+        for r in self.records:
+            payload = payloads.get(id(r.payload))
+            if payload is None:
+                payload = payloads[id(r.payload)] = encode(r.payload)
+            t = r.t
+            lines.append(
+                f'{{"kind":{encode(r.kind)},"payload":{payload},"robot":{encode(r.robot)},'
+                f'"t":"{t.numerator}/{t.denominator}"}}'
             )
-        )
+        lines.append(encode({"kind": "summary", **self.summary}))
         return "\n".join(lines) + "\n"
 
 
@@ -368,6 +376,9 @@ class RunOptions:
 #: Event ranks: at one instant move-ends come before looks before decides.
 MOVE_END, LOOK, DECIDE = 0, 1, 2
 
+#: The payload of every activate record, one shared dict per memory value.
+_ACTIVATE_PAYLOADS = {m: {"state": m.value} for m in Memory}
+
 
 def run(
     initial: Configuration,
@@ -413,6 +424,8 @@ def run(
     view: Optional[LatticeView] = None
     view_t: Optional[Fraction] = None
     looks: Dict[int, Tuple[Snapshot, dict]] = {}
+    # One decide payload per distinct (state before, state after, command).
+    decisions: Dict[Tuple[Memory, Memory, MoveCommand], dict] = {}
 
     def schedule_cycle(robot_id: str, not_before: Fraction) -> None:
         cycle = policy.next_cycle(robot_id, not_before)
@@ -457,7 +470,7 @@ def run(
                 snap = view.snapshot(tick)
                 look = looks[tick] = (snap, snap.to_json())
             snap, payload = look
-            records.append(TraceRecord(t, rid, "activate", {"state": rr.memory.value}))
+            records.append(TraceRecord(t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
             records.append(TraceRecord(t, rid, "snapshot", payload))
             heapq.heappush(heap, (data, DECIDE, rid, snap))
             continue
@@ -472,18 +485,15 @@ def run(
                     f"illegal state transition {state_before.value} -> {new_memory.value}"
                 )
             rr.memory = new_memory
-            records.append(
-                TraceRecord(
-                    t,
-                    rid,
-                    "decide",
-                    {
-                        "state_before": state_before.value,
-                        "state_after": new_memory.value,
-                        "move": command.to_json(),
-                    },
-                )
-            )
+            key = (state_before, new_memory, command)
+            payload = decisions.get(key)
+            if payload is None:
+                payload = decisions[key] = {
+                    "state_before": state_before.value,
+                    "state_after": new_memory.value,
+                    "move": command.to_json(),
+                }
+            records.append(TraceRecord(t, rid, "decide", payload))
             if command.is_move:
                 origin = rr.anchor
                 if command.direction == CW:

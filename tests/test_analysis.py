@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from circlegather import analysis
 from circlegather.analysis import (
     ConfigurationClass,
     LeaderTag,
@@ -17,13 +20,19 @@ from circlegather.analysis import (
     hypothesis_configs,
     is_safe_neighbor,
 )
+from circlegather.angles import HALF_TURN, antipode
 from circlegather.configuration import (
     Configuration,
     Snapshot,
+    has_period,
+    lattice,
+    least_rotation,
+    snapshot_of_positions,
     take_snapshot,
     true_leader,
 )
 from circlegather.errors import (
+    AmbiguousSymmetric,
     MultiplicityInSnapshot,
     MultiplicityPresent,
     NotConfusedLeader,
@@ -188,3 +197,159 @@ def test_analysis_report_shape(worked):
     assert [r["id"] for r in report["robots"]] == ["r0", "r1", "r2", "r3"]
     assert report["robots"][0]["class"] == "confused-leader"
     json.dumps(report)
+
+
+# ---------------------------------------------------------------------------
+# The int election against the Fraction rule it replaced
+
+
+def reference_hypotheses(snapshot, symmetric=has_period):
+    """(c0, c1, possibility, c0 leader, c1 leader) on Fractions.
+
+    c0 is the observer at 0 plus the offsets, c1 adds the half turn and is
+    sorted, and each is elected through its own ``lattice`` call; leaders
+    are positions.
+    """
+    c0 = (Fraction(0),) + snapshot.offsets
+    c1 = tuple(sorted(c0 + (HALF_TURN,)))
+    leaders = []
+    for positions in (c0, c1):
+        pts, gaps = lattice(positions)
+        leaders.append(None if symmetric(gaps) else pts[least_rotation(gaps)])
+    lead0, lead1 = leaders
+    if lead0 is None and lead1 is None:
+        raise AmbiguousSymmetric("both antipodal hypotheses are symmetric")
+    if lead0 is None:
+        possibility = Possibility.ONLY_C1
+    elif lead1 is None:
+        possibility = Possibility.ONLY_C0
+    else:
+        possibility = Possibility.BOTH
+    return c0, c1, possibility, lead0, lead1
+
+
+def reference_classify(snapshot):
+    _, _, possibility, lead0, lead1 = reference_hypotheses(snapshot)
+    leads0, leads1 = lead0 == 0, lead1 == 0
+    if possibility is Possibility.ONLY_C0:
+        leads = leads0
+    elif possibility is Possibility.ONLY_C1:
+        leads = leads1
+    elif leads0 != leads1:
+        return LeaderTag.CONFUSED_LEADER, possibility
+    else:
+        leads = leads0
+    return (LeaderTag.SURE_LEADER if leads else LeaderTag.FOLLOWER), possibility
+
+
+def reference_is_safe_neighbor(snapshot):
+    _, c1, _, _, lead1 = reference_hypotheses(snapshot)
+    neighbor = c1[(c1.index(lead1) + 1) % len(c1)]
+    return antipode(snapshot.offsets[0]) != neighbor
+
+
+def reference_confused_peer_in_c0(snapshot):
+    c0 = reference_hypotheses(snapshot)[0]
+    return any(
+        reference_classify(snapshot_of_positions(c0, p))[0] is LeaderTag.CONFUSED_LEADER
+        for p in c0[1:]
+    )
+
+
+def check_against_reference(snapshot):
+    """The four hypothesis functions agree with the reference on ``snapshot``.
+
+    Returns the reference's tag and possibility and, for a confused leader,
+    its safe-neighbor and confused-peer verdicts (None otherwise).
+    """
+    c0, _, possibility, _, _ = reference_hypotheses(snapshot)
+    tag, _ = reference_classify(snapshot)
+    cls = classify(snapshot)
+    assert (cls.tag, cls.possibility) == (tag, possibility), snapshot
+    conf0, conf1, got = hypothesis_configs(snapshot)
+    assert got is possibility
+    assert conf0.positions == c0
+    assert conf1.positions == c0 + (HALF_TURN,)
+    if tag is not LeaderTag.CONFUSED_LEADER:
+        with pytest.raises(NotConfusedLeader):
+            is_safe_neighbor(snapshot)
+        with pytest.raises(NotConfusedLeader):
+            detect_confused_peer_in_c0(snapshot)
+        return tag, possibility, None, None
+    safe = reference_is_safe_neighbor(snapshot)
+    assert is_safe_neighbor(snapshot) is safe, snapshot
+    peer = reference_confused_peer_in_c0(snapshot)
+    assert detect_confused_peer_in_c0(snapshot) is peer, snapshot
+    return tag, possibility, safe, peer
+
+
+def plain(d, ticks):
+    return Snapshot(d, tuple(ticks), (False,) * len(ticks))
+
+
+@pytest.mark.parametrize(
+    "snapshot,possibility",
+    [
+        (plain(1, ()), Possibility.ONLY_C0),
+        (plain(4, (1, 3)), Possibility.ONLY_C0),
+        (plain(3, (1, 2)), Possibility.ONLY_C1),
+        (plain(20, (2, 9, 14)), Possibility.BOTH),
+        (plain(7, (1, 3)), Possibility.BOTH),
+        (plain(9, (1, 2, 4, 8)), Possibility.BOTH),
+    ],
+    ids=["empty", "only-c0", "only-c1", "both-even-d", "both-odd-d", "both-odd-d-wide"],
+)
+def test_int_election_matches_the_fraction_reference_on_named_views(snapshot, possibility):
+    assert check_against_reference(snapshot)[1] is possibility
+
+
+def test_int_election_matches_the_fraction_reference_on_every_small_view():
+    """Every multiplicity-free view on a lattice of up to 11 points, odd and even."""
+    seen = set()
+    for d in range(1, 12):
+        free = [t for t in range(1, d) if 2 * t != d]
+        for size in range(len(free) + 1):
+            for ticks in combinations(free, size):
+                seen.add((d % 2,) + check_against_reference(plain(d, ticks)))
+    # Every tag and possibility occurs, and a confused leader is both safe and
+    # unsafe and both sees and misses a confused peer.
+    parities, tags, possibilities, safes, peers = (set(column) for column in zip(*seen))
+    assert parities == {0, 1}
+    assert tags == set(LeaderTag) and possibilities == set(Possibility)
+    assert safes == peers == {None, True, False}
+
+
+@st.composite
+def plain_views(draw):
+    d = draw(st.integers(3, 96))
+    free = [t for t in range(1, d) if 2 * t != d]
+    ticks = draw(st.lists(st.sampled_from(free), max_size=12, unique=True))
+    return plain(d, sorted(ticks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_views())
+def test_int_election_matches_the_fraction_reference(snapshot):
+    check_against_reference(snapshot)
+
+
+@pytest.fixture
+def cold_caches():
+    for f in (analysis._hypothesis_data, classify, is_safe_neighbor, detect_confused_peer_in_c0):
+        f.cache_clear()
+    yield
+    for f in (analysis._hypothesis_data, classify, is_safe_neighbor, detect_confused_peer_in_c0):
+        f.cache_clear()
+
+
+def test_both_hypotheses_symmetric_raises_like_the_reference(monkeypatch, cold_caches):
+    """No real view makes both hypotheses symmetric (see the enumeration
+    above), so every gap list is declared periodic to reach the raise."""
+    monkeypatch.setattr(analysis, "has_period", lambda gaps: True)
+    for snapshot in (plain(1, ()), plain(7, (1, 3)), plain(20, (2, 9, 14))):
+        with pytest.raises(AmbiguousSymmetric):
+            reference_hypotheses(snapshot, symmetric=lambda gaps: True)
+        with pytest.raises(AmbiguousSymmetric):
+            classify(snapshot)
+        with pytest.raises(AmbiguousSymmetric):
+            hypothesis_configs(snapshot)

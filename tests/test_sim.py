@@ -10,7 +10,7 @@ import pytest
 from circlegather.analysis import expected_leaders
 from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
 from circlegather.cli import load_run_config, main
-from circlegather.configuration import Configuration, is_rotationally_symmetric
+from circlegather.configuration import Configuration, Robot, is_rotationally_symmetric
 from circlegather.errors import (
     LimitExceeded,
     ObserverMoving,
@@ -171,6 +171,64 @@ def test_records_are_ordered_and_serializable():
         "move-start",
         "move-end",
     }
+
+
+def reference_jsonl(trace):
+    """The serialiser ``Trace.to_jsonl`` replaced: one ``json.dumps`` per record."""
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    lines = [
+        dumps(
+            {
+                "t": f"{r.t.numerator}/{r.t.denominator}",
+                "robot": r.robot,
+                "kind": r.kind,
+                "payload": r.payload,
+            }
+        )
+        for r in trace.records
+    ]
+    lines.append(dumps({"kind": "summary", **trace.summary}))
+    return "\n".join(lines) + "\n"
+
+
+def _limit_trace():
+    with pytest.raises(LimitExceeded) as exc:
+        run(load_fixture("class_C"), FsyncPolicy(), RunLimits(max_events=60))
+    return exc.value.trace
+
+
+def _escaped_ids_trace():
+    # A quote, a backslash, a Latin-1 letter and a character outside the BMP
+    # (written as a surrogate pair under ensure_ascii).
+    ids = ['say "hi"', "back\\slash", "caf\u00e9", "robot-\U0001F916"]
+    worked = load_fixture("worked_example")
+    cfg = Configuration(tuple(Robot(rid, r.pos) for rid, r in zip(ids, worked.robots)))
+    return run(cfg, AsyncRandomPolicy(seed=3))
+
+
+JSONL_TRACES = {
+    "fsync": lambda: run(random_config(GeneratorSpec(12, 72, 21)), FsyncPolicy()),
+    "ssync": lambda: run(random_config(GeneratorSpec(10, 60, 22)), SsyncPolicy(seed=22)),
+    "async": lambda: run(random_config(GeneratorSpec(10, 60, 23)), AsyncRandomPolicy(seed=23)),
+    "limit": _limit_trace,
+    "escaped-ids": _escaped_ids_trace,
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_TRACES))
+def test_to_jsonl_matches_the_per_record_reference(name):
+    trace = JSONL_TRACES[name]()
+    # Records share payload objects, so the once-per-object encoding is exercised.
+    assert len({id(r.payload) for r in trace.records}) < len(trace.records)
+    assert trace.to_jsonl() == reference_jsonl(trace)
+    if name == "escaped-ids":
+        text = trace.to_jsonl()
+        assert text.isascii()
+        assert '"robot":"say \\"hi\\""' in text and '"robot":"back\\\\slash"' in text
+        assert '"robot":"caf\\u00e9"' in text and '"robot":"robot-\\ud83e\\udd16"' in text
 
 
 def test_moves_are_rigid():
