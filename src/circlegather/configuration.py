@@ -16,7 +16,8 @@ once and sorted clockwise, so every observer's view of one world state is a
 walk round one ring of ints. A :class:`Snapshot` keeps those ints: its
 visible points are ticks over one denominator, reduced by their gcd, each
 with one flag. ``Snapshot.offsets`` derives the Fractions for the callers
-that want them, and ``Snapshot.of`` builds a snapshot from Fraction offsets.
+that want them, ``Snapshot.of`` builds a snapshot from Fraction offsets, and
+``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
 """
 
 from __future__ import annotations
@@ -174,13 +175,22 @@ class Snapshot:
     def has_multiplicity(self) -> bool:
         return self.self_is_multiplicity or any(self.flags)
 
-    def to_json(self) -> dict:
+    def json_text(self, fragments: Dict[Tuple[int, int, bool], str]) -> str:
+        """The payload text of a snapshot record: sorted keys, each offset
+        ``tick/d`` in lowest terms; ``fragments`` memoises a point's text by
+        ``(d, tick, flag)`` across the snapshots of one trace."""
         d = self.d
-        visible = []
+        parts = []
         for t, flag in zip(self.ticks, self.flags):
-            g = gcd(t, d)
-            visible.append({"offset": f"{t // g}/{d // g}", "multiplicity": flag})
-        return {"visible": visible, "self_multiplicity": self.self_is_multiplicity}
+            text = fragments.get((d, t, flag))
+            if text is None:
+                g = gcd(t, d)
+                text = fragments[d, t, flag] = (
+                    f'{{"multiplicity":{"true" if flag else "false"},"offset":"{t // g}/{d // g}"}}'
+                )
+            parts.append(text)
+        own = "true" if self.self_is_multiplicity else "false"
+        return f'{{"self_multiplicity":{own},"visible":[{",".join(parts)}]}}'
 
 
 def _require_distinct(positions: Sequence[Fraction]) -> None:

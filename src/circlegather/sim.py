@@ -21,13 +21,13 @@ Events at one instant run move-ends first, then looks, then decides, so
 every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
 the instant and memoises each look by the observer's lattice int: robots
-resting on one point share one ``Snapshot`` and one trace payload dict. The
-view is rebuilt only when the look instant changes: no move ends between
-the looks of one instant, and a move that starts at the look instant leaves
-its mover at rest on its origin, as the view already has it. Other equal
-payloads are shared too: one activate dict per memory value and, per run,
-one decide dict per (state before, state after, command). Payloads are
-read-only, and :meth:`Trace.to_jsonl` encodes each payload object once.
+resting on one point share one ``Snapshot``, their snapshot records'
+payload. The view is rebuilt only when the look instant changes: no move
+ends between the looks of one instant, and a move that starts at the look
+instant leaves its mover at rest on its origin, as the view already has it.
+Other payloads are dicts, equal ones shared: one activate dict per memory
+value and, per run, one decide dict per (state before, state after,
+command). Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once.
 
 Each queued event carries the data its handler needs: a look its decide
 instant, a decide the snapshot of its look. The fsync and ssync policies
@@ -174,12 +174,11 @@ class SsyncPolicy(_RoundPolicy):
         super().__init__()
         self.seed = seed
         self.max_skips = max_skips
-        self._rng = Random(f"ssync:{seed}")
-        self._rounds: List[frozenset] = []
-        self._skips: Dict[str, int] = {}
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
+        self._rng = Random(f"ssync:{self.seed}")
+        self._rounds: List[frozenset] = []
         self._skips = {r: 0 for r in robot_ids}
 
     def _membership(self, k: int) -> frozenset:
@@ -274,13 +273,15 @@ def parse_time(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One event; a snapshot record's payload is its :class:`Snapshot`, others' a dict."""
+
     t: Fraction
     robot: str
     kind: str
-    payload: dict
+    payload: Snapshot | dict
 
 
-#: The one encoder of trace lines: sorted keys, compact, ASCII-escaped.
+#: Encodes every trace line part but a snapshot: sorted keys, compact, ASCII-escaped.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -293,22 +294,33 @@ class Trace:
         """One JSON object per record, then the summary line.
 
         A record's line is ``{"kind", "payload", "robot", "t"}`` with sorted
-        keys, assembled from its encoded parts. Records share payload
-        objects (see :func:`run`), so each distinct payload object is
-        encoded once, keyed by its identity while this call holds them all.
+        keys, assembled from encoded parts: each distinct payload and instant
+        object once, keyed by identity while this call holds them all (see
+        :func:`run` for the sharing), and each ``(kind, robot)`` head once. A
+        :class:`Snapshot` writes its own text, with one point memo per call.
         """
         encode = _ENCODER.encode
         payloads: Dict[int, str] = {}
+        instants: Dict[int, str] = {}
+        heads: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        fragments: Dict[Tuple[int, int, bool], str] = {}
         lines = []
         for r in self.records:
-            payload = payloads.get(id(r.payload))
+            p, t = r.payload, r.t
+            payload = payloads.get(id(p))
             if payload is None:
-                payload = payloads[id(r.payload)] = encode(r.payload)
-            t = r.t
-            lines.append(
-                f'{{"kind":{encode(r.kind)},"payload":{payload},"robot":{encode(r.robot)},'
-                f'"t":"{t.numerator}/{t.denominator}"}}'
-            )
+                payload = payloads[id(p)] = (
+                    p.json_text(fragments) if type(p) is Snapshot else encode(p)
+                )
+            instant = instants.get(id(t))
+            if instant is None:
+                instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
+            head = heads.get((r.kind, r.robot))
+            if head is None:
+                head = heads[r.kind, r.robot] = (
+                    f'{{"kind":{encode(r.kind)},"payload":', f',"robot":{encode(r.robot)},"t":"'
+                )
+            lines.append(f"{head[0]}{payload}{head[1]}{instant}")
         lines.append(encode({"kind": "summary", **self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -423,7 +435,7 @@ def run(
     # already taken there, keyed by the observer's lattice int.
     view: Optional[LatticeView] = None
     view_t: Optional[Fraction] = None
-    looks: Dict[int, Tuple[Snapshot, dict]] = {}
+    looks: Dict[int, Snapshot] = {}
     # One decide payload per distinct (state before, state after, command).
     decisions: Dict[Tuple[Memory, Memory, MoveCommand], dict] = {}
 
@@ -465,13 +477,11 @@ def run(
                     points.append((mover.position_at(t), 0 if mover.is_moving_at(t) else 1))
                 view, view_t, looks = LatticeView(points), t, {}
             tick = view.tick(rr.position_at(t))
-            look = looks.get(tick)
-            if look is None:
-                snap = view.snapshot(tick)
-                look = looks[tick] = (snap, snap.to_json())
-            snap, payload = look
+            snap = looks.get(tick)
+            if snap is None:
+                snap = looks[tick] = view.snapshot(tick)
             records.append(TraceRecord(t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
-            records.append(TraceRecord(t, rid, "snapshot", payload))
+            records.append(TraceRecord(t, rid, "snapshot", snap))
             heapq.heappush(heap, (data, DECIDE, rid, snap))
             continue
 

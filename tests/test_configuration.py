@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -397,7 +398,7 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
     snap = Snapshot.of(points)
     ordered = sorted(points, key=lambda p: p[0])
     assert list(zip(snap.offsets, snap.flags)) == ordered
-    assert [v["offset"] for v in snap.to_json()["visible"]] == [
+    assert [v["offset"] for v in json.loads(snap.json_text({}))["visible"]] == [
         format_angle(o) for o, _ in ordered
     ]
 

@@ -6,11 +6,17 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlegather.analysis import expected_leaders
 from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
 from circlegather.cli import load_run_config, main
-from circlegather.configuration import Configuration, Robot, is_rotationally_symmetric
+from circlegather.configuration import (
+    Configuration,
+    Robot,
+    Snapshot,
+    is_rotationally_symmetric,
+)
 from circlegather.errors import (
     LimitExceeded,
     ObserverMoving,
@@ -173,19 +179,35 @@ def test_records_are_ordered_and_serializable():
     }
 
 
+def reference_snapshot_json(snap):
+    """The dict a snapshot record's payload once was: each offset ``tick/d``
+    in lowest terms, with its flag, then the observer's own flag."""
+    d = snap.d
+    visible = []
+    for t, flag in zip(snap.ticks, snap.flags):
+        g = math.gcd(t, d)
+        visible.append({"offset": f"{t // g}/{d // g}", "multiplicity": flag})
+    return {"visible": visible, "self_multiplicity": snap.self_is_multiplicity}
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def reference_jsonl(trace):
-    """The serialiser ``Trace.to_jsonl`` replaced: one ``json.dumps`` per record."""
-
-    def dumps(obj):
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
+    """The serialiser ``Trace.to_jsonl`` replaced: one ``json.dumps`` per record,
+    a snapshot payload first turned into its :func:`reference_snapshot_json` dict."""
     lines = [
         dumps(
             {
                 "t": f"{r.t.numerator}/{r.t.denominator}",
                 "robot": r.robot,
                 "kind": r.kind,
-                "payload": r.payload,
+                "payload": (
+                    reference_snapshot_json(r.payload)
+                    if isinstance(r.payload, Snapshot)
+                    else r.payload
+                ),
             }
         )
         for r in trace.records
@@ -215,6 +237,8 @@ JSONL_TRACES = {
     "async": lambda: run(random_config(GeneratorSpec(10, 60, 23)), AsyncRandomPolicy(seed=23)),
     "limit": _limit_trace,
     "escaped-ids": _escaped_ids_trace,
+    # Views on several reduced lattices, with and without flagged points.
+    "fsync-n24": lambda: run(random_config(GeneratorSpec(24, 192, 24)), FsyncPolicy()),
 }
 
 
@@ -224,11 +248,40 @@ def test_to_jsonl_matches_the_per_record_reference(name):
     # Records share payload objects, so the once-per-object encoding is exercised.
     assert len({id(r.payload) for r in trace.records}) < len(trace.records)
     assert trace.to_jsonl() == reference_jsonl(trace)
+    if name == "fsync-n24":
+        # One point memo serves snapshots over distinct d and both flags.
+        snaps = [r.payload for r in trace.records if r.kind == "snapshot"]
+        assert len({s.d for s in snaps}) >= 2
+        assert {f for s in snaps for f in s.flags} == {False, True}
     if name == "escaped-ids":
         text = trace.to_jsonl()
         assert text.isascii()
         assert '"robot":"say \\"hi\\""' in text and '"robot":"back\\\\slash"' in text
         assert '"robot":"caf\\u00e9"' in text and '"robot":"robot-\\ud83e\\udd16"' in text
+
+
+@st.composite
+def snapshots(draw):
+    """A snapshot over d <= 200, handed to the constructor on a lattice up
+    to three times finer than its reduced one."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 200 // k))
+    ticks = sorted(
+        t for t in draw(st.sets(st.integers(1, max(d - 1, 1)), max_size=30))
+        if t < d and 2 * t != d
+    )
+    flags = draw(st.lists(st.booleans(), min_size=len(ticks), max_size=len(ticks)))
+    return Snapshot(d * k, tuple(t * k for t in ticks), tuple(flags), draw(st.booleans()))
+
+
+#: One point memo for every example, as one ``to_jsonl`` call shares it.
+_SHARED_FRAGMENTS = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshots())
+def test_snapshot_jsonl_text_matches_the_reference(snap):
+    assert snap.json_text(_SHARED_FRAGMENTS) == dumps(reference_snapshot_json(snap))
 
 
 def test_moves_are_rigid():
@@ -285,7 +338,9 @@ def test_scripted_run_observes_mid_move_positions():
     snap = next(
         r for r in trace.records if r.kind == "snapshot" and r.robot == "r1"
     )
-    assert snap.payload["visible"] == [{"offset": "19/20", "multiplicity": False}]
+    assert reference_snapshot_json(snap.payload)["visible"] == [
+        {"offset": "19/20", "multiplicity": False}
+    ]
     assert trace.summary["final"] == {"r0": "1/10", "r1": "1/10"}
 
 
@@ -327,6 +382,33 @@ def test_ssync_fairness_forces_skipped_robots():
         assert ks, r
         gaps = [b - a for a, b in zip(ks, ks[1:])]
         assert max(gaps, default=1) <= 3
+
+
+def _renamed(config, names):
+    return Configuration(tuple(Robot(name, r.pos) for name, r in zip(names, config.robots)))
+
+
+REUSED_POLICIES = {
+    "fsync": FsyncPolicy,
+    "ssync": lambda: SsyncPolicy(seed=27, max_skips=1),
+    "async": lambda: AsyncRandomPolicy(seed=27),
+    # Only r0..r2 act, so the same script fits both id sets below.
+    "scripted": lambda: ScriptedPolicy(
+        [(f"r{i}", F(k), F(k) + F("1/4")) for k in range(4) for i in range(3)]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REUSED_POLICIES))
+def test_a_reused_policy_replays_a_fresh_one(kind):
+    first = random_config(GeneratorSpec(6, 36, 27))
+    second = random_config(GeneratorSpec(6, 36, 1027))
+    other_ids = _renamed(second, ["r0", "r1", "r2", "x3", "x4", "x5"])
+    make = REUSED_POLICIES[kind]
+    for config in (second, other_ids):
+        policy = make()
+        run(first, policy)
+        assert run(config, policy).to_jsonl() == run(config, make()).to_jsonl(), config
 
 
 def test_async_delays_stay_on_the_rational_grid():
@@ -488,7 +570,11 @@ def config_of(**positions):
 
 
 def snapshots_at(trace, t):
-    return {r.robot: r.payload for r in trace.records if r.kind == "snapshot" and r.t == t}
+    return {
+        r.robot: reference_snapshot_json(r.payload)
+        for r in trace.records
+        if r.kind == "snapshot" and r.t == t
+    }
 
 
 def test_two_robots_arriving_at_one_point_at_the_same_instant():
@@ -600,7 +686,7 @@ def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
     seen = {}
     for t in (F("3/10"), F("27/80")):
         for rid, payload in snapshots_at(trace, t).items():
-            assert payload == world_snapshot(world, rid, t).to_json(), (t, rid)
+            assert payload == reference_snapshot_json(world_snapshot(world, rid, t)), (t, rid)
             seen[t, rid] = payload
     assert [v["offset"] for v in seen[F("3/10"), "r2"]["visible"]] == ["1/4", "3/5", "13/20"]
     assert [v["offset"] for v in seen[F("27/80"), "r2"]["visible"]] == ["1/4", "51/80", "13/20"]
