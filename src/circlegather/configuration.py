@@ -12,11 +12,13 @@ common-denominator lattice (:func:`lattice`) and run there in linear time:
 the leader starts the least rotation of the gap list, and the configuration
 is symmetric iff the gap list has a nontrivial period. Snapshots are read
 off a :class:`LatticeView`: the occupied points scaled to the same lattice
-once and sorted clockwise, so every observer's view of one world state is a
-walk round one ring of ints. A :class:`Snapshot` keeps those ints: its
-visible points are ticks over one denominator, reduced by their gcd, each
-with one flag. ``Snapshot.offsets`` derives the Fractions for the callers
-that want them, ``Snapshot.of`` builds a snapshot from Fraction offsets, and
+once and sorted clockwise, so every observer's view of one world state is
+two slices of one ring of ints, shifted to the observer. A :class:`Snapshot`
+keeps those ints: its visible points are ticks over one denominator,
+reduced by their gcd, each with one flag, and it checks them with C-level
+builtins (``min``, ``max``, ``in``, ``map``) rather than a Python loop.
+``Snapshot.offsets`` derives the Fractions for the callers that want them,
+``Snapshot.of`` builds a snapshot from Fraction offsets, and
 ``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
 """
 
@@ -26,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .angles import cw_angle, format_angle, norm, parse_angle
@@ -141,11 +144,15 @@ class Snapshot:
         d, ticks = self.d, self.ticks
         if len(self.flags) != len(ticks):
             raise ContractViolation("a snapshot needs one flag per visible point")
-        if d < 1 or any(not 0 < t < d or 2 * t == d for t in ticks):
+        if (
+            d < 1
+            or ticks and (min(ticks) <= 0 or max(ticks) >= d)
+            or not d % 2 and d // 2 in ticks
+        ):
             raise ContractViolation(
                 f"visible offsets must be in (0,1) and never 1/2, got {ticks} over {d}"
             )
-        if any(a >= b for a, b in zip(ticks, ticks[1:])):
+        if not all(map(lt, ticks, ticks[1:])):
             raise ContractViolation("visible offsets must be distinct and sorted")
         g = gcd(d, *ticks)
         if g > 1:
@@ -175,17 +182,21 @@ class Snapshot:
     def has_multiplicity(self) -> bool:
         return self.self_is_multiplicity or any(self.flags)
 
-    def json_text(self, fragments: Dict[Tuple[int, int, bool], str]) -> str:
+    def json_text(self, fragments: Dict[int, Dict[int, str]]) -> str:
         """The payload text of a snapshot record: sorted keys, each offset
-        ``tick/d`` in lowest terms; ``fragments`` memoises a point's text by
-        ``(d, tick, flag)`` across the snapshots of one trace."""
+        ``tick/d`` in lowest terms. ``fragments`` memoises a point's text per
+        ``d``, keyed by the int ``2 * tick + flag``, across the snapshots of
+        one trace."""
         d = self.d
+        memo = fragments.get(d)
+        if memo is None:
+            memo = fragments[d] = {}
         parts = []
         for t, flag in zip(self.ticks, self.flags):
-            text = fragments.get((d, t, flag))
+            text = memo.get(2 * t + flag)
             if text is None:
                 g = gcd(t, d)
-                text = fragments[d, t, flag] = (
+                text = memo[2 * t + flag] = (
                     f'{{"multiplicity":{"true" if flag else "false"},"offset":"{t // g}/{d // g}"}}'
                 )
             parts.append(text)
@@ -340,10 +351,11 @@ class LatticeView:
     modulo one turn. The points are scaled once to ints in steps of 1/D, D
     being the lcm of their denominators; pairs on one point are merged,
     adding their weights, and the points are sorted clockwise from 0. A
-    point of weight two or more is a multiplicity.
+    point of weight two or more is a multiplicity: ``flags`` keeps that
+    verdict per point, and ``index`` maps each int to its place.
     """
 
-    __slots__ = ("d", "ticks", "weights", "index")
+    __slots__ = ("d", "ticks", "flags", "index")
 
     def __init__(self, points: Iterable[Tuple[Fraction, int]]):
         points = list(points)
@@ -355,7 +367,7 @@ class LatticeView:
             merged[tick] = merged.get(tick, 0) + weight
         self.d = d
         self.ticks = sorted(merged)
-        self.weights = [merged[t] for t in self.ticks]
+        self.flags = [merged[t] >= 2 for t in self.ticks]
         self.index = {t: i for i, t in enumerate(self.ticks)}
 
     def tick(self, pos: Fraction) -> int:
@@ -374,20 +386,23 @@ class LatticeView:
         Every other occupied point strictly closer than a half turn is
         visible; the antipodal point is skipped even if occupied, and the
         observer's own point only contributes ``self_is_multiplicity``. The
-        ring is read clockwise from the observer, so the visible points come
-        out in the order :class:`Snapshot` keeps.
+        ring is read clockwise from the observer in two slices, the points
+        after it shifted by ``-tick`` and then the points before it shifted
+        by ``d - tick``, so the visible points come out in the order
+        :class:`Snapshot` keeps.
         """
-        ticks, weights, d = self.ticks, self.weights, self.d
+        ticks, flags, d = self.ticks, self.flags, self.d
         i = self.index[tick]
-        offs, flags = [], []
-        # Negative indices wrap, so k = i + 1 - n .. i - 1 goes clockwise
-        # from the observer's successor round the ring to its predecessor.
-        for k in range(i + 1 - len(ticks), i):
-            off = (ticks[k] - tick) % d
-            if 2 * off != d:
-                offs.append(off)
-                flags.append(weights[k] >= 2)
-        return Snapshot(d, tuple(offs), tuple(flags), weights[i] >= 2)
+        offs = list(map((-tick).__add__, ticks[i + 1 :]))
+        offs += map((d - tick).__add__, ticks[:i])
+        seen = flags[i + 1 :] + flags[:i]
+        if not d % 2:
+            j = self.index.get((tick + d // 2) % d)
+            if j is not None:
+                # The antipode's place in the clockwise read.
+                k = (j - i - 1) % len(ticks)
+                del offs[k], seen[k]
+        return Snapshot(d, tuple(offs), tuple(seen), flags[i])
 
 
 def take_snapshot(config: Configuration, observer: str) -> Snapshot:

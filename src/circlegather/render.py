@@ -113,7 +113,12 @@ def _frame(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r_dot}" fill="{color}"{stroke}/>'
         )
         if labels:
-            label = ",".join(robots)
+            # Robot ids are arbitrary strings: escape &, < and > for XML text.
+            # Imported here, as xml.sax.saxutils imports urllib.request,
+            # which would weigh on every import of the package.
+            from xml.sax.saxutils import escape
+
+            label = escape(",".join(robots))
             parts.append(
                 f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="8" '
                 f'font-family="monospace" fill="#333333">{label}</text>'

@@ -30,26 +30,31 @@ value and, per run, one decide dict per (state before, state after,
 command). Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once.
 
 Each queued event carries the data its handler needs: a look its decide
-instant, a decide the snapshot of its look. The fsync and ssync policies
-share one round rule: a robot's next cycle is the first round from
-``ceil(not_before)`` in which it is active. Whatever the policy, the run
-loop rejects a cycle that looks before the robot's previous one, move
-included, has ended. The loop checks no global property such as the
-expected-leader count; a trace records every move start, so the positions
-at any instant can be replayed from the trace alone, and the tests check
-that property that way.
+instant, a decide the snapshot of its look. The event heap orders on ints:
+an event's key is its instant times ``scale``, the lcm of the denominators
+of every instant queued so far. An instant whose denominator does not
+divide the scale multiplies the scale and every queued key by one factor,
+which keeps their order. Policies, records and ``max_time`` keep their
+``Fraction`` instants. The fsync and ssync policies share one round rule: a
+robot's next cycle is the first round from ``ceil(not_before)`` in which it
+is active. Whatever the policy, the run loop rejects a cycle that looks
+before the robot's previous one, move included, has ended. The loop checks
+no global property such as the expected-leader count; a trace records every
+move start, so the positions at any instant can be replayed from the trace
+alone, and the tests check that property that way.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import itemgetter
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import protocol
 from .angles import HALF_TURN, format_angle
@@ -128,9 +133,9 @@ class _RoundPolicy(SchedulerPolicy):
     A robot's next cycle is the first round from ``ceil(not_before)`` in
     which :meth:`_active` admits it. The policy builds each round's
     ``(k, k + 1/4)`` pair once and hands the same two objects to every robot
-    active in that round, so equal instants in the event heap and in the
-    trace sort are one object and compare by identity instead of by
-    ``Fraction.__eq__``.
+    active in that round, so equal instants in the run loop's view check and
+    in the trace sort are one object and compare by identity instead of by
+    ``Fraction.__eq__``, and :meth:`Trace.to_jsonl` encodes each once.
     """
 
     def __init__(self):
@@ -271,9 +276,12 @@ def parse_time(text: str) -> Fraction:
 # Traces
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One event; a snapshot record's payload is its :class:`Snapshot`, others' a dict."""
+class TraceRecord(NamedTuple):
+    """One event; a snapshot record's payload is its :class:`Snapshot`, others' a dict.
+
+    A ``NamedTuple``: immutable, cheap to build, and equal to the plain tuple
+    ``(t, robot, kind, payload)`` of its fields.
+    """
 
     t: Fraction
     robot: str
@@ -303,10 +311,9 @@ class Trace:
         payloads: Dict[int, str] = {}
         instants: Dict[int, str] = {}
         heads: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        fragments: Dict[Tuple[int, int, bool], str] = {}
+        fragments: Dict[int, Dict[int, str]] = {}
         lines = []
-        for r in self.records:
-            p, t = r.payload, r.t
+        for t, robot, kind, p in self.records:
             payload = payloads.get(id(p))
             if payload is None:
                 payload = payloads[id(p)] = (
@@ -315,10 +322,10 @@ class Trace:
             instant = instants.get(id(t))
             if instant is None:
                 instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
-            head = heads.get((r.kind, r.robot))
+            head = heads.get((kind, robot))
             if head is None:
-                head = heads[r.kind, r.robot] = (
-                    f'{{"kind":{encode(r.kind)},"payload":', f',"robot":{encode(r.robot)},"t":"'
+                head = heads[kind, robot] = (
+                    f'{{"kind":{encode(kind)},"payload":', f',"robot":{encode(robot)},"t":"'
                 )
             lines.append(f"{head[0]}{payload}{head[1]}{instant}")
         lines.append(encode({"kind": "summary", **self.summary}))
@@ -420,10 +427,12 @@ def run(
     all_ids = sorted(world)
     policy.bind(all_ids)
 
-    # Entries are (t, rank, robot, data): a look carries its decide instant,
-    # a decide its snapshot. A robot has exactly one event queued at a time,
-    # so (t, rank, robot) never ties and data is never compared.
-    heap: List[Tuple[Fraction, int, str, object]] = []
+    # Entries are (key, rank, robot, t, data), the int key being t * scale
+    # (see the module docstring). A look carries its decide instant, a decide
+    # its snapshot. A robot has exactly one event queued at a time, so
+    # (key, rank, robot) never ties and neither t nor data is compared.
+    heap: List[Tuple[int, int, str, Fraction, object]] = []
+    scale = 1
     records: List[TraceRecord] = []
     gathered_confirmed: set = set()
     limit_hit = False
@@ -439,31 +448,48 @@ def run(
     # One decide payload per distinct (state before, state after, command).
     decisions: Dict[Tuple[Memory, Memory, MoveCommand], dict] = {}
 
+    def grow(new_scale: int) -> None:
+        """Raise ``scale`` to its multiple ``new_scale``. Every queued key is
+        multiplied by the same factor, which keeps their order: the list
+        stays a heap."""
+        nonlocal scale
+        factor = new_scale // scale
+        heap[:] = [(key * factor, rank, rid, t, data) for key, rank, rid, t, data in heap]
+        scale = new_scale
+
     def schedule_cycle(robot_id: str, not_before: Fraction) -> None:
         cycle = policy.next_cycle(robot_id, not_before)
         if cycle is None:
             return
         # Fractions pass through as they are, so a round's shared instant
-        # objects reach the heap; other rationals are converted.
+        # objects reach the records; other rationals are converted.
         t_look, t_decide = (t if isinstance(t, Fraction) else Fraction(t) for t in cycle)
-        if t_look < not_before:
+        # Grow the scale for all three instants first, so that both checks
+        # compare ints of one scale.
+        q_busy, q_look, q_decide = not_before.denominator, t_look.denominator, t_decide.denominator
+        new_scale = math.lcm(scale, q_busy, q_look, q_decide)
+        if new_scale != scale:
+            grow(new_scale)
+        look = t_look.numerator * (scale // q_look)
+        if look < not_before.numerator * (scale // q_busy):
             raise ScheduleError(
                 f"policy scheduled robot {robot_id!r} to look at {t_look} "
                 f"while busy until {not_before}"
             )
-        if t_decide <= t_look:
+        if t_decide.numerator * (scale // q_decide) <= look:
             raise ScheduleError("look and compute must take strictly positive time")
-        heapq.heappush(heap, (t_look, LOOK, robot_id, t_decide))
+        heappush(heap, (look, LOOK, robot_id, t_look, t_decide))
 
     for rid in all_ids:
         schedule_cycle(rid, Fraction(0))
 
+    max_time, max_events = limits.max_time, limits.max_events
     while heap:
-        t, rank, rid, data = heapq.heappop(heap)
-        if limits.max_time is not None and t > limits.max_time:
+        _, rank, rid, t, data = heappop(heap)
+        if max_time is not None and t > max_time:
             limit_hit = True
             break
-        if len(records) >= limits.max_events:
+        if len(records) >= max_events:
             limit_hit = True
             break
         rr = world[rid]
@@ -471,18 +497,22 @@ def run(
         if rank == LOOK:
             if rr.is_moving_at(t):
                 raise ObserverMoving(f"robot {rid!r} cannot look while moving")
-            if t != view_t:
+            # Round policies share instant objects, so most looks of one
+            # instant pass on identity alone.
+            if t is not view_t and t != view_t:
                 points = list(resting.items())
                 for mover in in_flight.values():
                     points.append((mover.position_at(t), 0 if mover.is_moving_at(t) else 1))
                 view, view_t, looks = LatticeView(points), t, {}
-            tick = view.tick(rr.position_at(t))
+            # A looking robot's previous move has ended: it rests on its anchor.
+            tick = view.tick(rr.anchor)
             snap = looks.get(tick)
             if snap is None:
                 snap = looks[tick] = view.snapshot(tick)
             records.append(TraceRecord(t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
             records.append(TraceRecord(t, rid, "snapshot", snap))
-            heapq.heappush(heap, (data, DECIDE, rid, snap))
+            # schedule_cycle grew the scale for the decide instant ``data``.
+            heappush(heap, (data.numerator * (scale // data.denominator), DECIDE, rid, data, snap))
             continue
 
         if rank == DECIDE:
@@ -510,7 +540,8 @@ def run(
                     destination = (origin + command.amount) % 1
                 else:
                     destination = (origin - command.amount) % 1
-                rr.pending = Pending(command, t, t + command.amount, origin, destination)
+                end = t + command.amount
+                rr.pending = Pending(command, t, end, origin, destination)
                 records.append(
                     TraceRecord(
                         t,
@@ -523,7 +554,10 @@ def run(
                         },
                     )
                 )
-                heapq.heappush(heap, (rr.pending.end, MOVE_END, rid, None))
+                q = end.denominator
+                if scale % q:
+                    grow(math.lcm(scale, q))
+                heappush(heap, (end.numerator * (scale // q), MOVE_END, rid, end, None))
                 gathered_confirmed.clear()
                 # Lift the robot off its origin.
                 count = resting[origin]
@@ -559,7 +593,7 @@ def run(
         schedule_cycle(rid, t)
 
     end_time = records[-1].t if records else Fraction(0)
-    records.sort(key=lambda r: (r.t, r.robot, r.kind))
+    records.sort(key=itemgetter(0, 1, 2))
     gathered = not in_flight and len(resting) == 1
     positions = world_positions(world, end_time)
     summary = {

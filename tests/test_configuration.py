@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collections import Counter
 
@@ -348,6 +348,48 @@ def test_lattice_view_matches_the_definition(entries, antipode_occupied):
         assert snap == reference_snapshot(occupancy, flags, observer)
 
 
+def reference_view_snapshot(view, tick):
+    """The modular walk ``LatticeView.snapshot`` replaced: every point but
+    the observer's, clockwise round the ring, each offset taken modulo ``d``
+    and the antipodal offset skipped."""
+    ticks, flags, d = view.ticks, view.flags, view.d
+    i = view.index[tick]
+    offs, seen = [], []
+    # Negative indices wrap, so k = i + 1 - n .. i - 1 goes clockwise from
+    # the observer's successor round the ring to its predecessor.
+    for k in range(i + 1 - len(ticks), i):
+        off = (ticks[k] - tick) % d
+        if 2 * off != d:
+            offs.append(off)
+            seen.append(flags[k])
+    return Snapshot(d, tuple(offs), tuple(seen), flags[i])
+
+
+@st.composite
+def weighted_points(draw):
+    """``(position, weight)`` pairs on a lattice of at most 48 points, some
+    outside [0, 1), some on one point, with weights 0 to 2."""
+    d = draw(st.integers(1, 48))
+    ticks = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=20))
+    return [
+        (Fraction(t + d * draw(st.integers(-1, 1)), d), draw(st.integers(0, 2)))
+        for t in ticks
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_points())
+@example([(F(0), 1)])  # one point
+@example([(F("2/3"), 2)])  # one point, flagged
+@example([(F(0), 2), (F("1/2"), 1), (F("1/4"), 0), (F("3/4"), 2)])  # even d, antipodes occupied
+@example([(F(0), 1), (F("1/3"), 0), (F("2/3"), 1), (F("2/3"), 1)])  # odd d, weights 0 and merged
+@example([(F("1/10"), 0), (F("3/5"), 0), (F("9/10"), 1), (F("7/20"), 2)])  # weight 0, antipode
+def test_lattice_view_snapshot_matches_the_modular_walk(pairs):
+    view = LatticeView(pairs)
+    for tick in view.ticks:
+        assert view.snapshot(tick) == reference_view_snapshot(view, tick), tick
+
+
 def test_lattice_view_reads_positions_modulo_a_turn_and_rejects_empty_points():
     view = LatticeView([(F("5/4"), 1), (F("1/4"), 1), (F("-1/3"), 1)])
     assert view.tick(F("1/4")) == view.tick(F("-3/4"))
@@ -440,20 +482,41 @@ def test_visible_point_rejects_offsets_outside_the_open_turn_or_at_half(offset):
         Snapshot.of([(offset, False)])
 
 
-@pytest.mark.parametrize(
-    "d, ticks, flags",
-    [
-        (8, (1, 1), (False, False)),
-        (8, (3, 1), (False, False)),
-        (8, (0, 3), (False, False)),
-        (8, (3, 8), (False, False)),
-        (8, (3, 4), (False, False)),
-        (8, (1, 3), (False,)),
-        (0, (), ()),
-    ],
-    ids=["repeated", "descending", "tick-0", "tick-d", "tick-half", "flags-short",
-         "d-0"],
-)
-def test_snapshot_rejects_ints_off_the_contract(d, ticks, flags):
-    with pytest.raises(ContractViolation):
+
+
+FLAG_COUNT = "a snapshot needs one flag per visible point"
+ORDER = "visible offsets must be distinct and sorted"
+
+
+def range_message(d, ticks):
+    return f"visible offsets must be in (0,1) and never 1/2, got {ticks} over {d}"
+
+
+#: Malformed snapshots with the message each raises. The checks run in a
+#: fixed order (flag count, range, order), which the two-fault rows pin.
+MALFORMED_SNAPSHOTS = {
+    "repeated": (8, (1, 1), (False, False), ORDER),
+    "repeated-odd-d": (7, (2, 2), (False, False), ORDER),
+    "descending": (8, (3, 1), (False, False), ORDER),
+    "tick-0": (8, (0, 3), (False, False), range_message(8, (0, 3))),
+    "tick-d": (8, (3, 8), (False, False), range_message(8, (3, 8))),
+    "tick-half": (8, (3, 4), (False, False), range_message(8, (3, 4))),
+    "tick-negative": (8, (-1, 3), (False, False), range_message(8, (-1, 3))),
+    "flags-short": (8, (1, 3), (False,), FLAG_COUNT),
+    "flags-long": (8, (1,), (False, True), FLAG_COUNT),
+    "d-0": (0, (), (), range_message(0, ())),
+    "d-negative": (-3, (1,), (False,), range_message(-3, (1,))),
+    "flags-and-range": (8, (0,), (), FLAG_COUNT),
+    "flags-and-order": (8, (3, 1), (False,), FLAG_COUNT),
+    "range-and-order": (8, (5, 0), (False, False), range_message(8, (5, 0))),
+    "half-twice": (8, (4, 4), (False, False), range_message(8, (4, 4))),
+    "d-0-and-order": (0, (2, 1), (False, False), range_message(0, (2, 1))),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SNAPSHOTS))
+def test_snapshot_rejects_ints_off_the_contract(name):
+    d, ticks, flags, message = MALFORMED_SNAPSHOTS[name]
+    with pytest.raises(ContractViolation) as exc:
         Snapshot(d, ticks, flags)
+    assert str(exc.value) == message

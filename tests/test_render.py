@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
+from xml.dom import minidom
 
 import pytest
 
-from circlegather.configuration import Configuration
+from circlegather.configuration import Configuration, Robot
 from circlegather.render import RenderSpec, render_svg
 from circlegather.sim import FsyncPolicy, run
 
@@ -49,3 +51,32 @@ def test_labels_are_optional(trace, tmp_path):
     assert "r0" in labelled
     plain = render_svg(trace, RenderSpec(str(tmp_path / "d.svg")))
     assert "r0" not in plain
+
+
+#: sha256 of the renders of the ``trace`` fixture, with and without labels,
+#: taken before labels were escaped: plain ids render byte for byte the same.
+PLAIN_ID_SVG_SHA256 = {
+    True: "faa0360b45784a8dac880065fd05d0f7dfc6c176b26eecd6fba56285f2b74ae0",
+    False: "b6d5efee3975f5791f123dcfe742112afecf8c5ac72b00372d2b16856e70be24",
+}
+
+
+@pytest.mark.parametrize("labels", [True, False])
+def test_plain_ids_render_as_before(trace, tmp_path, labels):
+    svg = render_svg(trace, RenderSpec(str(tmp_path / "p.svg"), show_labels=labels))
+    assert hashlib.sha256(svg.encode()).hexdigest() == PLAIN_ID_SVG_SHA256[labels]
+
+
+def test_labels_with_markup_characters_stay_well_formed(tmp_path):
+    ids = ["a<&b", 'say "hi"', "r2", "r3"]
+    cfg = Configuration.from_points([F(0), F("1/10"), F("9/20"), F("7/10")])
+    cfg = Configuration(tuple(Robot(rid, r.pos) for rid, r in zip(ids, cfg.robots)))
+    svg = render_svg(run(cfg, FsyncPolicy()), RenderSpec(str(tmp_path / "m.svg"), show_labels=True))
+    doc = minidom.parseString(svg)
+    labels = [
+        node.firstChild.data
+        for node in doc.getElementsByTagName("text")
+        if not node.firstChild.data.startswith("t=")
+    ]
+    seen = {rid for label in labels for rid in label.split(",")}
+    assert {"a<&b", 'say "hi"'} <= seen

@@ -692,6 +692,69 @@ def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
     assert [v["offset"] for v in seen[F("27/80"), "r2"]["visible"]] == ["1/4", "51/80", "13/20"]
 
 
+def test_event_clock_grows_its_scale_mid_run_and_keeps_the_order():
+    # All first cycles are on quarters. At 1/4, r0 decides first and steps
+    # onto r1, ending at 7/20 (brings 5); r1 and r2 then queue cycles at
+    # 1/3 (brings 3) and 5/7 (brings 7) while other decides and the move-end
+    # are queued; r3 looks at 7/20, the instant the move-end brought.
+    initial = load_fixture("worked_example")
+    events = [(r, F(0), F("1/4")) for r in ("r0", "r1", "r2", "r3")]
+    events += [("r1", F("1/3"), F("2/5")), ("r2", F("5/7"), F("4/5")),
+               ("r3", F("7/20"), F("3/7"))]
+    trace = run(initial, ScriptedPolicy(events))
+    keys = [(r.t, r.robot, r.kind) for r in trace.records]
+    assert keys == sorted(keys)
+    assert {r.t.denominator for r in trace.records} >= {3, 5, 7, 20, 35}
+    arrival = F("7/20")
+    assert [(r.robot, r.kind) for r in trace.records if r.t == arrival] == [
+        ("r0", "move-end"), ("r3", "activate"), ("r3", "snapshot")
+    ]
+    # r0 rests on r1's point, flagged, and r2 is still where it started.
+    assert snapshots_at(trace, arrival) == {
+        "r3": {
+            "visible": [
+                {"offset": "2/5", "multiplicity": True},
+                {"offset": "3/4", "multiplicity": False},
+            ],
+            "self_multiplicity": False,
+        }
+    }
+    # At 1/3, r1 sees r0 mid-move, at 1/12, unflagged.
+    assert snapshots_at(trace, F("1/3"))["r1"]["visible"][-1] == {
+        "offset": "59/60", "multiplicity": False
+    }
+
+    def cut_after(max_events):
+        with pytest.raises(LimitExceeded) as exc:
+            run(initial, ScriptedPolicy(events), RunLimits(max_events=max_events))
+        return exc.value.trace.records
+
+    # Processing order: cut after any number of records, the run has
+    # processed every event before the latest instant it reached.
+    for k in range(1, len(trace.records)):
+        partial = cut_after(k)
+        reached = partial[-1].t
+        assert [r for r in partial if r.t < reached] == [
+            r for r in trace.records if r.t < reached
+        ], k
+    # With room for one event past the records before 7/20, the move-end is
+    # that event and the look never runs.
+    before = sum(1 for r in trace.records if r.t < arrival)
+    assert [(r.robot, r.kind) for r in cut_after(before + 1) if r.t == arrival] == [
+        ("r0", "move-end")
+    ]
+
+
+def test_event_clock_rejects_a_busy_look_at_a_new_denominator():
+    # r0 moves during [1/4, 7/20]; its next look at 1/3 brings the
+    # denominator 3 and falls before its move has ended.
+    events = [(r, F(0), F("1/4")) for r in ("r0", "r1", "r2", "r3")]
+    events.append(("r0", F("1/3"), F("3/8")))
+    with pytest.raises(ScheduleError) as exc:
+        run(load_fixture("worked_example"), ScriptedPolicy(events))
+    assert str(exc.value) == "policy scheduled robot 'r0' to look at 1/3 while busy until 7/20"
+
+
 # ---------------------------------------------------------------------------
 # The bound of two multiplicity points along asynchronous runs
 
