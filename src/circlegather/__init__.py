@@ -27,7 +27,6 @@ from .configuration import (
     Configuration,
     Robot,
     Snapshot,
-    angle_sequence,
     gap_sequence,
     is_rotationally_symmetric,
     take_snapshot,

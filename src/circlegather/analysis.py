@@ -4,15 +4,15 @@ Because a robot never sees its antipodal point, every multiplicity-free view
 spawns two hypothesis configurations: the view as-is (antipode empty) and
 the view plus one robot at the antipode. Classification, the safe-neighbor
 test and the A/BI/BII/C taxonomy are all built on electing leaders inside
-those hypotheses, which are elected on the snapshot's own ints with no
-second ``configuration.lattice`` call: c0 is the observer's tick 0 plus the
-snapshot's ticks over ``d``, and c1 doubles them and adds the half turn,
-over ``2d``. Each hypothesis gets one integer gap list, which its symmetry
-test and its election (the least rotation of the gaps) both read, so it is
-elected once; a leader is an index, the observer's being 0. ``classify``
-and friends consume a Snapshot only, so a robot could run them from purely
-local information; the whole-configuration operations at the bottom exist
-for the simulator and the test oracles.
+those hypotheses, which are elected on the snapshot's own ints by
+``configuration.elect``: c0 is the observer's tick 0 plus the snapshot's
+ticks over ``d``, and c1 doubles them and adds the half turn, over ``2d``.
+Each hypothesis is elected once; a leader is an index, the observer's
+being 0. ``classify`` and friends consume a Snapshot only, so a robot
+could run them from purely local information; the whole-configuration
+operations at the bottom exist for the simulator and the test oracles.
+They build one ``LatticeView`` per configuration and read every robot's
+snapshot, the symmetry test and the leader off it.
 """
 
 from __future__ import annotations
@@ -24,15 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .angles import HALF_TURN, format_angle
-from .configuration import (
-    Configuration,
-    LatticeView,
-    Snapshot,
-    has_period,
-    is_rotationally_symmetric,
-    least_rotation,
-    true_leader,
-)
+from .configuration import Configuration, LatticeView, Snapshot, elect
 from .errors import (
     AmbiguousSymmetric,
     InvariantViolation,
@@ -85,16 +77,6 @@ def _require_plain(snapshot: Snapshot) -> None:
         )
 
 
-def _elect(ticks: Tuple[int, ...], d: int):
-    """Leader index of the points ``ticks`` over ``d``, or None when symmetric.
-
-    ``ticks`` are sorted and distinct, so the gaps are positive and sum to ``d``.
-    """
-    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
-    gaps.append(ticks[0] + d - ticks[-1])
-    return None if has_period(gaps) else least_rotation(gaps)
-
-
 @lru_cache(maxsize=1 << 16)
 def _hypothesis_data(snapshot: Snapshot):
     """(c0 ticks, c1 ticks, possibility, c0 leader, c1 leader).
@@ -108,7 +90,7 @@ def _hypothesis_data(snapshot: Snapshot):
     d = snapshot.d
     c0 = (0,) + snapshot.ticks
     c1 = tuple(sorted([2 * t for t in c0] + [d]))
-    lead0, lead1 = _elect(c0, d), _elect(c1, 2 * d)
+    lead0, lead1 = elect(c0, d), elect(c1, 2 * d)
     if lead0 is None and lead1 is None:
         raise AmbiguousSymmetric("both antipodal hypotheses are symmetric")
     if lead0 is None:
@@ -199,15 +181,18 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
     return False
 
 
-def _snapshots(config: Configuration) -> Dict[str, Snapshot]:
+def _view(config: Configuration) -> LatticeView:
+    return LatticeView((r.pos, 1) for r in config.robots)
+
+
+def _snapshots(config: Configuration, view: LatticeView) -> Dict[str, Snapshot]:
     """Every robot's snapshot, read off one lattice view of the configuration."""
-    view = LatticeView((r.pos, 1) for r in config.robots)
     return {r.robot_id: view.snapshot(view.tick(r.pos)) for r in config.robots}
 
 
 def classify_all(config: Configuration) -> Dict[str, LeaderClass]:
     """Every robot's self-classification from its own snapshot."""
-    return {rid: classify(snap) for rid, snap in _snapshots(config).items()}
+    return {rid: classify(snap) for rid, snap in _snapshots(config, _view(config)).items()}
 
 
 def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
@@ -219,26 +204,30 @@ def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
 
 def configuration_class(config: Configuration) -> ConfigurationClass:
     """The A / BI / BII / C taxonomy of an asymmetric multiplicity-free configuration."""
-    return _taxonomy(config, _snapshots(config))
+    view = _view(config)
+    return _taxonomy(config, view, _snapshots(config, view))[0]
 
 
-def _taxonomy(config: Configuration, snapshots: Dict[str, Snapshot]) -> ConfigurationClass:
-    positions = config.positions
-    if len(set(positions)) != len(positions):
+def _taxonomy(
+    config: Configuration, view: LatticeView, snapshots: Dict[str, Snapshot]
+) -> Tuple[ConfigurationClass, int]:
+    """The class and the leader's lattice int, both read off ``view``."""
+    if len(view.ticks) < len(config.robots):
         raise MultiplicityPresent("taxonomy undefined with a multiplicity point")
-    if is_rotationally_symmetric(positions):
+    lead = elect(view.ticks, view.d)
+    if lead is None:
         raise SymmetricConfiguration("taxonomy undefined for symmetric configurations")
+    lead_tick = view.ticks[lead]
     verdicts = ((rid, classify(snap)) for rid, snap in snapshots.items())
     leaders = [(rid, cls) for rid, cls in verdicts if cls.is_expected_leader]
     if len(leaders) == 1:
         rid, cls = leaders[0]
         if cls.tag is LeaderTag.SURE_LEADER:
-            return ConfigurationClass.A
+            return ConfigurationClass.A, lead_tick
         safe = is_safe_neighbor(snapshots[rid])
-        return ConfigurationClass.A if safe else ConfigurationClass.C
+        return ConfigurationClass.A if safe else ConfigurationClass.C, lead_tick
     if len(leaders) == 2:
-        lead_pos = true_leader(config)
-        others = [rid for rid, _ in leaders if config.robot(rid).pos != lead_pos]
+        others = [rid for rid, _ in leaders if view.tick(config.robot(rid).pos) != lead_tick]
         if len(others) != 1:
             raise InvariantViolation(
                 f"expected exactly one non-leader expected leader, got {others}"
@@ -249,18 +238,18 @@ def _taxonomy(config: Configuration, snapshots: Dict[str, Snapshot]) -> Configur
                 "the expected leader away from the true leader must be confused"
             )
         safe = is_safe_neighbor(snapshots[others[0]])
-        return ConfigurationClass.BI if safe else ConfigurationClass.BII
+        return ConfigurationClass.BI if safe else ConfigurationClass.BII, lead_tick
     raise InvariantViolation(
         f"expected-leader count must be 1 or 2, got {len(leaders)} "
-        f"in {[format_angle(p) for p in positions]}"
+        f"in {[format_angle(p) for p in config.positions]}"
     )
 
 
 def analysis_report(config: Configuration) -> dict:
     """JSON-ready report: taxonomy class, leader, and per-robot verdicts."""
-    snapshots = _snapshots(config)
-    cls = _taxonomy(config, snapshots)
-    leader_pos = true_leader(config)
+    view = _view(config)
+    snapshots = _snapshots(config, view)
+    cls, lead_tick = _taxonomy(config, view, snapshots)
     per_robot = []
     for r in config.robots:
         lc = classify(snapshots[r.robot_id])
@@ -274,6 +263,6 @@ def analysis_report(config: Configuration) -> dict:
         )
     return {
         "class": cls.value,
-        "leader": format_angle(leader_pos),
+        "leader": format_angle(Fraction(lead_tick, view.d)),
         "robots": per_robot,
     }

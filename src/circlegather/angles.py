@@ -87,4 +87,8 @@ def parse_angle(text: str) -> Fraction:
     m = _ANGLE_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise ParseError(f"expected an angle of the form 'p/q', got {text!r}")
-    return norm(Fraction(int(m.group(1)), int(m.group(2))))
+    try:
+        return norm(Fraction(int(m.group(1)), int(m.group(2))))
+    except ValueError as exc:
+        # Python refuses to convert an integer string over its digit limit.
+        raise ParseError(f"angle out of range: {exc}")

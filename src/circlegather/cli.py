@@ -128,7 +128,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and an integer literal over Python's digit limit.
         raise ParseError(f"{path} is not valid JSON: {exc}")
 
 

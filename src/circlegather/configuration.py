@@ -6,32 +6,33 @@ operations read them. Snapshots are what a single robot actually sees:
 clockwise offsets of occupied points strictly closer than a half turn,
 with weak multiplicity flags (a flag, never a count).
 
-Angles are exact Fractions at every public boundary. Leader election and
-the symmetry test convert the positions once to integer gaps on the
-common-denominator lattice (:func:`lattice`) and run there in linear time:
-the leader starts the least rotation of the gap list, and the configuration
-is symmetric iff the gap list has a nontrivial period. Snapshots are read
-off a :class:`LatticeView`: the occupied points scaled to the same lattice
-once and sorted clockwise, so every observer's view of one world state is
-two slices of one ring of ints, shifted to the observer. A :class:`Snapshot`
-keeps those ints: its visible points are ticks over one denominator,
-reduced by their gcd, each with one flag, and it checks them with C-level
-builtins (``min``, ``max``, ``in``, ``map``) rather than a Python loop.
-``Snapshot.offsets`` derives the Fractions for the callers that want them,
-``Snapshot.of`` builds a snapshot from Fraction offsets, and
-``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
+Angles are exact Fractions at every public boundary. A
+:class:`LatticeView` is the one place that scales a point set to ints: the
+occupied points on their common-denominator lattice, sorted clockwise, so
+every observer's view of one world state is two slices of one ring of
+ints, shifted to the observer. :func:`elect` is the one integer leader
+election: the gaps between those ints, then the symmetry test (the gap
+list has a nontrivial period) and the leader (the start of the least
+rotation of the gaps), in linear time. The symmetry test and leader of a
+configuration each read one view and call it, and so does the analysis.
+:func:`gap_sequence` is the independent Fraction path the oracle reads.
+A :class:`Snapshot` keeps ints: its visible points are ticks over one
+denominator, reduced by their gcd, each with one flag, and it checks them
+with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a
+Python loop. ``Snapshot.offsets`` derives the Fractions for the callers
+that want them, ``Snapshot.of`` builds a snapshot from Fraction offsets,
+and ``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lt
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .angles import cw_angle, format_angle, norm, parse_angle
+from .angles import format_angle, norm, parse_angle
 from .errors import (
     ContractViolation,
     MultiplicityPresent,
@@ -104,15 +105,6 @@ class Configuration:
     @property
     def positions(self) -> Tuple[Fraction, ...]:
         return tuple(r.pos for r in self.robots)
-
-    @property
-    def position_counts(self) -> Dict[Fraction, int]:
-        return Counter(self.positions)
-
-    @property
-    def has_multiplicity(self) -> bool:
-        counts = self.position_counts
-        return any(c >= 2 for c in counts.values())
 
     def robot(self, robot_id: str) -> Robot:
         for r in self.robots:
@@ -204,71 +196,18 @@ class Snapshot:
         return f'{{"self_multiplicity":{own},"visible":[{",".join(parts)}]}}'
 
 
-def _require_distinct(positions: Sequence[Fraction]) -> None:
-    if len(set(positions)) != len(positions):
-        raise MultiplicityPresent("operation undefined with a multiplicity point")
-
-
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:
     """Clockwise gaps between consecutive occupied points, from the smallest position.
 
     Neighbours of the sorted positions are subtracted directly, one
     ``Fraction`` operation per gap; the last gap wraps past a full turn.
     """
-    _require_distinct(positions)
+    if len(set(positions)) != len(positions):
+        raise MultiplicityPresent("operation undefined with a multiplicity point")
     pts = sorted(norm(p) for p in positions)
     if len(pts) == 1:
         return (Fraction(1),)
     return tuple(b - a for a, b in zip(pts, pts[1:])) + (1 - pts[-1] + pts[0],)
-
-
-def angle_sequence(config: Configuration, r: Fraction) -> AngleSeq:
-    """The clockwise gap sequence starting at the robot at position ``r``.
-
-    Only defined for multiplicity-free configurations; its length equals the
-    robot count and its entries sum to exactly one turn.
-    """
-    positions = config.positions
-    _require_distinct(positions)
-    r = norm(r)
-    if r not in positions:
-        raise UnknownRobot(f"no robot at position {format_angle(r)}")
-    return sequence_from(positions, r)
-
-
-def sequence_from(positions: Sequence[Fraction], r: Fraction) -> AngleSeq:
-    """Gap sequence of distinct ``positions`` starting at ``r`` (assumed present)."""
-    ordered = [r] + sorted(
-        (p for p in positions if p != r), key=lambda p: cw_angle(r, p)
-    )
-    n = len(ordered)
-    return tuple(cw_angle(ordered[i], ordered[(i + 1) % n]) for i in range(n))
-
-
-def lattice(positions: Sequence[Fraction]) -> Tuple[Tuple[Fraction, ...], List[int]]:
-    """Positions sorted clockwise from 0, with their clockwise gaps as ints.
-
-    The gaps are counted in steps of 1/D, D being the lcm of the position
-    denominators, so gap ``i`` runs from point ``i`` to point ``i + 1`` (the
-    last one wraps around) and the gaps sum to D. Scaling by D keeps every
-    equality and order between gaps, so symmetry and leader election on the
-    ints agree exactly with the same questions asked of the Fraction gaps.
-    Positions outside [0, 1) are placed by their value modulo one turn;
-    two positions on one point raise :class:`MultiplicityPresent`.
-    """
-    if not positions:
-        return (), []
-    ratios = [p.as_integer_ratio() for p in positions]
-    d = lcm(*[q for _, q in ratios])
-    ticks = [num * (d // q) % d for num, q in ratios]
-    order = sorted(range(len(ticks)), key=ticks.__getitem__)
-    pts = tuple([positions[i] for i in order])
-    ticks = [ticks[i] for i in order]
-    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
-    gaps.append(ticks[0] + d - ticks[-1])
-    if 0 in gaps:
-        raise MultiplicityPresent("operation undefined with a multiplicity point")
-    return pts, gaps
 
 
 def least_rotation(seq: Sequence[int]) -> int:
@@ -312,34 +251,6 @@ def has_period(seq: Sequence[int]) -> bool:
         border[i] = b
     period = n - border[-1]
     return period < n and n % period == 0
-
-
-def _positions_of(config) -> Tuple[Fraction, ...]:
-    return config.positions if isinstance(config, Configuration) else tuple(config)
-
-
-def is_rotationally_symmetric(config) -> bool:
-    """True iff some nontrivial rotation maps the configuration onto itself."""
-    return has_period(lattice(_positions_of(config))[1])
-
-
-def true_leader(config) -> Fraction:
-    """Position of the robot with the strictly smallest gap sequence."""
-    pts, gaps = lattice(_positions_of(config))
-    if has_period(gaps):
-        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
-    return pts[least_rotation(gaps)]
-
-
-def leader_of_positions(positions: Sequence[Fraction]) -> Fraction:
-    """Leader election over distinct positions, assuming asymmetry was checked.
-
-    The leader's gap sequence is the least rotation of the gap list, so it
-    is elected in linear time on the integer lattice instead of by comparing
-    every robot's sequence.
-    """
-    pts, gaps = lattice(positions)
-    return pts[least_rotation(gaps)]
 
 
 class LatticeView:
@@ -405,6 +316,57 @@ class LatticeView:
         return Snapshot(d, tuple(offs), tuple(seen), flags[i])
 
 
+def elect(ticks: Sequence[int], d: int) -> Optional[int]:
+    """Leader index of the points ``ticks`` over ``d``, or None when symmetric.
+
+    ``ticks`` are sorted and distinct, so the gaps are positive and sum to ``d``.
+    """
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+    gaps.append(ticks[0] + d - ticks[-1])
+    return None if has_period(gaps) else least_rotation(gaps)
+
+
+def _positions_of(config) -> Tuple[Fraction, ...]:
+    return config.positions if isinstance(config, Configuration) else tuple(config)
+
+
+def _distinct_view(positions: Sequence[Fraction]) -> LatticeView:
+    """One view of ``positions``; fewer view points than positions means a shared point."""
+    view = LatticeView((p, 1) for p in positions)
+    if len(view.ticks) < len(positions):
+        raise MultiplicityPresent("operation undefined with a multiplicity point")
+    return view
+
+
+def is_rotationally_symmetric(config) -> bool:
+    """True iff some nontrivial rotation maps the configuration onto itself."""
+    view = _distinct_view(_positions_of(config))
+    return elect(view.ticks, view.d) is None
+
+
+def true_leader(config) -> Fraction:
+    """Position of the robot with the strictly smallest gap sequence.
+
+    The position comes back as given, not normalised to [0, 1).
+    """
+    positions = _positions_of(config)
+    view = _distinct_view(positions)
+    lead = elect(view.ticks, view.d)
+    if lead is None:
+        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
+    return next(p for p in positions if view.tick(p) == view.ticks[lead])
+
+
+def leader_of_positions(positions: Sequence[Fraction]) -> Fraction:
+    """Leader election over distinct positions, assuming asymmetry was checked.
+
+    The leader's gap sequence is the least rotation of the gap list, so it
+    is elected in linear time on the integer lattice instead of by comparing
+    every robot's sequence. Symmetric input raises :class:`SymmetricConfiguration`.
+    """
+    return true_leader(positions)
+
+
 def take_snapshot(config: Configuration, observer: str) -> Snapshot:
     """The observer's view of a configuration (see :class:`LatticeView`).
 
@@ -424,7 +386,7 @@ def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction)
 def require_legal_initial(config: Configuration) -> None:
     """Reject configurations that are not legal starting points for a run.
 
-    Coincident robots raise :class:`MultiplicityPresent` from the lattice.
+    Coincident robots raise :class:`MultiplicityPresent` from the view.
     """
     if len(config.robots) < 2:
         raise TooFewRobots("a run needs at least two robots")

@@ -42,8 +42,6 @@ def render_svg(trace: Trace, spec: RenderSpec) -> str:
     """Render sampled frames of the trace into one SVG document."""
     frames = _frames(trace)
     frames = frames[:: spec.frame_stride]
-    if not frames:
-        frames = [(Fraction(0), dict(_initial_positions(trace), **{}), {})]
     size = spec.image_size
     cols = min(4, len(frames))
     rows = (len(frames) + cols - 1) // cols

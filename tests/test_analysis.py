@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlegather import analysis
+from circlegather import analysis, configuration
 from circlegather.analysis import (
     ConfigurationClass,
     LeaderTag,
@@ -24,8 +25,8 @@ from circlegather.angles import HALF_TURN, antipode
 from circlegather.configuration import (
     Configuration,
     Snapshot,
+    gap_sequence,
     has_period,
-    lattice,
     least_rotation,
     snapshot_of_positions,
     take_snapshot,
@@ -184,10 +185,35 @@ def test_expected_leader_tag_combinations():
 
 
 def test_taxonomy_rejects_illegal_inputs():
-    with pytest.raises(MultiplicityPresent):
+    with pytest.raises(MultiplicityPresent, match="^taxonomy undefined with a multiplicity point$"):
         configuration_class(Configuration.from_points([F(0), F(0), F("1/4")]))
-    with pytest.raises(SymmetricConfiguration):
+    with pytest.raises(
+        SymmetricConfiguration, match="^taxonomy undefined for symmetric configurations$"
+    ):
         configuration_class(Configuration.from_points([F(0), F("1/4"), F("1/2"), F("3/4")]))
+
+
+#: sha256 of each fixture configuration's ``analysis_report``, as sorted-key JSON.
+REPORT_DIGESTS = {
+    "class_A_confused": "41d5c13576bff5d3452106d1dbc6abc6fd1a7970468a187acd5af9191b4eeaa6",
+    "class_A_sure": "7393135ca873410f910233100cece1175e1f9cad38f8e9b981a9ee442fbbda44",
+    "class_BI": "ccba494c4d70370930484b3290ae80806fab7653c9cb09d9db4fa0c9ee8b24a6",
+    "class_BII": "8d7dc90c20f2b2eb35d5d4c4d2d9a97765e7f6f7a6fd666f190b4ea0b5e56ced",
+    "class_C": "8fde117d8162608a59860bbf532528908c32e5b2b9b47511465ea1b85e938765",
+    "leaders_one_confused": "385b483bf1cd85d6f5c48750389136f3fdf345e0dce0956ee8cf544a77932622",
+    "leaders_one_sure": "b38977049f65b7361d762b54e26b8aeb57cc3e00b41f2b39304818c5afae3155",
+    "leaders_sure_and_confused": "f7b730f5ebb7501e39a6eaa2fd7b622351b51e0f6c27d6b09df8a92e9dae0c32",
+    "leaders_two_confused": "f8478bf3c33bdacf2aadfe57515655e7290439d2078613f53c1d03ee2d20baa1",
+    "worked_example": "f48ef874144a220cf10d309e500a522c8691be195abeceb25ffd402f3380f978",
+}
+
+
+def test_analysis_reports_of_the_fixtures_are_pinned():
+    names = sorted(path.stem for path in FIXTURES.glob("*.json"))
+    assert names == sorted(REPORT_DIGESTS)
+    for name in names:
+        text = json.dumps(analysis_report(load_fixture(name)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name], name
 
 
 def test_analysis_report_shape(worked):
@@ -207,14 +233,14 @@ def reference_hypotheses(snapshot, symmetric=has_period):
     """(c0, c1, possibility, c0 leader, c1 leader) on Fractions.
 
     c0 is the observer at 0 plus the offsets, c1 adds the half turn and is
-    sorted, and each is elected through its own ``lattice`` call; leaders
-    are positions.
+    sorted, and each is elected on its own Fraction ``gap_sequence``;
+    leaders are positions.
     """
     c0 = (Fraction(0),) + snapshot.offsets
     c1 = tuple(sorted(c0 + (HALF_TURN,)))
     leaders = []
     for positions in (c0, c1):
-        pts, gaps = lattice(positions)
+        pts, gaps = sorted(positions), gap_sequence(positions)
         leaders.append(None if symmetric(gaps) else pts[least_rotation(gaps)])
     lead0, lead1 = leaders
     if lead0 is None and lead1 is None:
@@ -345,7 +371,7 @@ def cold_caches():
 def test_both_hypotheses_symmetric_raises_like_the_reference(monkeypatch, cold_caches):
     """No real view makes both hypotheses symmetric (see the enumeration
     above), so every gap list is declared periodic to reach the raise."""
-    monkeypatch.setattr(analysis, "has_period", lambda gaps: True)
+    monkeypatch.setattr(configuration, "has_period", lambda gaps: True)
     for snapshot in (plain(1, ()), plain(7, (1, 3)), plain(20, (2, 9, 14))):
         with pytest.raises(AmbiguousSymmetric):
             reference_hypotheses(snapshot, symmetric=lambda gaps: True)

@@ -50,6 +50,33 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 1
 
 
+#: An integer of 5,000 digits, over Python's default limit for int <-> str conversion.
+HUGE = "7" * 5000
+
+
+def assert_one_parse_error_line(err):
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_analyze_position_over_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    doc = {"robots": [{"id": "a", "pos": f"{HUGE}/3"}, {"id": "b", "pos": "1/7"}]}
+    assert main(["analyze", write_json(tmp_path / "cfg.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_parse_error_line(err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "run"])
+def test_json_integer_over_the_digit_limit_is_a_parse_error(command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"robots": [{"id": "a", "pos": "0/1"}], "limits": {"max_events": %s}}\n' % HUGE)
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_parse_error_line(err)
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -11,15 +11,12 @@ from circlegather.configuration import (
     Configuration,
     LatticeView,
     Snapshot,
-    angle_sequence,
     gap_sequence,
     has_period,
     is_rotationally_symmetric,
-    lattice,
     leader_of_positions,
     least_rotation,
     require_legal_initial,
-    sequence_from,
     snapshot_of_positions,
     take_snapshot,
     true_leader,
@@ -37,6 +34,14 @@ from circlegather.oracle import brute_force_leader
 
 def F(s):
     return Fraction(s)
+
+
+def sequence_from(positions, r):
+    """The definition: the clockwise gap sequence of distinct ``positions``
+    starting at ``r`` (assumed present)."""
+    ordered = [r] + sorted((p for p in positions if p != r), key=lambda p: cw_angle(r, p))
+    n = len(ordered)
+    return tuple(cw_angle(ordered[i], ordered[(i + 1) % n]) for i in range(n))
 
 
 def distinct_point_sets(min_size=3, max_size=8):
@@ -67,8 +72,7 @@ def test_configuration_rejects_duplicate_ids():
 
 def test_configuration_allows_coincident_positions():
     cfg = Configuration.from_points([F(0), F(0), F("1/4")])
-    assert cfg.has_multiplicity
-    assert cfg.position_counts[F(0)] == 2
+    assert Counter(cfg.positions)[F(0)] == 2
 
 
 def test_from_json_rejects_malformed_documents():
@@ -86,13 +90,6 @@ def test_gap_sequence_sums_to_one_turn():
 def test_gap_sequence_rejects_multiplicity():
     with pytest.raises(MultiplicityPresent):
         gap_sequence([F(0), F(0), F("1/4")])
-
-
-def test_angle_sequence_starts_at_the_robot():
-    cfg = Configuration.from_points([F(0), F("1/10"), F("9/20"), F("7/10")])
-    assert angle_sequence(cfg, F("1/10")) == (F("7/20"), F("1/4"), F("3/10"), F("1/10"))
-    with pytest.raises(UnknownRobot):
-        angle_sequence(cfg, F("1/3"))
 
 
 def test_rotational_symmetry():
@@ -221,17 +218,31 @@ def points_from_gaps(gaps, start=Fraction(0)):
     return tuple(points)
 
 
+def unnormalised(points):
+    """The same points reordered, each written one turn below, at or above its value."""
+    shifted = [p + (i % 3 - 1) for i, p in enumerate(points)]
+    return tuple(shifted[len(shifted) // 2 :] + shifted[: len(shifted) // 2][::-1])
+
+
 def assert_election_matches_definitions(points):
     symmetric = naive_symmetric(points)
+    wide = unnormalised(points)
     assert is_rotationally_symmetric(points) == symmetric
+    assert is_rotationally_symmetric(wide) == symmetric
     if symmetric:
         with pytest.raises(SymmetricConfiguration):
             true_leader(points)
+        with pytest.raises(SymmetricConfiguration):
+            true_leader(wide)
         return
     leader = leader_of_positions(points)
     assert leader == naive_leader(points)
     assert leader == true_leader(points)
     assert leader == brute_force_leader(Configuration.from_points(points))
+    # The leader comes back as it was written, the very object given.
+    wide_leader = true_leader(wide)
+    assert wide_leader % 1 == leader
+    assert any(wide_leader is p for p in wide)
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,9 +268,10 @@ def test_rotated_copies_are_symmetric(base, k, rnd):
 
 @given(shuffled_point_sets())
 def test_lattice_gaps_are_the_scaled_gap_sequence(points):
-    pts, gaps = lattice(points)
-    d = sum(gaps)
-    assert pts == tuple(sorted(points))
+    view = LatticeView((p, 1) for p in points)
+    ticks, d = view.ticks, view.d
+    gaps = [b - a for a, b in zip(ticks, ticks[1:])] + [ticks[0] + d - ticks[-1]]
+    assert [Fraction(t, d) for t in ticks] == sorted(points)
     assert all(isinstance(g, int) for g in gaps)
     assert tuple(Fraction(g, d) for g in gaps) == gap_sequence(points)
 
