@@ -1,7 +1,6 @@
 """Exact simulation and verification of circle gathering with limited visibility."""
 
 from .angles import (
-    Arc,
     HALF_TURN,
     QUARTER_TURN,
     antipode,

@@ -141,7 +141,7 @@ def classify(snapshot: Snapshot) -> LeaderClass:
     if leads1 and not leads0:
         raise InvariantViolation(
             "observer leads the occupied-antipode hypothesis but not the empty one; "
-            f"view offsets: {[format_angle(o) for o in snapshot.offsets]}"
+            f"view ticks: {snapshot.ticks} over {snapshot.d}"
         )
     return LeaderClass(LeaderTag.CONFUSED_LEADER, possibility)
 

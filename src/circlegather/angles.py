@@ -1,8 +1,8 @@
 """Exact angular arithmetic on the unit circle.
 
 Angles are rational numbers of turns, normalised to [0, 1). One turn is 1,
-so the half turn is exactly 1/2 and every derived quantity (half and
-quarter steps, arc endpoints) stays closed under rational arithmetic.
+so the half turn is exactly 1/2 and every derived quantity stays closed
+under rational arithmetic.
 Nothing in here touches floating point: antipodality, coincidence and
 symmetry must be decidable exactly.
 """
@@ -10,7 +10,6 @@ symmetry must be decidable exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -20,9 +19,6 @@ Rational = Union[Fraction, int, str]
 
 HALF_TURN = Fraction(1, 2)
 QUARTER_TURN = Fraction(1, 4)
-
-#: Allowed closure markers for :class:`Arc`, clockwise from ``start``.
-CLOSURES = ("[]", "[)", "()", "(]")
 
 _ANGLE_RE = re.compile(r"^\s*(\d+)\s*/\s*([1-9]\d*)\s*$")
 
@@ -46,34 +42,6 @@ def cw_angle(a: Rational, b: Rational) -> Fraction:
 def antipode(a: Rational) -> Fraction:
     """The point diametrically opposite ``a``; an involution."""
     return (Fraction(a) + HALF_TURN) % 1
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A circular arc of clockwise ``extent`` starting at ``start``.
-
-    ``closure`` states whether each endpoint belongs to the arc, clockwise
-    from ``start``: ``"[)"`` includes the start and excludes the end. An
-    extent of exactly 1 with ``"[)"`` covers the whole circle once.
-    """
-
-    start: Fraction
-    extent: Fraction
-    closure: str = "[)"
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", norm(self.start))
-        object.__setattr__(self, "extent", Fraction(self.extent))
-        if not 0 < self.extent <= 1:
-            raise ValueError(f"arc extent must be in (0, 1], got {self.extent}")
-        if self.closure not in CLOSURES:
-            raise ValueError(f"unknown closure {self.closure!r}")
-
-    def __contains__(self, x: Rational) -> bool:
-        d = cw_angle(self.start, x)
-        lower_ok = d > 0 or self.closure[0] == "["
-        upper_ok = d < self.extent or (d == self.extent and self.closure[1] == "]")
-        return lower_ok and upper_ok
 
 
 def format_angle(a: Rational) -> str:

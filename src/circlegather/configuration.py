@@ -19,9 +19,9 @@ configuration each read one view and call it, and so does the analysis.
 A :class:`Snapshot` keeps ints: its visible points are ticks over one
 denominator, reduced by their gcd, each with one flag, and it checks them
 with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a
-Python loop. ``Snapshot.offsets`` derives the Fractions for the callers
-that want them, ``Snapshot.of`` builds a snapshot from Fraction offsets,
-and ``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
+Python loop. Its readers (the analysis and the protocol) decide on those
+ints; ``Snapshot.of`` builds a snapshot from Fraction offsets, and
+``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
 """
 
 from __future__ import annotations
@@ -165,10 +165,6 @@ class Snapshot:
         points = sorted((o.numerator * (d // o.denominator), flag) for o, flag in pairs)
         ticks, flags = tuple([t for t, _ in points]), tuple([f for _, f in points])
         return cls(d, ticks, flags, self_is_multiplicity)
-
-    @property
-    def offsets(self) -> Tuple[Fraction, ...]:
-        return tuple([Fraction(t, self.d) for t in self.ticks])
 
     @property
     def has_multiplicity(self) -> bool:
@@ -320,7 +316,10 @@ def elect(ticks: Sequence[int], d: int) -> Optional[int]:
     """Leader index of the points ``ticks`` over ``d``, or None when symmetric.
 
     ``ticks`` are sorted and distinct, so the gaps are positive and sum to ``d``.
+    Every rotation maps the empty set onto itself, so it is symmetric.
     """
+    if not ticks:
+        return None
     gaps = [b - a for a, b in zip(ticks, ticks[1:])]
     gaps.append(ticks[0] + d - ticks[-1])
     return None if has_period(gaps) else least_rotation(gaps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .angles import HALF_TURN, QUARTER_TURN, Arc, format_angle
+from .angles import HALF_TURN, QUARTER_TURN, format_angle
 from .analysis import (
     LeaderTag,
     classify,
@@ -144,47 +144,46 @@ def _decide_off(snapshot: Snapshot) -> Tuple[Memory, MoveCommand]:
     cls = classify(snapshot)
     if cls.tag is LeaderTag.FOLLOWER:
         return Memory.OFF, STAY
-    leading = Fraction(snapshot.ticks[0], snapshot.d)
+    lead, d = snapshot.ticks[0], snapshot.d
     if cls.tag is LeaderTag.SURE_LEADER:
-        return Memory.OFF, _checked_step(CW, leading, "neighbor-position")
+        return Memory.OFF, _checked_step(CW, lead, d, "neighbor-position")
     if is_safe_neighbor(snapshot):
-        return Memory.OFF, _checked_step(CW, leading, "neighbor-position")
+        return Memory.OFF, _checked_step(CW, lead, d, "neighbor-position")
     if detect_confused_peer_in_c0(snapshot):
         return Memory.OFF, STAY
-    return Memory.MOVE_HALF, _checked_step(CW, leading / 2)
+    return Memory.MOVE_HALF, _checked_step(CW, lead, 2 * d)
 
 
 def _decide_staged(snapshot: Snapshot, memory: Memory) -> Tuple[Memory, MoveCommand]:
     """The staged approach toward an ambiguity-breaking position.
 
-    The first clockwise neighbor counts as antipodal when its own antipode is
-    occupied by a visible robot; only then does the dance continue. The arc
-    probed for interference is centered on the observer's (invisible)
-    antipodal point, so it sits at offset 1/2 in the view frame.
+    The first clockwise neighbor, at tick ``l = ticks[0]``, counts as
+    antipodal when its own antipode ``l + d/2`` is occupied by a visible
+    robot; only then does the dance continue. The arc probed for
+    interference is centered on the observer's (invisible) antipodal point,
+    tick ``d/2``. In moveHalf the leading angle is half the original step,
+    and the arc is ``[d/2 - l, d/2 + l)``; in moveMore it is a quarter, and
+    the arc is ``[d/2 - 3l, d/2 + l)``, the whole circle once its extent
+    ``4l`` reaches ``d``. Ticks are doubled so that ``d/2`` is an int: tick
+    ``t`` lies in ``[d/2 - a, d/2 + b)`` iff ``(2t - d + 2a) % 2d < 2(a + b)``.
     """
-    offsets = snapshot.offsets
-    leading = offsets[0]
-    neighbor_antipode_occupied = ((leading + HALF_TURN) % 1) in set(offsets)
-    if not neighbor_antipode_occupied:
+    ticks, d = snapshot.ticks, snapshot.d
+    lead = ticks[0]
+    if d % 2 or (lead + d // 2) % d not in ticks:
         return Memory.TERMINATE, STAY
     if memory is Memory.MOVE_HALF:
-        # Current leading angle is half the original step budget.
-        half = leading
-        arc = Arc(HALF_TURN - half, 2 * half, "[)")
-        if any(off in arc for off in offsets):
-            return Memory.TERMINATE, _checked_step(CCW, half)
-        return Memory.MOVE_MORE, _checked_step(CW, half / 2)
-    quarter = leading
-    # An extent of a full turn or more always contains the neighbor itself.
-    arc = Arc(HALF_TURN - 3 * quarter, min(4 * quarter, Fraction(1)), "[)")
-    if any(off in arc for off in offsets):
-        return Memory.TERMINATE, _checked_step(CCW, 3 * quarter)
-    return Memory.OFF, _checked_step(CW, quarter, "neighbor-position")
+        if any((2 * t - d + 2 * lead) % (2 * d) < 4 * lead for t in ticks):
+            return Memory.TERMINATE, _checked_step(CCW, lead, d)
+        return Memory.MOVE_MORE, _checked_step(CW, lead, 2 * d)
+    if any((2 * t - d + 6 * lead) % (2 * d) < 8 * lead for t in ticks):
+        return Memory.TERMINATE, _checked_step(CCW, 3 * lead, d)
+    return Memory.OFF, _checked_step(CW, lead, d, "neighbor-position")
 
 
-def _checked_step(direction: str, amount: Fraction, kind: str = "relative-angle") -> MoveCommand:
-    if amount >= HALF_TURN:
+def _checked_step(direction: str, num: int, den: int, kind: str = "relative-angle") -> MoveCommand:
+    """A move of ``num / den`` of a turn, which must stay below the half turn."""
+    if 2 * num >= den:
         raise InvariantViolation(
-            f"leader or staged move of {amount} exceeds the visibility bound"
+            f"leader or staged move of {Fraction(num, den)} exceeds the visibility bound"
         )
-    return MoveCommand(direction, amount, kind)
+    return MoveCommand(direction, Fraction(num, den), kind)

@@ -236,7 +236,7 @@ def reference_hypotheses(snapshot, symmetric=has_period):
     sorted, and each is elected on its own Fraction ``gap_sequence``;
     leaders are positions.
     """
-    c0 = (Fraction(0),) + snapshot.offsets
+    c0 = (Fraction(0),) + tuple(Fraction(t, snapshot.d) for t in snapshot.ticks)
     c1 = tuple(sorted(c0 + (HALF_TURN,)))
     leaders = []
     for positions in (c0, c1):
@@ -271,7 +271,7 @@ def reference_classify(snapshot):
 def reference_is_safe_neighbor(snapshot):
     _, c1, _, _, lead1 = reference_hypotheses(snapshot)
     neighbor = c1[(c1.index(lead1) + 1) % len(c1)]
-    return antipode(snapshot.offsets[0]) != neighbor
+    return antipode(Fraction(snapshot.ticks[0], snapshot.d)) != neighbor
 
 
 def reference_confused_peer_in_c0(snapshot):

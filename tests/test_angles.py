@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circlegather.angles import (
-    Arc,
     HALF_TURN,
     antipode,
     cw_angle,
@@ -77,37 +76,6 @@ def test_cw_plus_ccw_is_full_turn_or_both_zero(a, b):
 def test_antipode_involution(a):
     assert antipode(antipode(a)) == a
     assert cw_angle(a, antipode(a)) == HALF_TURN
-
-
-def test_arc_membership_closures():
-    arc = Arc(Fraction(9, 10), Fraction(1, 5), "[)")
-    assert Fraction(9, 10) in arc
-    assert Fraction(0) in arc
-    assert Fraction(1, 10) not in arc
-    assert Fraction(1, 2) not in arc
-    assert Fraction(1, 10) in Arc(Fraction(9, 10), Fraction(1, 5), "[]")
-    assert Fraction(9, 10) not in Arc(Fraction(9, 10), Fraction(1, 5), "()")
-
-
-def test_in_arc_worked_value():
-    # s = 1/2, theta = 1/10: the probed arc is [s - theta/2, s + theta/2).
-    s, theta = HALF_TURN, Fraction(1, 10)
-    arc = Arc(s - theta / 2, theta, "[)")
-    assert Fraction(48, 100) in arc
-    assert s + theta / 2 not in arc
-
-
-@given(angles, st.fractions(min_value=0, max_value=1), angles)
-def test_arc_membership_matches_unrolled_interval(start, extent, x):
-    """Wrap-around membership agrees with a plain interval test on offsets."""
-    if not 0 < extent <= 1:
-        return
-    for closure in ("[)", "[]", "()", "(]"):
-        arc = Arc(start, extent, closure)
-        d = (x - start) % 1
-        lower = d > 0 or closure[0] == "["
-        upper = d < extent or (d == extent and closure[1] == "]")
-        assert (x in arc) == (lower and upper)
 
 
 def test_format_and_parse_roundtrip():

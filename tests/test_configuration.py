@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from collections import Counter
 
+from circlegather.analysis import configuration_class
 from circlegather.angles import HALF_TURN, antipode, cw_angle, format_angle
 from circlegather.configuration import (
     Configuration,
@@ -98,6 +99,18 @@ def test_rotational_symmetry():
     assert not is_rotationally_symmetric((F(0), F("1/10"), F("9/20"), F("7/10")))
 
 
+@pytest.mark.parametrize(
+    "no_leader",
+    [true_leader, lambda points: configuration_class(Configuration(points))],
+    ids=["true_leader", "configuration_class"],
+)
+def test_the_empty_point_set_is_symmetric(no_leader):
+    """Every rotation maps the empty set onto itself, so it has no leader."""
+    assert is_rotationally_symmetric(())
+    with pytest.raises(SymmetricConfiguration):
+        no_leader(())
+
+
 def test_true_leader_on_worked_points():
     cfg = Configuration.from_points([F(0), F("1/10"), F("9/20"), F("7/10")])
     assert true_leader(cfg) == 0
@@ -132,14 +145,14 @@ def test_every_angle_sequence_sums_to_one(points):
 def test_snapshot_excludes_antipode_and_far_points():
     cfg = Configuration.from_points([F(0), F("1/10"), F("1/2"), F("7/10")])
     snap = take_snapshot(cfg, "r0")
-    assert snap.offsets == (F("1/10"), F("7/10"))
+    assert (snap.ticks, snap.d) == ((1, 7), 10)
     assert not snap.self_is_multiplicity
 
 
 def test_snapshot_collapses_coincident_robots():
     cfg = Configuration.from_points([F(0), F("1/10"), F("1/10")])
     snap = take_snapshot(cfg, "r0")
-    assert snap.offsets == (F("1/10"),)
+    assert (snap.ticks, snap.d) == ((1,), 10)
     assert snap.flags == (True,)
     snap_on = take_snapshot(cfg, "r1")
     assert snap_on.self_is_multiplicity
@@ -163,7 +176,7 @@ def test_visible_point_validation():
 
 def test_snapshot_sorts_visible_by_offset():
     snap = Snapshot.of([(F("3/4"), True), (F("1/4"), False)])
-    assert snap.offsets == (F("1/4"), F("3/4"))
+    assert (snap.ticks, snap.d) == ((1, 3), 4)
     assert snap.flags == (False, True)
 
 
@@ -451,7 +464,7 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
         return
     snap = Snapshot.of(points)
     ordered = sorted(points, key=lambda p: p[0])
-    assert list(zip(snap.offsets, snap.flags)) == ordered
+    assert [(Fraction(t, snap.d), f) for t, f in zip(snap.ticks, snap.flags)] == ordered
     assert [v["offset"] for v in json.loads(snap.json_text({}))["visible"]] == [
         format_angle(o) for o, _ in ordered
     ]

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from circlegather.configuration import (
     Snapshot,
     take_snapshot,
 )
-from circlegather.errors import ContractViolation
+from circlegather.errors import ContractViolation, InvariantViolation
 from circlegather.protocol import (
     CCW,
     CW,
@@ -158,10 +159,9 @@ def test_confused_unsafe_leader_starts_the_dance():
 
     (rid, _), = expected_leaders(cfg)
     s = take_snapshot(cfg, rid)
-    leading = min(s.offsets)
     state, cmd = decide(s, Memory.OFF)
     assert state is Memory.MOVE_HALF
-    assert cmd.direction == CW and cmd.amount == leading / 2
+    assert cmd.direction == CW and cmd.amount == Fraction(s.ticks[0], 2 * s.d)
 
 
 def test_confused_unsafe_with_confused_peer_stays():
@@ -295,3 +295,86 @@ def test_multiplicity_walks_match_their_definition(offsets, flags, self_mult, th
     state, cmd = decide(s, Memory.MOVE_HALF, threshold)
     assert state is Memory.MOVE_HALF
     assert cmd == reference_multiplicity_move(offsets, flags, self_mult, threshold)
+
+
+def reference_step(direction, amount, kind="relative-angle"):
+    if amount >= HALF_TURN:
+        raise InvariantViolation(
+            f"leader or staged move of {amount} exceeds the visibility bound"
+        )
+    return MoveCommand(direction, amount, kind)
+
+
+def reference_staged_move(offsets, memory):
+    """The staged approach in plain Fraction arithmetic on sorted offsets.
+
+    The dance goes on only while the first clockwise neighbour's antipode is
+    occupied. The probe arc is centred on the observer's antipode, 1/2, and
+    holds an offset ``o`` iff ``(o - start) % 1 < extent``: ``[1/2 - h,
+    1/2 + h)`` in moveHalf and ``[1/2 - 3q, 1/2 + q)`` in moveMore, at most
+    a full turn, with the leading angle read as ``h`` or ``q``.
+    """
+    leading = offsets[0]
+    if (leading + HALF_TURN) % 1 not in offsets:
+        return Memory.TERMINATE, STAY
+
+    def probed(start, extent):
+        return any((o - start) % 1 < extent for o in offsets)
+
+    if memory is Memory.MOVE_HALF:
+        half = leading
+        if probed(HALF_TURN - half, 2 * half):
+            return Memory.TERMINATE, reference_step(CCW, half)
+        return Memory.MOVE_MORE, reference_step(CW, half / 2)
+    quarter = leading
+    if probed(HALF_TURN - 3 * quarter, min(4 * quarter, Fraction(1))):
+        return Memory.TERMINATE, reference_step(CCW, 3 * quarter)
+    return Memory.OFF, reference_step(CW, quarter, "neighbor-position")
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of its violation."""
+    try:
+        return fn(*args)
+    except InvariantViolation as exc:
+        return InvariantViolation, str(exc)
+
+
+def assert_staged_matches_reference(d, ticks):
+    s = Snapshot(d, tuple(ticks), (False,) * len(ticks))
+    offsets = [Fraction(t, d) for t in ticks]
+    for memory in (Memory.MOVE_HALF, Memory.MOVE_MORE):
+        assert outcome(decide, s, memory) == outcome(reference_staged_move, offsets, memory)
+
+
+def test_staged_moves_match_the_reference_on_every_small_view():
+    """Every view of 1-3 points over 24, where q = 1/8, 1/6 and 1/4 all lie."""
+    d = 24
+    points = [t for t in range(1, d) if 2 * t != d]
+    for size in (1, 2, 3):
+        for ticks in combinations(points, size):
+            assert_staged_matches_reference(d, ticks)
+
+
+@st.composite
+def staged_views(draw):
+    """A denominator up to 240 and up to 6 sorted ticks, the first one's
+    antipode often added so that the dance goes on."""
+    d = draw(st.integers(2, 240))
+    ticks = draw(
+        st.lists(
+            st.integers(1, d - 1).filter(lambda t: 2 * t != d),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    lead = min(ticks)
+    if draw(st.booleans()) and d % 2 == 0 and 2 * lead < d:
+        ticks.append(lead + d // 2)
+    return d, sorted(set(ticks))
+
+
+@given(staged_views())
+def test_staged_moves_match_the_reference(view):
+    assert_staged_matches_reference(*view)

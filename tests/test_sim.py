@@ -90,7 +90,7 @@ def test_observer_cannot_look_mid_move():
 def test_snapshot_sees_movers_at_interpolated_positions():
     world = {"a": moving_robot("a", F(0), F("1/4"), F(0)), "b": RobotRuntime("b", F("1/2"))}
     snap = world_snapshot(world, "b", F("1/8"))
-    assert snap.offsets == (F("5/8"),)
+    assert (snap.ticks, snap.d) == ((5,), 8)
 
 
 def test_snapshot_flags_only_robots_at_rest():
@@ -102,7 +102,7 @@ def test_snapshot_flags_only_robots_at_rest():
         "c": RobotRuntime("c", F("1/2")),
     }
     snap = world_snapshot(world, "c", F("1/8"))
-    assert snap.offsets == (F("5/8"),)
+    assert (snap.ticks, snap.d) == ((5,), 8)
     assert snap.flags == (False,)
 
 
@@ -758,6 +758,13 @@ def test_event_clock_rejects_a_busy_look_at_a_new_denominator():
 # ---------------------------------------------------------------------------
 # The bound of two multiplicity points along asynchronous runs
 
+# The sha256 of each committed run configuration's trace JSONL.
+RUN_DIGESTS = {
+    "async_n10_seed1297162590": "5a451bb981b295b309af11951ba159559591e457b6e1f8c86496f7ab22ad5796",
+    "async_n30_seed150608039": "c2a4bcfe717fd9c6f3363a0396ed51e0a0e2f408b211cb7a42ca1f1dfe227375",
+    "class_C_async_seed0": "f5f09ec3e40887d867c2c51a8380771deed67dad11970b12812e5cf8adf49751",
+}
+
 RUN_WITNESSES = sorted(p.stem for p in (FIXTURES / "runs").glob("*.json"))
 
 
@@ -768,12 +775,15 @@ def test_run_witnesses_gather_within_the_bound(name):
     The two async witnesses reached three multiplicity points while robots
     seen mid-move raised multiplicity flags; class_C under async-random seed
     0 hit the event limit while the threshold defaulted to a quarter turn.
+    class_C also takes the staged branches (moveHalf, moveMore, then off),
+    so its pinned bytes hold that path still.
     """
     with open(FIXTURES / "runs" / f"{name}.json") as fh:
         initial, policy, limits, options = load_run_config(json.load(fh))
     trace = run(initial, policy, limits, options)
     assert trace.summary["gathered"]
     assert trace.summary["max_simultaneous_multiplicities"] <= 2
+    assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == RUN_DIGESTS[name]
 
 
 @pytest.mark.parametrize("seed", range(20))
