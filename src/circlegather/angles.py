@@ -20,7 +20,9 @@ Rational = Union[Fraction, int, str]
 HALF_TURN = Fraction(1, 2)
 QUARTER_TURN = Fraction(1, 4)
 
-_ANGLE_RE = re.compile(r"^\s*(\d+)\s*/\s*([1-9]\d*)\s*$")
+#: The one grammar of angle and time literals: ASCII digits, then an
+#: optional ``/q`` with q >= 1. An angle needs the ``/q``.
+_RATIONAL_RE = re.compile(r"^\s*(\d+)\s*(?:/\s*([1-9]\d*)\s*)?$", re.ASCII)
 
 
 def norm(x: Rational) -> Fraction:
@@ -50,13 +52,23 @@ def format_angle(a: Rational) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_angle(text: str) -> Fraction:
-    """Parse a ``"p/q"`` angle literal; anything else is a :class:`ParseError`."""
-    m = _ANGLE_RE.match(text) if isinstance(text, str) else None
-    if m is None:
-        raise ParseError(f"expected an angle of the form 'p/q', got {text!r}")
+def _parse_rational(text, noun: str, expected: str, whole: bool) -> Fraction:
+    """``text`` as a nonnegative rational, unreduced; ``whole`` admits ``"p"``."""
+    m = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if m is None or not (whole or m.group(2)):
+        raise ParseError(f"expected {expected}, got {text!r}")
     try:
-        return norm(Fraction(int(m.group(1)), int(m.group(2))))
+        return Fraction(int(m.group(1)), int(m.group(2) or 1))
     except ValueError as exc:
         # Python refuses to convert an integer string over its digit limit.
-        raise ParseError(f"angle out of range: {exc}")
+        raise ParseError(f"{noun} out of range: {exc}")
+
+
+def parse_angle(text: str) -> Fraction:
+    """Parse a ``"p/q"`` angle literal; anything else is a :class:`ParseError`."""
+    return norm(_parse_rational(text, "angle", "an angle of the form 'p/q'", whole=False))
+
+
+def parse_time(text: str) -> Fraction:
+    """Parse a ``"p/q"`` or ``"p"`` time literal; anything else is a :class:`ParseError`."""
+    return _parse_rational(text, "time", "a time of the form 'p/q' or 'p'", whole=True)

@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from .analysis import ConfigurationClass
-from .angles import HALF_TURN, QUARTER_TURN
+from .angles import HALF_TURN, QUARTER_TURN, parse_time
 from .configuration import Configuration, reject_unknown_keys
 from .errors import (
     GenerationExhausted,
@@ -43,7 +43,6 @@ from .sim import (
     ScriptedPolicy,
     SsyncPolicy,
     Trace,
-    parse_time,
     run,
 )
 
@@ -113,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator-bound", type=int, default=60)
     p.add_argument("--search-budget", type=int, default=20000)
     p.add_argument("--sim-count", type=int, default=20, help="random initial configs to simulate")
-    p.add_argument("--max-events", type=int, default=100000)
+    p.add_argument("--max-events", type=int, default=RunLimits().max_events)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -238,8 +237,8 @@ def load_run_config(obj):
     policy = _policy_from_json(obj.get("policy", {"kind": "fsync"}))
     lim = _object(obj.get("limits", {}), "'limits'")
     reject_unknown_keys(lim, {"max_events", "max_time"}, "limits field")
-    max_events = _at_least(_int(lim, "max_events", 100000), 1, "'max_events'")
-    limits = RunLimits(max_events=max_events)
+    limits = RunLimits()
+    limits.max_events = _at_least(_int(lim, "max_events", limits.max_events), 1, "'max_events'")
     if "max_time" in lim:
         limits.max_time = parse_time(lim["max_time"])
     options = _options_from_json(obj.get("options", {}))
@@ -332,9 +331,9 @@ def verify_sweep(
     count: int,
     seed: int,
     denominator_bound: int,
-    search_budget: int = 20000,
-    sim_count: int = 20,
-    max_events: int = 100000,
+    search_budget: int,
+    sim_count: int,
+    max_events: int,
 ) -> dict:
     """Proposition sweep + taxonomy search + batch simulations, as one report."""
     ns = list(n_range)

@@ -24,7 +24,6 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,12 +36,14 @@ from .errors import GenerationExhausted, SymmetricConfiguration
 # Generation
 
 
+RETRY_CAP = 2000  # draws random_config makes before it gives up
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     n: int
     denominator_bound: int
     seed: int
-    retry_cap: int = 2000
 
     def __post_init__(self):
         if self.n < 2:
@@ -54,12 +55,17 @@ class GeneratorSpec:
 def random_config(spec: GeneratorSpec, rng: Optional[Random] = None) -> Configuration:
     """A uniformly sampled asymmetric multiplicity-free configuration.
 
-    Deterministic in the seed; raises :class:`GenerationExhausted` after the
-    retry cap instead of looping forever on impossible constraints.
+    Deterministic in the seed. Raises :class:`GenerationExhausted` at once,
+    drawing nothing, when n exceeds the d lattice points, else after
+    :data:`RETRY_CAP` draws instead of looping forever on impossible constraints.
     """
-    rng = rng or Random(f"gen:{spec.seed}")
     d = spec.denominator_bound
-    for _ in range(spec.retry_cap):
+    if spec.n > d:
+        raise GenerationExhausted(
+            f"no configuration of n={spec.n} distinct points with denominator bound {d}"
+        )
+    rng = rng or Random(f"gen:{spec.seed}")
+    for _ in range(RETRY_CAP):
         points = [Fraction(rng.randrange(d), d) for _ in range(spec.n)]
         if len(set(points)) != spec.n:
             continue
@@ -69,7 +75,7 @@ def random_config(spec: GeneratorSpec, rng: Optional[Random] = None) -> Configur
         return Configuration.from_points(sorted(points))
     raise GenerationExhausted(
         f"no asymmetric configuration with n={spec.n}, denominator bound {d} "
-        f"after {spec.retry_cap} attempts"
+        f"after {RETRY_CAP} attempts"
     )
 
 
@@ -191,6 +197,10 @@ CHECK_NAMES = (
 )
 
 
+#: The points proposition 2 inserts a robot at: every angle of denominator at most 12.
+_PROBES = tuple(sorted({Fraction(k, d) for d in range(1, 13) for k in range(d)}))
+
+
 @dataclass
 class CheckResult:
     passed: bool
@@ -203,18 +213,16 @@ class CheckResult:
         return out
 
 
-def check_propositions(
-    config: Configuration, probe_denominator_bound: int = 12
-) -> Dict[str, CheckResult]:
+def check_propositions(config: Configuration) -> Dict[str, CheckResult]:
     """Evaluate the nine structural claims on one configuration.
 
     Requires an asymmetric multiplicity-free input. Failures come back as
     results with witnesses; nothing raises for a false claim.
     """
-    return _check(config, probe_denominator_bound)[0]
+    return _check(config)[0]
 
 
-def _check(config: Configuration, probe_denominator_bound: int = 12):
+def _check(config: Configuration):
     """(:func:`check_propositions` report, oracle leader, robot verdicts)."""
     positions = sorted(config.positions)
     n = len(positions)
@@ -250,7 +258,7 @@ def _check(config: Configuration, probe_denominator_bound: int = 12):
     # 2. Inserting a robot at an empty point (creating no symmetry) can only
     #    move the leader into the clockwise interval [old leader, new robot].
     bad = None
-    for probe in _probe_grid(probe_denominator_bound):
+    for probe in _PROBES:
         if probe in occupied:
             continue
         new_positions, new_gaps = _insert(positions, gaps, probe)
@@ -350,12 +358,6 @@ def _check(config: Configuration, probe_denominator_bound: int = 12):
     )
 
     return report, leader, verdicts
-
-
-@lru_cache(maxsize=None)
-def _probe_grid(denominator_bound: int) -> Tuple[Fraction, ...]:
-    grid = {Fraction(k, d) for d in range(1, denominator_bound + 1) for k in range(d)}
-    return tuple(sorted(grid))
 
 
 # ---------------------------------------------------------------------------

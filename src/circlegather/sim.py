@@ -17,8 +17,11 @@ there, but does not make it a multiplicity. :func:`world_snapshot`,
 :func:`multiplicity_points` and :func:`is_gathered` remain whole-world scans
 over ``RobotRuntime`` maps, for tests and for use outside the run loop.
 
-Events at one instant run move-ends first, then looks, then decides, so
-every look at an instant sees one world. The run loop builds one
+Events at one instant run move-ends first, then looks, then decides, each
+rank by robot id; a look that a decide queues at its own instant runs right
+after that decide. Records stay in this processing order: a record's index
+is its sequence number, and a trace cut at a limit is a prefix of the whole
+run's. Every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
 the instant and memoises each look by the observer's lattice int: robots
 resting on one point share one ``Snapshot``, their snapshot records'
@@ -52,7 +55,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import itemgetter
 from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -68,7 +70,6 @@ from .errors import (
     InvariantViolation,
     LimitExceeded,
     ObserverMoving,
-    ParseError,
     ScheduleError,
     TimeOutOfRange,
 )
@@ -133,9 +134,9 @@ class _RoundPolicy(SchedulerPolicy):
     A robot's next cycle is the first round from ``ceil(not_before)`` in
     which :meth:`_active` admits it. The policy builds each round's
     ``(k, k + 1/4)`` pair once and hands the same two objects to every robot
-    active in that round, so equal instants in the run loop's view check and
-    in the trace sort are one object and compare by identity instead of by
-    ``Fraction.__eq__``, and :meth:`Trace.to_jsonl` encodes each once.
+    active in that round, so the run loop's view check compares equal
+    instants by identity instead of by ``Fraction.__eq__``, and
+    :meth:`Trace.to_jsonl` encodes each once.
     """
 
     def __init__(self):
@@ -261,17 +262,6 @@ class ScriptedPolicy(SchedulerPolicy):
         return next(self._cursor[robot_id], None)
 
 
-def parse_time(text: str) -> Fraction:
-    """Parse a time literal ``"p/q"`` or ``"p"``; anything else is a :class:`ParseError`."""
-    if isinstance(text, str):
-        num, _, den = text.partition("/")
-        try:
-            return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ParseError(f"expected a time of the form 'p/q' or 'p', got {text!r}")
-
-
 # ---------------------------------------------------------------------------
 # Traces
 
@@ -299,7 +289,7 @@ class Trace:
     summary: dict
 
     def to_jsonl(self) -> str:
-        """One JSON object per record, then the summary line.
+        """One JSON object per record, in processing order, then the summary line.
 
         A record's line is ``{"kind", "payload", "robot", "t"}`` with sorted
         keys, assembled from encoded parts: each distinct payload and instant
@@ -486,10 +476,7 @@ def run(
     max_time, max_events = limits.max_time, limits.max_events
     while heap:
         _, rank, rid, t, data = heappop(heap)
-        if max_time is not None and t > max_time:
-            limit_hit = True
-            break
-        if len(records) >= max_events:
+        if len(records) >= max_events or (max_time is not None and t > max_time):
             limit_hit = True
             break
         rr = world[rid]
@@ -593,7 +580,6 @@ def run(
         schedule_cycle(rid, t)
 
     end_time = records[-1].t if records else Fraction(0)
-    records.sort(key=itemgetter(0, 1, 2))
     gathered = not in_flight and len(resting) == 1
     positions = world_positions(world, end_time)
     summary = {

@@ -10,6 +10,7 @@ from circlegather.angles import (
     format_angle,
     norm,
     parse_angle,
+    parse_time,
 )
 from circlegather.errors import ParseError
 
@@ -92,7 +93,35 @@ def test_parse_inverts_format(a):
     assert parse_angle(format_angle(a)) == a
 
 
-@pytest.mark.parametrize("bad", ["", "3/0", "-1/4", "0.25", "5/4x", "1", "a/b"])
+@pytest.mark.parametrize("bad", ["", "3/0", "-1/4", "0.25", "5/4x", "1", "a/b", "\u0663/4"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_angle(bad)
+
+
+def test_parse_time_reads_the_angle_grammar_unreduced():
+    assert parse_time("10") == 10
+    assert parse_time("5/4") == Fraction(5, 4)
+    assert parse_time(" 3 / 4 ") == Fraction(3, 4)
+    assert parse_time("0") == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", "3/0", "0.25", "5/4x", "a/b", "1/", "/4", None, 3]
+    + ["-1", "3/-4", "+11", "1_0", "1/1_0", "1\u0660"],
+)
+def test_parse_time_rejects_what_parse_angle_rejects(bad):
+    with pytest.raises(ParseError) as exc:
+        parse_time(bad)
+    assert str(exc.value) == f"expected a time of the form 'p/q' or 'p', got {bad!r}"
+    with pytest.raises(ParseError):
+        parse_angle(bad)
+
+
+def test_literals_over_the_digit_limit_are_parse_errors():
+    huge = "7" * 5000
+    for parse, literal in ((parse_time, huge), (parse_angle, f"{huge}/3")):
+        with pytest.raises(ParseError) as exc:
+            parse(literal)
+        assert "out of range" in str(exc.value)

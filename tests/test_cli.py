@@ -335,6 +335,14 @@ def _worked_robots():
     return json.loads((FIXTURES / "worked_example.json").read_text())["robots"]
 
 
+def _time_literal_doc(field, literal):
+    """A run configuration with ``literal`` as its max_time or a scripted look."""
+    if field == "max_time":
+        return run_config_doc(limits={"max_time": literal})
+    event = {"robot": "r0", "look": literal, "decide": "12"}
+    return run_config_doc(policy={"kind": "scripted", "events": [event]})
+
+
 MALFORMED_RUN_CONFIGS = {
     "max_time_divides_by_zero": run_config_doc(limits={"max_time": "1/0"}),
     "max_time_not_a_number": run_config_doc(limits={"max_time": "abc"}),
@@ -345,6 +353,16 @@ MALFORMED_RUN_CONFIGS = {
     "duplicate_robot_ids": run_config_doc(
         initial={"robots": [{**r, "id": "a"} for r in _worked_robots()]}
     ),
+    **{
+        f"{field}_{name}": _time_literal_doc(field, literal)
+        for field in ("max_time", "scripted_look")
+        for name, literal in (
+            ("negative", "-1"),
+            ("signed", "+11"),
+            ("underscored", "1_0"),
+            ("negative_denominator", "3/-4"),
+        )
+    },
     "scripted_time_not_a_number": run_config_doc(
         policy={"kind": "scripted", "events": [{"robot": "r0", "look": "x", "decide": "1/4"}]}
     ),

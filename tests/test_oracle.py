@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from circlegather.configuration import (
 from circlegather.errors import GenerationExhausted, SymmetricConfiguration
 from circlegather.oracle import (
     CHECK_NAMES,
+    RETRY_CAP,
     GeneratorSpec,
     brute_force_leader,
     check_propositions,
@@ -61,9 +63,30 @@ def test_random_config_respects_constraints():
     true_leader(cfg)  # asymmetric, so this must not raise
 
 
+class CountingRandom(Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
 def test_generation_gives_up_on_impossible_constraints():
+    # Two distinct points on the lattice of halves are always antipodal.
+    rng = CountingRandom(0)
+    with pytest.raises(GenerationExhausted) as exc:
+        random_config(GeneratorSpec(n=2, denominator_bound=2, seed=0), rng)
+    assert rng.draws == 2 * RETRY_CAP
+    assert str(exc.value).endswith(f"after {RETRY_CAP} attempts")
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (100_000, 60)])
+def test_generation_gives_up_at_once_when_robots_outnumber_lattice_points(n, d):
+    rng = CountingRandom(0)
+    state = rng.getstate()
     with pytest.raises(GenerationExhausted):
-        random_config(GeneratorSpec(n=3, denominator_bound=2, seed=0, retry_cap=50))
+        random_config(GeneratorSpec(n=n, denominator_bound=d, seed=0), rng)
+    assert rng.draws == 0 and rng.getstate() == state
 
 
 def test_brute_force_leader_on_worked_example():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 
@@ -35,6 +36,7 @@ from circlegather.sim import (
     SchedulerPolicy,
     ScriptedPolicy,
     SsyncPolicy,
+    Trace,
     is_gathered,
     multiplicity_points,
     run,
@@ -470,7 +472,9 @@ def test_policy_with_int_look_instants_matches_fsync():
 # ---------------------------------------------------------------------------
 # Pinned traces. The digests were taken with a run loop that rescanned the
 # whole world after every event; they hold the incremental world state to
-# byte-identical output.
+# byte-identical output. The async and scripted rows were re-pinned when the
+# records moved to processing order; SORTED_DIGESTS shows each re-pin is a
+# reordering.
 
 
 def _pinned_policy(kind, seed, config):
@@ -513,30 +517,30 @@ PINNED_TRACES = [
     (16, 96, 6, "ssync", HALF_TURN, "strict", 1,
      "024dd520bfd8e320c2973ace7ee739b6b961ddcc66aa891f61344d267746879b"),
     (7, 42, 8, "async", QUARTER_TURN, "strict", 1,
-     "44f955a25716f627079aeb006dc4888bf4d8f17e3c828bb73d895f29d76e07c4"),
+     "ec1d75e33b8cd7af56ac33c506f04d8aa17a67dd552dbe296dd764e81698184b"),
     (10, 60, 34, "async", HALF_TURN, "relaxed", 2,
-     "cc0d1fd2f993b233d287169beb8a8dabf07ee394a27f22dceef717f9d07a9541"),
+     "ef20aee0d366b495b9aec05975845ae53a436676cb513bb58ab117f27fa8daf3"),
     (12, 72, 33, "async", HALF_TURN, "strict", 2,
-     "47ebfd22616161a6aba01a1fb69d99fc2485dafe203bcc57361f50031d35d142"),
+     "c28568cd74312da3f62f5c7c17c4d85c9569bc14da9ea4c8bd929af7f2ce8803"),
     # Relaxed looks took both runs past the bound of two multiplicity points
     # (3 and 4); n16-seed61 ran the same bytes as its strict row and went.
     (12, 72, 8, "async", HALF_TURN, "relaxed", 1,
-     "83e96956ec8c4b7185a05ba8c70f5d67c1de6f32fa5f0e59568e8f31ee747241"),
+     "14c80fe311b950f82a9e9e10d4859d0622843ae64b0df135ca4b8977c6e719b5"),
     (16, 96, 61, "async", HALF_TURN, "strict", 1,
-     "395831efb1381490803e2a9337d5521aa357de74ec9d9b66f36a5b93fa5bb7e1"),
+     "33927ed40e14226b85aef19574d784fdd669f1b7da46d78e895f360d69f602bd"),
     (20, 160, 12, "async", HALF_TURN, "relaxed", 1,
-     "0b17b57ee54280a4af993532bde0554bfdbeb5f87e5fecce9d7890b805b842e7"),
+     "301a1926d8e62f08c26f96a5b4c27b71b44c01603151f083081e002640d0aa81"),
     # Stalls under the narrow threshold: a partial trace at the event limit.
     (8, 48, 37, "async", QUARTER_TURN, "relaxed", 2,
-     "063aa70b8d7f755e8b0b67870fb9f15c8ab776d4d1a9f59b19407db9b4374099"),
+     "ea5e53d0faed485eef493359a96fd92890c4687e9bbacd4d04dba93c3a8596f9"),
     (4, 24, 9, "scripted", QUARTER_TURN, "relaxed", 1,
-     "c2d0c2c8c1bbb8a30b25ee567bd522bce156d7b64d023a5324d2f4d869004e8a"),
+     "9e32557e38456556c611dce6fb3d7c6aa0e868626bb26f8f1691128277860af1"),
     (6, 36, 10, "scripted", HALF_TURN, "strict", 1,
-     "6d3da4dfcb734fbc31781cef21bbcbfd047f75bfe9a1bfa70a0216b6aed1b011"),
+     "41e704e5d32b80ea1c68eee1e9f08ca167006a03428aabcf00d5bbfcf626f7fc"),
     (8, 48, 14, "scripted", HALF_TURN, "relaxed", 1,
-     "943575258837eb76bf5f16fd1f0078a6f0a93bf0bc551a636df4b6becccb736f"),
+     "1700206cebaa80840dce9d53b4e2ac8094aaa80d0f9cd5a818966b70a097c2c1"),
     (12, 72, 13, "scripted", QUARTER_TURN, "strict", 1,
-     "0a7e8a749a5d71193fd3a818d350c4217e4d3222450abef89273d8e1ea31a778"),
+     "f641639b1106afb9f72562c1148e3f1e68b0ace042c59868f4cbbeef2d93db9b"),
 ]
 
 
@@ -546,17 +550,26 @@ def _pinned_id(case):
     return f"{kind}-n{n}-seed{seed}-{wide}-{pinned_as}"
 
 
-@pytest.mark.parametrize("case", PINNED_TRACES, ids=_pinned_id)
-def test_pinned_trace_digests(case):
-    n, bound, seed, kind, threshold, _, max_mult, digest = case
+def _pinned_trace(case):
+    n, bound, seed, kind, threshold = case[:5]
     config = random_config(GeneratorSpec(n, bound, seed))
     options = RunOptions(multiplicity_threshold=threshold)
     try:
-        trace = run(config, _pinned_policy(kind, seed, config), RunLimits(max_events=2000), options)
+        return run(config, _pinned_policy(kind, seed, config), RunLimits(max_events=2000), options)
     except LimitExceeded as exc:
-        trace = exc.trace
+        return exc.trace
+
+
+def sha256_of(trace):
+    return hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED_TRACES, ids=_pinned_id)
+def test_pinned_trace_digests(case):
+    max_mult, digest = case[6:]
+    trace = _pinned_trace(case)
     assert trace.summary["max_simultaneous_multiplicities"] == max_mult
-    assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == digest
+    assert sha256_of(trace) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +705,18 @@ def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
     assert [v["offset"] for v in seen[F("27/80"), "r2"]["visible"]] == ["1/4", "51/80", "13/20"]
 
 
+# All first cycles are on quarters. At 1/4, r0 decides first and steps onto
+# r1, ending at 7/20 (brings 5); r1 and r2 then queue cycles at 1/3 (brings
+# 3) and 5/7 (brings 7) while other decides and the move-end are queued; r3
+# looks at 7/20, the instant the move-end brought.
+EVENT_CLOCK_SCRIPT = [(r, F(0), F("1/4")) for r in ("r0", "r1", "r2", "r3")] + [
+    ("r1", F("1/3"), F("2/5")), ("r2", F("5/7"), F("4/5")), ("r3", F("7/20"), F("3/7"))
+]
+
+
 def test_event_clock_grows_its_scale_mid_run_and_keeps_the_order():
-    # All first cycles are on quarters. At 1/4, r0 decides first and steps
-    # onto r1, ending at 7/20 (brings 5); r1 and r2 then queue cycles at
-    # 1/3 (brings 3) and 5/7 (brings 7) while other decides and the move-end
-    # are queued; r3 looks at 7/20, the instant the move-end brought.
     initial = load_fixture("worked_example")
-    events = [(r, F(0), F("1/4")) for r in ("r0", "r1", "r2", "r3")]
-    events += [("r1", F("1/3"), F("2/5")), ("r2", F("5/7"), F("4/5")),
-               ("r3", F("7/20"), F("3/7"))]
+    events = EVENT_CLOCK_SCRIPT
     trace = run(initial, ScriptedPolicy(events))
     keys = [(r.t, r.robot, r.kind) for r in trace.records]
     assert keys == sorted(keys)
@@ -729,14 +745,6 @@ def test_event_clock_grows_its_scale_mid_run_and_keeps_the_order():
             run(initial, ScriptedPolicy(events), RunLimits(max_events=max_events))
         return exc.value.trace.records
 
-    # Processing order: cut after any number of records, the run has
-    # processed every event before the latest instant it reached.
-    for k in range(1, len(trace.records)):
-        partial = cut_after(k)
-        reached = partial[-1].t
-        assert [r for r in partial if r.t < reached] == [
-            r for r in trace.records if r.t < reached
-        ], k
     # With room for one event past the records before 7/20, the move-end is
     # that event and the look never runs.
     before = sum(1 for r in trace.records if r.t < arrival)
@@ -760,12 +768,18 @@ def test_event_clock_rejects_a_busy_look_at_a_new_denominator():
 
 # The sha256 of each committed run configuration's trace JSONL.
 RUN_DIGESTS = {
-    "async_n10_seed1297162590": "5a451bb981b295b309af11951ba159559591e457b6e1f8c86496f7ab22ad5796",
-    "async_n30_seed150608039": "c2a4bcfe717fd9c6f3363a0396ed51e0a0e2f408b211cb7a42ca1f1dfe227375",
-    "class_C_async_seed0": "f5f09ec3e40887d867c2c51a8380771deed67dad11970b12812e5cf8adf49751",
+    "async_n10_seed1297162590": "a4e8e25361c91cc92ad1af94bf990ca11fd4faffc91e03097076b944cce1b596",
+    "async_n30_seed150608039": "ee90dca7510fe8f9557b8352701509c00c9e76c7b1654452720db75001ef9e75",
+    "class_C_async_seed0": "f51b51d2a36899c6aaec1d395e326eb06d4b04659ac2acaabec6f8ca2585c8f4",
 }
 
 RUN_WITNESSES = sorted(p.stem for p in (FIXTURES / "runs").glob("*.json"))
+
+
+def _witness_config(name):
+    """(initial, policy, limits, options) of a committed run configuration."""
+    with open(FIXTURES / "runs" / f"{name}.json") as fh:
+        return load_run_config(json.load(fh))
 
 
 @pytest.mark.parametrize("name", RUN_WITNESSES)
@@ -778,12 +792,84 @@ def test_run_witnesses_gather_within_the_bound(name):
     class_C also takes the staged branches (moveHalf, moveMore, then off),
     so its pinned bytes hold that path still.
     """
-    with open(FIXTURES / "runs" / f"{name}.json") as fh:
-        initial, policy, limits, options = load_run_config(json.load(fh))
-    trace = run(initial, policy, limits, options)
+    trace = run(*_witness_config(name))
     assert trace.summary["gathered"]
     assert trace.summary["max_simultaneous_multiplicities"] <= 2
-    assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == RUN_DIGESTS[name]
+    assert sha256_of(trace) == RUN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Records in processing order
+
+# The digests of the async and scripted pinned rows and of the run witnesses
+# while ``run`` sorted its records by (t, robot, kind). The fsync and ssync
+# rows kept their bytes: no instant of theirs holds events of two ranks.
+SORTED_DIGESTS = {
+    "async-n7-seed8-pi/2-strict":
+        "44f955a25716f627079aeb006dc4888bf4d8f17e3c828bb73d895f29d76e07c4",
+    "async-n10-seed34-pi-relaxed":
+        "cc0d1fd2f993b233d287169beb8a8dabf07ee394a27f22dceef717f9d07a9541",
+    "async-n12-seed33-pi-strict":
+        "47ebfd22616161a6aba01a1fb69d99fc2485dafe203bcc57361f50031d35d142",
+    "async-n12-seed8-pi-relaxed":
+        "83e96956ec8c4b7185a05ba8c70f5d67c1de6f32fa5f0e59568e8f31ee747241",
+    "async-n16-seed61-pi-strict":
+        "395831efb1381490803e2a9337d5521aa357de74ec9d9b66f36a5b93fa5bb7e1",
+    "async-n20-seed12-pi-relaxed":
+        "0b17b57ee54280a4af993532bde0554bfdbeb5f87e5fecce9d7890b805b842e7",
+    "async-n8-seed37-pi/2-relaxed":
+        "063aa70b8d7f755e8b0b67870fb9f15c8ab776d4d1a9f59b19407db9b4374099",
+    "scripted-n4-seed9-pi/2-relaxed":
+        "c2d0c2c8c1bbb8a30b25ee567bd522bce156d7b64d023a5324d2f4d869004e8a",
+    "scripted-n6-seed10-pi-strict":
+        "6d3da4dfcb734fbc31781cef21bbcbfd047f75bfe9a1bfa70a0216b6aed1b011",
+    "scripted-n8-seed14-pi-relaxed":
+        "943575258837eb76bf5f16fd1f0078a6f0a93bf0bc551a636df4b6becccb736f",
+    "scripted-n12-seed13-pi/2-strict":
+        "0a7e8a749a5d71193fd3a818d350c4217e4d3222450abef89273d8e1ea31a778",
+    "async_n10_seed1297162590":
+        "5a451bb981b295b309af11951ba159559591e457b6e1f8c86496f7ab22ad5796",
+    "async_n30_seed150608039":
+        "c2a4bcfe717fd9c6f3363a0396ed51e0a0e2f408b211cb7a42ca1f1dfe227375",
+    "class_C_async_seed0":
+        "f5f09ec3e40887d867c2c51a8380771deed67dad11970b12812e5cf8adf49751",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SORTED_DIGESTS))
+def test_pinned_digests_reorder_the_sorted_traces(name):
+    """Sorted by (t, robot, kind), today's records give the old bytes back:
+    the processing order only reorders the records."""
+    if name in RUN_DIGESTS:
+        trace = run(*_witness_config(name))
+    else:
+        trace = _pinned_trace(next(c for c in PINNED_TRACES if _pinned_id(c) == name))
+    resorted = Trace(sorted(trace.records, key=itemgetter(0, 1, 2)), trace.summary)
+    assert sha256_of(resorted) == SORTED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["async_n10_seed1297162590", "event-clock"])
+def test_processing_order_cut_at_the_event_limit_is_a_prefix(name):
+    if name == "event-clock":
+        initial, policy = load_fixture("worked_example"), ScriptedPolicy(EVENT_CLOCK_SCRIPT)
+        options = None
+    else:
+        initial, policy, _, options = _witness_config(name)
+    full = run(initial, policy, None, options).records
+    for k in range(1, len(full)):
+        with pytest.raises(LimitExceeded) as exc:
+            run(initial, policy, RunLimits(max_events=k), options)
+        partial = exc.value.trace.records
+        assert partial == full[: len(partial)], k
+
+
+def test_processing_order_puts_a_queued_look_right_after_its_decide():
+    # r1 decides at 1/4 and looks again at once; nobody else runs.
+    events = [("r1", F(0), F("1/4")), ("r1", F("1/4"), F("1/2"))]
+    trace = run(load_fixture("worked_example"), ScriptedPolicy(events))
+    assert [(r.robot, r.kind) for r in trace.records if r.t == F("1/4")] == [
+        ("r1", "decide"), ("r1", "activate"), ("r1", "snapshot")
+    ]
 
 
 @pytest.mark.parametrize("seed", range(20))
