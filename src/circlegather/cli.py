@@ -51,6 +51,10 @@ EXIT_PARSE = 1
 EXIT_ILLEGAL = 2
 EXIT_LIMIT = 3
 
+#: Robots the taxonomy search places: an asymmetric set of them needs a
+#: denominator bound above this count, or only the regular polygon fits.
+CLASS_SEARCH_N = 6
+
 
 def main(argv=None) -> int:
     try:
@@ -147,8 +151,8 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
-def _int(obj: dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
+def _int(obj: dict, key: str) -> int:
+    value = obj[key]
     # JSON true and false are bools, which Python counts as ints.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{key!r} must be an integer, got {value!r}")
@@ -190,26 +194,19 @@ def _policy_from_json(obj):
     if kind == "ssync" and "fairness_window" in obj:
         raise ParseError("ssync policy field 'fairness_window' is now 'max_skips'")
     reject_unknown_keys(obj, _POLICY_KEYS[kind], f"{kind} policy field")
+    if kind == "fsync":
+        return FsyncPolicy()
+    if kind == "scripted":
+        events = obj.get("events", [])
+        if not isinstance(events, list):
+            raise ParseError("scripted policy 'events' must be a list")
+        return ScriptedPolicy([_event_from_json(e) for e in events])
+    # The policy's own defaults fill in every integer key the document omits.
+    ints = {key: _int(obj, key) for key in obj if key != "kind"}
     try:
-        if kind == "fsync":
-            return FsyncPolicy()
-        if kind == "ssync":
-            return SsyncPolicy(
-                seed=_int(obj, "seed", 0),
-                max_skips=_int(obj, "max_skips", 3),
-            )
-        if kind == "async-random":
-            return AsyncRandomPolicy(
-                seed=_int(obj, "seed", 0),
-                delay_denominator_bound=_int(obj, "delay_denominator_bound", 8),
-            )
+        return (SsyncPolicy if kind == "ssync" else AsyncRandomPolicy)(**ints)
     except ValueError as exc:
         raise ParseError(f"bad {kind} policy: {exc}")
-    # The scripted policy.
-    events = obj.get("events", [])
-    if not isinstance(events, list):
-        raise ParseError("scripted policy 'events' must be a list")
-    return ScriptedPolicy([_event_from_json(e) for e in events])
 
 
 def _options_from_json(obj) -> RunOptions:
@@ -238,7 +235,8 @@ def load_run_config(obj):
     lim = _object(obj.get("limits", {}), "'limits'")
     reject_unknown_keys(lim, {"max_events", "max_time"}, "limits field")
     limits = RunLimits()
-    limits.max_events = _at_least(_int(lim, "max_events", limits.max_events), 1, "'max_events'")
+    if "max_events" in lim:
+        limits.max_events = _at_least(_int(lim, "max_events"), 1, "'max_events'")
     if "max_time" in lim:
         limits.max_time = parse_time(lim["max_time"])
     options = _options_from_json(obj.get("options", {}))
@@ -297,8 +295,8 @@ def _parse_range(text: str) -> range:
         span = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise ParseError(f"--n must be N or LO..HI, got {text!r}")
-    if not span:
-        raise ParseError(f"--n range {text!r} is empty")
+    if not 0 < span.stop - span.start <= sys.maxsize:  # len(span) must fit an index
+        raise ParseError(f"--n range {text!r} is empty or too long")
     return span
 
 
@@ -308,8 +306,9 @@ def cmd_verify(args) -> int:
     _at_least(args.sim_count, 0, "--sim-count")
     _at_least(args.search_budget, 0, "--search-budget")
     _at_least(args.max_events, 1, "--max-events")
+    _at_least(args.denominator_bound, CLASS_SEARCH_N + 1, "--denominator-bound")
     try:
-        # A spec at the smallest robot count checks both --n and the bound.
+        # A spec at the smallest robot count checks --n.
         GeneratorSpec(n=n_range[0], denominator_bound=args.denominator_bound, seed=args.seed)
     except ValueError as exc:
         raise ParseError(str(exc))
@@ -336,20 +335,18 @@ def verify_sweep(
     max_events: int,
 ) -> dict:
     """Proposition sweep + taxonomy search + batch simulations, as one report."""
-    ns = list(n_range)
-    sweep = proposition_sweep(ns, count, seed, denominator_bound)
+    sweep = proposition_sweep(n_range, count, seed, denominator_bound)
 
     classes_found = {}
     for target in ConfigurationClass:
-        spec = GeneratorSpec(n=6, denominator_bound=denominator_bound, seed=seed)
+        spec = GeneratorSpec(n=CLASS_SEARCH_N, denominator_bound=denominator_bound, seed=seed)
         found = search_class(target, spec, search_budget)
         classes_found[target.value] = found.to_json() if found else None
 
     sim_failures = []
     for i in range(sim_count):
-        spec = GeneratorSpec(
-            n=ns[i % len(ns)], denominator_bound=denominator_bound, seed=seed + 7919 * (i + 1)
-        )
+        n = n_range[i % len(n_range)]
+        spec = GeneratorSpec(n=n, denominator_bound=denominator_bound, seed=seed + 7919 * (i + 1))
         config = random_config(spec)
         try:
             trace = run(config, FsyncPolicy(), RunLimits(max_events=max_events))

@@ -11,9 +11,10 @@ Angles are exact Fractions at every public boundary. A
 occupied points on their common-denominator lattice, sorted clockwise, so
 every observer's view of one world state is two slices of one ring of
 ints, shifted to the observer. :func:`elect` is the one integer leader
-election: the gaps between those ints, then the symmetry test (the gap
-list has a nontrivial period) and the leader (the start of the least
-rotation of the gaps), in linear time. The symmetry test and leader of a
+election: one Lyndon factorisation of the gaps between those ints gives
+both the leader (the start of the least rotation of the gaps) and the
+symmetry test (that rotation is a power of a shorter word), in linear
+time. The symmetry test and leader of a
 configuration each read one view and call it, and so does the analysis.
 :func:`gap_sequence` is the independent Fraction path the oracle reads.
 A :class:`Snapshot` keeps ints: its visible points are ticks over one
@@ -206,47 +207,28 @@ def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:
     return tuple(b - a for a, b in zip(pts, pts[1:])) + (1 - pts[-1] + pts[0],)
 
 
-def least_rotation(seq: Sequence[int]) -> int:
-    """Start index of the lexicographically least rotation of ``seq``.
+def least_rotation(seq: Sequence[int]) -> Tuple[int, int]:
+    """(start, period) of the lexicographically least rotation of ``seq``.
 
     Duval's Lyndon factorisation run over the doubled sequence (Duval 1983),
-    in linear time. For a periodic sequence any start of a least rotation
+    in linear time. The least rotation is a power of one Lyndon word, and
+    ``period`` is that word's length, so ``seq`` equals a nontrivial rotation
+    of itself iff ``period < len(seq)``; then any start of a least rotation
     may come back.
     """
     n = len(seq)
     doubled = list(seq) * 2
-    i = start = 0
+    i = start = period = 0
     while i < n:
         start = i
         j, k = i + 1, i
         while j < 2 * n and doubled[k] <= doubled[j]:
             k = i if doubled[k] < doubled[j] else k + 1
             j += 1
+        period = j - k
         while i <= k:
-            i += j - k
-    return start
-
-
-def has_period(seq: Sequence[int]) -> bool:
-    """True iff a rotation by fewer than ``len(seq)`` steps maps ``seq`` onto itself.
-
-    The smallest period p of a sequence follows from its longest proper
-    border (the KMP prefix function): p = n - border. The sequence equals a
-    nontrivial rotation of itself iff p < n and p divides n.
-    """
-    n = len(seq)
-    if n < 2:
-        return False
-    border = [0] * n
-    for i in range(1, n):
-        b = border[i - 1]
-        while b and seq[i] != seq[b]:
-            b = border[b - 1]
-        if seq[i] == seq[b]:
-            b += 1
-        border[i] = b
-    period = n - border[-1]
-    return period < n and n % period == 0
+            i += period
+    return start, period
 
 
 class LatticeView:
@@ -316,13 +298,16 @@ def elect(ticks: Sequence[int], d: int) -> Optional[int]:
     """Leader index of the points ``ticks`` over ``d``, or None when symmetric.
 
     ``ticks`` are sorted and distinct, so the gaps are positive and sum to ``d``.
-    Every rotation maps the empty set onto itself, so it is symmetric.
+    One :func:`least_rotation` pass: the leader starts the least rotation of
+    the gaps, and the points are symmetric iff its period is shorter than the
+    gap list. Every rotation maps the empty set onto itself, so it is symmetric.
     """
     if not ticks:
         return None
     gaps = [b - a for a, b in zip(ticks, ticks[1:])]
     gaps.append(ticks[0] + d - ticks[-1])
-    return None if has_period(gaps) else least_rotation(gaps)
+    start, period = least_rotation(gaps)
+    return None if period < len(gaps) else start
 
 
 def _positions_of(config) -> Tuple[Fraction, ...]:

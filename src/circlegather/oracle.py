@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .angles import HALF_TURN, antipode, cw_angle, format_angle
 from .analysis import ConfigurationClass, configuration_class
 from .configuration import Configuration, gap_sequence, true_leader
-from .errors import GenerationExhausted, SymmetricConfiguration
+from .errors import CircleGatherError, GenerationExhausted, SymmetricConfiguration
 
 # ---------------------------------------------------------------------------
 # Generation
@@ -470,7 +470,8 @@ def shrink_config(config: Configuration, predicate) -> Configuration:
 
 
 def _safe_predicate(predicate, config: Configuration) -> bool:
+    """False where ``predicate`` raises a package error, as on a symmetric candidate."""
     try:
         return bool(predicate(config))
-    except Exception:
+    except CircleGatherError:
         return False

@@ -23,6 +23,8 @@ _STATE_COLORS = {
     "terminate": "#8a8a8a",
 }
 
+MAX_IMAGE_SIZE = 10_000  # pixels per frame side; far larger sizes overflow a float
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -36,6 +38,8 @@ class RenderSpec:
             raise ValueError("frame stride must be at least 1")
         if self.image_size < 60:
             raise ValueError("image size too small to draw anything")
+        if self.image_size > MAX_IMAGE_SIZE:
+            raise ValueError(f"image size must be at most {MAX_IMAGE_SIZE}")
 
 
 def render_svg(trace: Trace, spec: RenderSpec) -> str:

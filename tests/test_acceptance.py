@@ -52,8 +52,8 @@ SWEEP_DENOMINATOR = 120
 RUN_COUNT = 500
 EVENT_LIMIT = 100_000
 
-#: The merge phase uses the wide half-turn walk threshold; under the default
-#: quarter-turn threshold two merge points can deadlock facing each other.
+#: The merge phase uses the wide half-turn walk threshold, the default; under
+#: the quarter-turn threshold two merge points can deadlock facing each other.
 RUN_OPTIONS = RunOptions(multiplicity_threshold=HALF_TURN)
 
 

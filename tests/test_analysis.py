@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlegather import analysis, configuration
+from circlegather import analysis
 from circlegather.analysis import (
     ConfigurationClass,
     LeaderTag,
@@ -26,8 +26,6 @@ from circlegather.configuration import (
     Configuration,
     Snapshot,
     gap_sequence,
-    has_period,
-    least_rotation,
     snapshot_of_positions,
     take_snapshot,
     true_leader,
@@ -229,19 +227,25 @@ def test_analysis_report_shape(worked):
 # The int election against the Fraction rule it replaced
 
 
-def reference_hypotheses(snapshot, symmetric=has_period):
+def naive_has_period(gaps):
+    """Some nontrivial rotation of ``gaps`` equals ``gaps``."""
+    return any(gaps[k:] + gaps[:k] == gaps for k in range(1, len(gaps)))
+
+
+def reference_hypotheses(snapshot, symmetric=naive_has_period):
     """(c0, c1, possibility, c0 leader, c1 leader) on Fractions.
 
     c0 is the observer at 0 plus the offsets, c1 adds the half turn and is
-    sorted, and each is elected on its own Fraction ``gap_sequence``;
-    leaders are positions.
+    sorted, and each is elected on its own Fraction ``gap_sequence`` by
+    comparing every rotation; leaders are positions.
     """
     c0 = (Fraction(0),) + tuple(Fraction(t, snapshot.d) for t in snapshot.ticks)
     c1 = tuple(sorted(c0 + (HALF_TURN,)))
     leaders = []
     for positions in (c0, c1):
         pts, gaps = sorted(positions), gap_sequence(positions)
-        leaders.append(None if symmetric(gaps) else pts[least_rotation(gaps)])
+        least = min(range(len(gaps)), key=lambda k: gaps[k:] + gaps[:k])
+        leaders.append(None if symmetric(gaps) else pts[least])
     lead0, lead1 = leaders
     if lead0 is None and lead1 is None:
         raise AmbiguousSymmetric("both antipodal hypotheses are symmetric")
@@ -370,8 +374,8 @@ def cold_caches():
 
 def test_both_hypotheses_symmetric_raises_like_the_reference(monkeypatch, cold_caches):
     """No real view makes both hypotheses symmetric (see the enumeration
-    above), so every gap list is declared periodic to reach the raise."""
-    monkeypatch.setattr(configuration, "has_period", lambda gaps: True)
+    above), so ``elect`` declares every hypothesis symmetric to reach the raise."""
+    monkeypatch.setattr(analysis, "elect", lambda ticks, d: None)
     for snapshot in (plain(1, ()), plain(7, (1, 3)), plain(20, (2, 9, 14))):
         with pytest.raises(AmbiguousSymmetric):
             reference_hypotheses(snapshot, symmetric=lambda gaps: True)

@@ -9,6 +9,7 @@ import pytest
 
 import circlegather
 from circlegather.cli import main
+from circlegather.render import MAX_IMAGE_SIZE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -278,8 +279,12 @@ def test_verify_reports_sweep_failures_with_exit_3(monkeypatch, capsys):
 BAD_VERIFY_FLAGS = {
     "n_not_a_number": ["--n", "abc"],
     "n_range_empty": ["--n", "5..3"],
+    "n_range_longer_than_an_index": ["--n", "3.." + "1" + "0" * 30],
     "n_below_two": ["--n", "1"],
     "denominator_bound_zero": ["--denominator-bound", "0"],
+    # The class search places 6 robots; on 6 lattice points only the hexagon fits.
+    "denominator_bound_below_the_class_search": ["--denominator-bound", "5"],
+    "denominator_bound_at_the_class_search": ["--denominator-bound", "6"],
     "count_zero": ["--count", "0"],
     "sim_count_negative": ["--sim-count", "-1"],
     "search_budget_negative": ["--search-budget", "-1"],
@@ -329,6 +334,23 @@ def test_verify_with_no_configuration_to_generate_is_a_parse_error(capsys):
     out, err = capsys.readouterr()
     assert err.startswith("parse error: ") and err.count("\n") == 1
     assert "Traceback" not in err and not out
+
+
+def test_verify_with_more_robots_than_lattice_points_is_a_parse_error(capsys):
+    argv = ["verify", "--n", "10", "--denominator-bound", "7", "--count", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        "parse error: no configuration of n=10 distinct points with denominator bound 7\n"
+    )
+    assert not out
+
+
+def test_verify_reads_a_huge_n_range_without_listing_it(capsys):
+    # Listing 3..10**12 would take about 8 TB.
+    assert main(["verify", "--n", "3..1000000000000", "--count", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and report["configs_checked"] == 3
 
 
 def _worked_robots():
@@ -443,8 +465,18 @@ def test_run_rejects_script_naming_an_unknown_robot(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--frame-stride", "0"], ["--image-size", "59"]],
-    ids=["frame_stride_zero", "image_size_below_60"],
+    [
+        ["--frame-stride", "0"],
+        ["--image-size", "59"],
+        ["--image-size", str(MAX_IMAGE_SIZE + 1)],
+        ["--image-size", "1" + "0" * 400],
+    ],
+    ids=[
+        "frame_stride_zero",
+        "image_size_below_60",
+        "image_size_above_max",
+        "image_size_of_401_digits",
+    ],
 )
 def test_run_rejects_bad_render_flags_before_simulating(flags, tmp_path, capsys):
     rc = write_json(tmp_path / "run.json", run_config_doc())

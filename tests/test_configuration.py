@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from circlegather.configuration import (
     LatticeView,
     Snapshot,
     gap_sequence,
-    has_period,
     is_rotationally_symmetric,
     leader_of_positions,
     least_rotation,
@@ -289,13 +289,26 @@ def test_lattice_gaps_are_the_scaled_gap_sequence(points):
     assert tuple(Fraction(g, d) for g in gaps) == gap_sequence(points)
 
 
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=30))
-def test_least_rotation_and_period_on_ints(seq):
+def assert_least_rotation_matches_definitions(seq):
+    """The start begins a least rotation, and the period is shorter than the
+    sequence iff some nontrivial rotation equals the sequence."""
     n = len(seq)
     rotations = [seq[k:] + seq[:k] for k in range(n)]
-    k = least_rotation(seq)
+    k, period = least_rotation(seq)
     assert rotations[k] == min(rotations)
-    assert has_period(seq) == any(r == seq for r in rotations[1:])
+    assert (period < n) == any(r == seq for r in rotations[1:])
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=30))
+def test_least_rotation_and_period_on_ints(seq):
+    assert_least_rotation_matches_definitions(seq)
+
+
+def test_least_rotation_and_period_on_every_short_sequence():
+    for letters, longest in (((1, 2, 3), 9), ((1, 2), 14)):
+        for n in range(1, longest + 1):
+            for seq in product(letters, repeat=n):
+                assert_least_rotation_matches_definitions(seq)
 
 
 def test_election_edge_cases():

@@ -162,6 +162,12 @@ def test_shrink_config_reduces_while_preserving_predicate():
     )
 
 
+def test_shrink_config_propagates_a_predicate_bug():
+    # Only symmetric or multiplicity candidates count as a failed predicate.
+    with pytest.raises(AttributeError):
+        shrink_config(load_fixture("class_C"), lambda c: c.robotz)
+
+
 # Failure paths: a wrong leader must make the prefix and insertion checks fail.
 WRONG_LEADER_CASES = [
     (["0", "1/5", "2/5", "7/10"], "1/5", "no_left_prefix_rival", "rival at 0/1"),
