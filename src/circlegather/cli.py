@@ -51,9 +51,11 @@ EXIT_PARSE = 1
 EXIT_ILLEGAL = 2
 EXIT_LIMIT = 3
 
-#: Robots the taxonomy search places: an asymmetric set of them needs a
-#: denominator bound above this count, or only the regular polygon fits.
+#: Robots the taxonomy search places, on the even lattice ``bound - bound % 2``:
+#: an odd lattice holds no antipodal pair, so no class but A fits on it.
 CLASS_SEARCH_N = 6
+#: Least denominator bound of the search: no class C set of 6 robots fits below.
+CLASS_SEARCH_MIN_BOUND = 12
 
 
 def main(argv=None) -> int:
@@ -306,7 +308,7 @@ def cmd_verify(args) -> int:
     _at_least(args.sim_count, 0, "--sim-count")
     _at_least(args.search_budget, 0, "--search-budget")
     _at_least(args.max_events, 1, "--max-events")
-    _at_least(args.denominator_bound, CLASS_SEARCH_N + 1, "--denominator-bound")
+    _at_least(args.denominator_bound, CLASS_SEARCH_MIN_BOUND, "--denominator-bound")
     try:
         # A spec at the smallest robot count checks --n.
         GeneratorSpec(n=n_range[0], denominator_bound=args.denominator_bound, seed=args.seed)
@@ -338,8 +340,9 @@ def verify_sweep(
     sweep = proposition_sweep(n_range, count, seed, denominator_bound)
 
     classes_found = {}
+    even = denominator_bound - denominator_bound % 2
+    spec = GeneratorSpec(n=CLASS_SEARCH_N, denominator_bound=even, seed=seed)
     for target in ConfigurationClass:
-        spec = GeneratorSpec(n=CLASS_SEARCH_N, denominator_bound=denominator_bound, seed=seed)
         found = search_class(target, spec, search_budget)
         classes_found[target.value] = found.to_json() if found else None
 

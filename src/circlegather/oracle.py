@@ -1,18 +1,22 @@
 """Independent brute-force oracles and randomized searchers.
 
-Everything here re-derives verdicts through a second code path. Each point
-set (a configuration, a robot's two hypotheses C0 and C1, a configuration
-with one probe robot inserted) gets its sorted ``Fraction`` gap list built
-once: ``gap_sequence`` builds it for a configuration and for C0, and a set
-that is its parent set plus one point (C1 is C0 plus the antipode, a probe
-set is the configuration plus the probe) gets it spliced from the parent's
-list by :func:`_insert`, since the new point only splits one gap. The
-symmetry test and the leader election both read that list, and the leader
-is elected once per point set by comparing every cyclic rotation of it with
-every other. Per-robot classification is built directly from raw position
-sets, and the structural claims the analysis layer relies on are enumerated
-directly. Failures are data (reported with a witness), not exceptions, so a
-sweep can tally them.
+Everything here re-derives verdicts through a second code path. Each entry
+point scales its sorted positions once onto its own integer lattice, the lcm
+of a base and their denominators (:func:`_scale`): base 2 for a leader or one
+robot's classification, so the antipode of tick t is ``(t + L/2) % L``, and
+the probe grid's lcm(1..12) for the structural claims, so every probe is a
+tick too. Each point set (a configuration, a robot's two hypotheses C0 and
+C1, a configuration with one probe robot inserted) then gets its sorted int
+gap list built once: :func:`_gaps` builds it from neighbour differences, and
+a set that is its parent set plus one point (C1 is C0 plus the antipode, a
+probe set is the configuration plus the probe) gets it spliced from the
+parent's list by :func:`_insert`, since the new point only splits one gap.
+The symmetry test and the leader election both read that list, and the
+leader is elected once per point set by comparing every cyclic rotation of
+it with every other. Fractions appear only at the boundary: a leader, a
+verdict's position and a witness. The structural claims the analysis layer
+relies on are enumerated directly. Failures are data (reported with a
+witness), not exceptions, so a sweep can tally them.
 
 :func:`proposition_sweep` is the one sweep over random configurations that
 both ``gather-sim verify`` and the acceptance suite run.
@@ -24,13 +28,14 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .angles import HALF_TURN, antipode, cw_angle, format_angle
+from .angles import format_angle
 from .analysis import ConfigurationClass, configuration_class
-from .configuration import Configuration, gap_sequence, true_leader
-from .errors import CircleGatherError, GenerationExhausted, SymmetricConfiguration
+from .configuration import Configuration, true_leader
+from .errors import CircleGatherError, GenerationExhausted, MultiplicityPresent, SymmetricConfiguration
 
 # ---------------------------------------------------------------------------
 # Generation
@@ -66,20 +71,30 @@ def random_config(spec: GeneratorSpec, rng: Optional[Random] = None) -> Configur
         )
     rng = rng or Random(f"gen:{spec.seed}")
     for _ in range(RETRY_CAP):
-        points = [Fraction(rng.randrange(d), d) for _ in range(spec.n)]
-        if len(set(points)) != spec.n:
+        ticks = sorted(rng.randrange(d) for _ in range(spec.n))
+        if len(set(ticks)) != spec.n or _has_period(_gaps(ticks, d)):
             continue
-        gaps = gap_sequence(points)
-        if _has_period(gaps):
-            continue
-        return Configuration.from_points(sorted(points))
+        return Configuration.from_points([Fraction(t, d) for t in ticks])
     raise GenerationExhausted(
         f"no asymmetric configuration with n={spec.n}, denominator bound {d} "
         f"after {RETRY_CAP} attempts"
     )
 
 
-def _has_period(gaps: Tuple[Fraction, ...]) -> bool:
+def _scale(points: Sequence[Fraction], base: int) -> Tuple[int, List[int]]:
+    """(L, ticks): L = lcm(base, denominators), and each point times L."""
+    L = lcm(base, *(p.denominator for p in points))
+    return L, [p.numerator * (L // p.denominator) for p in points]
+
+
+def _gaps(ticks: Sequence[int], L: int) -> Tuple[int, ...]:
+    """Clockwise gaps between sorted distinct ``ticks`` of the 1/L lattice."""
+    if len(set(ticks)) != len(ticks):
+        raise MultiplicityPresent("operation undefined with a multiplicity point")
+    return tuple(b - a for a, b in zip(ticks, ticks[1:])) + (L - ticks[-1] + ticks[0],)
+
+
+def _has_period(gaps: Tuple[int, ...]) -> bool:
     n = len(gaps)
     doubled = gaps + gaps
     return any(doubled[k : k + n] == gaps for k in range(1, n))
@@ -89,12 +104,11 @@ def _has_period(gaps: Tuple[Fraction, ...]) -> bool:
 # Independent leader election: least cyclic rotation of the gap sequence
 
 
-def _least_rotation(gaps: Tuple[Fraction, ...]) -> int:
+def _least_rotation(gaps: Tuple[int, ...]) -> int:
     """Start index of the least cyclic rotation of ``gaps``.
 
-    Every rotation is compared naively on Fractions: deliberately a
-    different algorithm from the linear-time integer election of the
-    analysis layer.
+    Every rotation is compared naively: deliberately a different algorithm
+    from the linear-time Lyndon election of the analysis layer.
     """
     n = len(gaps)
     doubled = gaps + gaps
@@ -110,20 +124,20 @@ def brute_force_leader(config: Configuration) -> Fraction:
     positions = sorted(set(config.positions))
     if len(positions) != len(config.positions):
         raise SymmetricConfiguration("leader undefined with a multiplicity point")
-    gaps = gap_sequence(positions)
+    L, ticks = _scale(positions, 2)
+    gaps = _gaps(ticks, L)
     if _has_period(gaps):
         raise SymmetricConfiguration("no unique leader in a symmetric configuration")
     return positions[_least_rotation(gaps)]
 
 
-def _insert(
-    positions: List[Fraction], gaps: Tuple[Fraction, ...], p: Fraction
-) -> Tuple[List[Fraction], Tuple[Fraction, ...]]:
+def _insert(positions: List, gaps: Tuple, p) -> Tuple[List, Tuple]:
     """``positions`` with ``p`` added, and its gap list, spliced from ``gaps``.
 
-    ``positions`` are sorted distinct points of [0, 1) with gap list
-    ``gaps``; ``p`` is a new point of [0, 1). It splits the one gap it falls
-    in, so this equals ``gap_sequence`` of the new set.
+    ``positions`` are sorted distinct points of one circle (angles of [0, 1)
+    or ticks of a lattice) with gap list ``gaps``; ``p`` is a new point of
+    it. It splits the one gap it falls in, so this equals the gap list of
+    the new set.
     """
     i = bisect(positions, p)
     if i == 0:
@@ -155,13 +169,19 @@ def oracle_classify(positions: Sequence[Fraction], me: Fraction) -> RobotVerdict
 
     ``positions`` and ``me`` are angles in [0, 1), as in a configuration.
     """
-    far = antipode(me)
-    c0 = sorted([p for p in positions if p != me and p != far] + [me])
-    gaps0 = gap_sequence(c0)
+    L, ticks = _scale([*positions, me], 2)
+    return _classify(ticks[:-1], L, me, ticks[-1])
+
+
+def _classify(ticks: Sequence[int], L: int, me: Fraction, tick: int) -> RobotVerdict:
+    """:func:`oracle_classify` on ticks of an even lattice; ``me`` is at ``tick``."""
+    far = (tick + L // 2) % L
+    c0 = sorted([t for t in ticks if t != tick and t != far] + [tick])
+    gaps0 = _gaps(c0, L)
     c1, gaps1 = _insert(c0, gaps0, far)
     sym0, sym1 = _has_period(gaps0), _has_period(gaps1)
-    leads0 = None if sym0 else c0[_least_rotation(gaps0)] == me
-    leads1 = None if sym1 else c1[_least_rotation(gaps1)] == me
+    leads0 = None if sym0 else c0[_least_rotation(gaps0)] == tick
+    leads1 = None if sym1 else c1[_least_rotation(gaps1)] == tick
     if sym0 and sym1:
         raise SymmetricConfiguration("both hypotheses symmetric")
     if sym0:
@@ -197,8 +217,11 @@ CHECK_NAMES = (
 )
 
 
-#: The points proposition 2 inserts a robot at: every angle of denominator at most 12.
-_PROBES = tuple(sorted({Fraction(k, d) for d in range(1, 13) for k in range(d)}))
+#: lcm(1..12): the lattice :func:`_check` scales onto, so that every probe is a tick.
+_PROBE_LATTICE = lcm(*range(1, 13))
+
+#: The ticks proposition 2 inserts a robot at: every angle of denominator at most 12.
+_PROBES = tuple(sorted({k * (_PROBE_LATTICE // d) for d in range(1, 13) for k in range(d)}))
 
 
 @dataclass
@@ -226,16 +249,22 @@ def _check(config: Configuration):
     """(:func:`check_propositions` report, oracle leader, robot verdicts)."""
     positions = sorted(config.positions)
     n = len(positions)
-    occupied = set(positions)
+    L, ticks = _scale(positions, _PROBE_LATTICE)
+    half = L // 2
+    occupied = set(ticks)
     leader = brute_force_leader(config)
     lead_at = positions.index(leader)
-    gaps = gap_sequence(positions)
+    lt = ticks[lead_at]
+    gaps = _gaps(ticks, L)
     doubled = gaps * 2
-    verdicts = [oracle_classify(positions, p) for p in positions]
-    by_pos = {v.pos: v for v in verdicts}
-    expected = [v for v in verdicts if v.tag != "follower"]
-    confused = [v for v in verdicts if v.tag == "confused-leader"]
-    sure = [v for v in verdicts if v.tag == "sure-leader"]
+    verdicts = [_classify(ticks, L, p, t) for p, t in zip(positions, ticks)]
+    # Each group holds indices into positions, ticks and verdicts.
+    expected = [i for i, v in enumerate(verdicts) if v.tag != "follower"]
+    confused = [i for i, v in enumerate(verdicts) if v.tag == "confused-leader"]
+    sure = [i for i, v in enumerate(verdicts) if v.tag == "sure-leader"]
+
+    def at(i: int) -> str:
+        return format_angle(positions[i])
 
     report: Dict[str, CheckResult] = {}
 
@@ -244,80 +273,72 @@ def _check(config: Configuration):
     #    the gap list starting at i, and the leader is (lead_at - i) % n hops
     #    clockwise from it.
     bad = None
-    for i, p in enumerate(positions):
-        if p == leader or cw_angle(leader, p) <= HALF_TURN:
+    for i, t in enumerate(ticks):
+        if i == lead_at or (t - lt) % L <= half:
             continue
         hops = (lead_at - i) % n
         if doubled[i : i + hops] == doubled[lead_at : lead_at + hops]:
-            bad = p
+            bad = i
             break
     report["no_left_prefix_rival"] = CheckResult(
-        bad is None, None if bad is None else f"rival at {format_angle(bad)}"
+        bad is None, None if bad is None else f"rival at {at(bad)}"
     )
 
     # 2. Inserting a robot at an empty point (creating no symmetry) can only
     #    move the leader into the clockwise interval [old leader, new robot].
     bad = None
+    step = L // _PROBE_LATTICE
     for probe in _PROBES:
+        probe *= step
         if probe in occupied:
             continue
-        new_positions, new_gaps = _insert(positions, gaps, probe)
+        new_ticks, new_gaps = _insert(ticks, gaps, probe)
         if _has_period(new_gaps):
             continue
-        new_leader = new_positions[_least_rotation(new_gaps)]
-        if cw_angle(leader, new_leader) > cw_angle(leader, probe):
+        new_leader = new_ticks[_least_rotation(new_gaps)]
+        if (new_leader - lt) % L > (probe - lt) % L:
             bad = (probe, new_leader)
             break
     report["insertion_keeps_leader_in_arc"] = CheckResult(
         bad is None,
         None
         if bad is None
-        else f"probe {format_angle(bad[0])} elects {format_angle(bad[1])}",
+        else f"probe {format_angle(Fraction(bad[0], L))} elects "
+        f"{format_angle(Fraction(bad[1], L))}",
     )
 
     # 3. A confused leader always leads its antipode-empty hypothesis and
     #    never the antipode-occupied one.
     bad = next(
-        (v for v in confused if not (v.leads_c0 and not v.leads_c1)), None
+        (i for i in confused if not (verdicts[i].leads_c0 and not verdicts[i].leads_c1)),
+        None,
     )
     report["confused_leads_empty_hypothesis_only"] = CheckResult(
-        bad is None, None if bad is None else f"robot at {format_angle(bad.pos)}"
+        bad is None, None if bad is None else f"robot at {at(bad)}"
     )
 
     # 4. If the true leader is confused, its antipodal point is empty.
-    bad = None
-    lv = by_pos[leader]
-    if lv.tag == "confused-leader" and antipode(leader) in occupied:
-        bad = leader
+    ok = not (lead_at in confused and (lt + half) % L in occupied)
     report["confused_true_leader_antipode_empty"] = CheckResult(
-        bad is None, None if bad is None else f"leader at {format_angle(bad)}"
+        ok, None if ok else f"leader at {format_angle(leader)}"
     )
 
     # 5. If a non-leader is confused, its antipodal point is occupied.
     bad = next(
-        (
-            v
-            for v in confused
-            if v.pos != leader and antipode(v.pos) not in occupied
-        ),
+        (i for i in confused if i != lead_at and (ticks[i] + half) % L not in occupied),
         None,
     )
     report["confused_non_leader_antipode_occupied"] = CheckResult(
-        bad is None, None if bad is None else f"robot at {format_angle(bad.pos)}"
+        bad is None, None if bad is None else f"robot at {at(bad)}"
     )
 
     # 6. Any expected leader other than the true leader sits at clockwise
     #    angle at least a half turn from it.
     bad = next(
-        (
-            v
-            for v in expected
-            if v.pos != leader and cw_angle(leader, v.pos) < HALF_TURN
-        ),
-        None,
+        (i for i in expected if i != lead_at and (ticks[i] - lt) % L < half), None
     )
     report["other_expected_leader_half_turn_away"] = CheckResult(
-        bad is None, None if bad is None else f"robot at {format_angle(bad.pos)}"
+        bad is None, None if bad is None else f"robot at {at(bad)}"
     )
 
     # 7. At most one sure leader (and it is the true leader), at most one
@@ -325,8 +346,8 @@ def _check(config: Configuration):
     ok = (
         len(expected) in (1, 2)
         and len(sure) <= 1
-        and all(v.pos == leader for v in sure)
-        and len([v for v in confused if v.pos != leader]) <= 1
+        and all(i == lead_at for i in sure)
+        and len([i for i in confused if i != lead_at]) <= 1
     )
     report["expected_leader_cardinality"] = CheckResult(
         ok,
@@ -337,24 +358,19 @@ def _check(config: Configuration):
     )
 
     # 8. Two confused leaders are never antipodal to each other.
-    bad = None
-    if len(confused) == 2 and confused[0].pos == antipode(confused[1].pos):
-        bad = confused
-    report["confused_pair_not_antipodal"] = CheckResult(bad is None)
+    ok = not (len(confused) == 2 and ticks[confused[0]] == (ticks[confused[1]] + half) % L)
+    report["confused_pair_not_antipodal"] = CheckResult(ok)
 
     # 9. Two confused leaders' first clockwise neighbors are never antipodal
     #    to each other.
     bad = None
     if len(confused) == 2:
-        nb0 = positions[(positions.index(confused[0].pos) + 1) % n]
-        nb1 = positions[(positions.index(confused[1].pos) + 1) % n]
-        if nb0 == antipode(nb1):
+        nb0, nb1 = ((i + 1) % n for i in confused)
+        if ticks[nb0] == (ticks[nb1] + half) % L:
             bad = (nb0, nb1)
     report["confused_pair_neighbors_not_antipodal"] = CheckResult(
         bad is None,
-        None
-        if bad is None
-        else f"neighbors {format_angle(bad[0])}, {format_angle(bad[1])}",
+        None if bad is None else f"neighbors {at(bad[0])}, {at(bad[1])}",
     )
 
     return report, leader, verdicts

@@ -3,7 +3,8 @@
 Each test covers one numbered acceptance criterion and prints a single
 PASS/FAIL line (bypassing capture) so a log scan shows the verdicts at a
 glance. Expected values are recomputed by the independent oracles at test
-time, never hard-coded as ground truth.
+time, never hard-coded as ground truth. Criterion 1 also pins the tallies of
+its corpus, as a regression check that the sweep's output has not moved.
 """
 
 import hashlib
@@ -88,6 +89,16 @@ def test_criterion_1_proposition_sweep(sweep):
     )
     assert sweep.checked >= SWEEP_SIZE
     assert not failures, failures[:3]
+    # The oracle and the generator may change how they compute, never what
+    # they produce.
+    assert sweep.checked == SWEEP_SIZE and not sweep.leader_mismatches
+    confused, sure = "confused-leader", "sure-leader"
+    assert sweep.cases == {
+        (confused,): 2357,
+        (confused, confused): 62,
+        (confused, sure): 82,
+        (sure,): 7499,
+    }
 
 
 def test_criterion_2_expected_leader_cardinality(sweep):

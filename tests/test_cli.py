@@ -9,6 +9,7 @@ import pytest
 
 import circlegather
 from circlegather.cli import main
+from circlegather.configuration import Configuration
 from circlegather.render import MAX_IMAGE_SIZE
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -285,6 +286,8 @@ BAD_VERIFY_FLAGS = {
     # The class search places 6 robots; on 6 lattice points only the hexagon fits.
     "denominator_bound_below_the_class_search": ["--denominator-bound", "5"],
     "denominator_bound_at_the_class_search": ["--denominator-bound", "6"],
+    # No class C set of 6 robots fits on a lattice below 12.
+    "denominator_bound_below_class_c": ["--denominator-bound", "11"],
     "count_zero": ["--count", "0"],
     "sim_count_negative": ["--sim-count", "-1"],
     "search_budget_negative": ["--search-budget", "-1"],
@@ -327,6 +330,28 @@ def test_help_exits_zero(capsys):
     assert "gather-sim" in capsys.readouterr().out
 
 
+def test_verify_finds_every_class_under_an_odd_denominator_bound(capsys):
+    # An odd lattice holds no antipodal pair, so the class search draws on 1/40.
+    argv = ["verify", "--n", "3..4", "--denominator-bound", "41", "--count", "4",
+            "--sim-count", "1"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert sorted(report["classes_found"]) == ["A", "BI", "BII", "C"]
+    for found in report["classes_found"].values():
+        positions = Configuration.from_json(found).positions
+        assert all(40 % p.denominator == 0 for p in positions)
+
+
+def test_verify_rejects_a_denominator_bound_below_class_c(capsys):
+    argv = ["verify", "--n", "3..4", "--denominator-bound", "11", "--count", "4",
+            "--sim-count", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "parse error: --denominator-bound must be at least 12, got 11\n"
+    assert not out
+
+
 def test_verify_with_no_configuration_to_generate_is_a_parse_error(capsys):
     # No asymmetric 10-robot configuration fits on 5 lattice points.
     argv = ["verify", "--n", "10", "--denominator-bound", "5", "--count", "1"]
@@ -337,11 +362,11 @@ def test_verify_with_no_configuration_to_generate_is_a_parse_error(capsys):
 
 
 def test_verify_with_more_robots_than_lattice_points_is_a_parse_error(capsys):
-    argv = ["verify", "--n", "10", "--denominator-bound", "7", "--count", "1"]
+    argv = ["verify", "--n", "13", "--denominator-bound", "12", "--count", "1"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err == (
-        "parse error: no configuration of n=10 distinct points with denominator bound 7\n"
+        "parse error: no configuration of n=13 distinct points with denominator bound 12\n"
     )
     assert not out
 

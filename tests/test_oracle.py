@@ -2,22 +2,25 @@ import json
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circlegather.analysis import ConfigurationClass, classify, configuration_class
+from circlegather.angles import HALF_TURN, antipode, cw_angle, format_angle
 from circlegather.configuration import (
     Configuration,
     gap_sequence,
     take_snapshot,
     true_leader,
 )
-from circlegather.errors import GenerationExhausted, SymmetricConfiguration
+from circlegather.errors import CircleGatherError, GenerationExhausted, SymmetricConfiguration
 from circlegather.oracle import (
     CHECK_NAMES,
     RETRY_CAP,
     GeneratorSpec,
+    RobotVerdict,
     brute_force_leader,
     check_propositions,
     oracle_classify,
@@ -211,4 +214,241 @@ def test_insert_splices_the_gap_list_of_the_larger_set(data):
 def test_oracle_stays_independent_of_the_lattice_election():
     import circlegather.oracle as oracle
 
-    assert not {"lattice", "least_rotation", "has_period"} & set(vars(oracle))
+    banned = {"lattice", "least_rotation", "has_period", "LatticeView", "elect"}
+    assert not banned & set(vars(oracle))
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the oracle as it was before it computed on lattice
+# ints. Each point set's gap list comes from ``gap_sequence``, never spliced.
+
+
+def ref_has_period(gaps):
+    n = len(gaps)
+    doubled = gaps + gaps
+    return any(doubled[k : k + n] == gaps for k in range(1, n))
+
+
+def ref_least_rotation(gaps):
+    n = len(gaps)
+    doubled = gaps + gaps
+    best = 0
+    for k in range(1, n):
+        if doubled[k : k + n] < doubled[best : best + n]:
+            best = k
+    return best
+
+
+def ref_random_config(spec, rng=None):
+    d = spec.denominator_bound
+    if spec.n > d:
+        raise GenerationExhausted(
+            f"no configuration of n={spec.n} distinct points with denominator bound {d}"
+        )
+    rng = rng or Random(f"gen:{spec.seed}")
+    for _ in range(RETRY_CAP):
+        points = [Fraction(rng.randrange(d), d) for _ in range(spec.n)]
+        if len(set(points)) != spec.n or ref_has_period(gap_sequence(points)):
+            continue
+        return Configuration.from_points(sorted(points))
+    raise GenerationExhausted(
+        f"no asymmetric configuration with n={spec.n}, denominator bound {d} "
+        f"after {RETRY_CAP} attempts"
+    )
+
+
+def ref_brute_force_leader(config):
+    positions = sorted(set(config.positions))
+    if len(positions) != len(config.positions):
+        raise SymmetricConfiguration("leader undefined with a multiplicity point")
+    gaps = gap_sequence(positions)
+    if ref_has_period(gaps):
+        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
+    return positions[ref_least_rotation(gaps)]
+
+
+def ref_oracle_classify(positions, me):
+    far = antipode(me)
+    c0 = sorted([p for p in positions if p != me and p != far] + [me])
+    c1 = sorted(c0 + [far])
+    gaps0, gaps1 = gap_sequence(c0), gap_sequence(c1)
+    sym0, sym1 = ref_has_period(gaps0), ref_has_period(gaps1)
+    leads0 = None if sym0 else c0[ref_least_rotation(gaps0)] == me
+    leads1 = None if sym1 else c1[ref_least_rotation(gaps1)] == me
+    if sym0 and sym1:
+        raise SymmetricConfiguration("both hypotheses symmetric")
+    if sym0:
+        possibility, tag = "only-c1", ("sure-leader" if leads1 else "follower")
+    elif sym1:
+        possibility, tag = "only-c0", ("sure-leader" if leads0 else "follower")
+    else:
+        possibility = "both"
+        if leads0 and leads1:
+            tag = "sure-leader"
+        elif leads0 or leads1:
+            tag = "confused-leader"
+        else:
+            tag = "follower"
+    return RobotVerdict(me, tag, leads0, leads1, possibility)
+
+
+REF_PROBES = tuple(sorted({Fraction(k, d) for d in range(1, 13) for k in range(d)}))
+
+
+def ref_check(config, leader):
+    """(report as JSON, leader, verdicts) of the nine claims under ``leader``."""
+    positions = sorted(config.positions)
+    n = len(positions)
+    occupied = set(positions)
+    lead_at = positions.index(leader)
+    gaps = gap_sequence(positions)
+    doubled = gaps * 2
+    verdicts = [ref_oracle_classify(positions, p) for p in positions]
+    expected = [v for v in verdicts if v.tag != "follower"]
+    confused = [v for v in verdicts if v.tag == "confused-leader"]
+    sure = [v for v in verdicts if v.tag == "sure-leader"]
+    report = {}
+
+    def put(name, bad, witness=None):
+        report[name] = {"pass": bad is None}
+        if bad is not None and witness:
+            report[name]["witness"] = witness
+
+    bad = None
+    for i, p in enumerate(positions):
+        if p == leader or cw_angle(leader, p) <= HALF_TURN:
+            continue
+        hops = (lead_at - i) % n
+        if doubled[i : i + hops] == doubled[lead_at : lead_at + hops]:
+            bad = p
+            break
+    put("no_left_prefix_rival", bad, bad is not None and f"rival at {format_angle(bad)}")
+
+    bad = None
+    for probe in REF_PROBES:
+        if probe in occupied:
+            continue
+        new_positions = sorted(positions + [probe])
+        new_gaps = gap_sequence(new_positions)
+        if ref_has_period(new_gaps):
+            continue
+        new_leader = new_positions[ref_least_rotation(new_gaps)]
+        if cw_angle(leader, new_leader) > cw_angle(leader, probe):
+            bad = (probe, new_leader)
+            break
+    put("insertion_keeps_leader_in_arc", bad,
+        bad and f"probe {format_angle(bad[0])} elects {format_angle(bad[1])}")
+
+    bad = next((v for v in confused if not (v.leads_c0 and not v.leads_c1)), None)
+    put("confused_leads_empty_hypothesis_only", bad, bad and f"robot at {format_angle(bad.pos)}")
+
+    lv = verdicts[lead_at]
+    bad = leader if lv.tag == "confused-leader" and antipode(leader) in occupied else None
+    put("confused_true_leader_antipode_empty", bad,
+        bad is not None and f"leader at {format_angle(bad)}")
+
+    bad = next(
+        (v for v in confused if v.pos != leader and antipode(v.pos) not in occupied), None
+    )
+    put("confused_non_leader_antipode_occupied", bad, bad and f"robot at {format_angle(bad.pos)}")
+
+    bad = next(
+        (v for v in expected if v.pos != leader and cw_angle(leader, v.pos) < HALF_TURN), None
+    )
+    put("other_expected_leader_half_turn_away", bad, bad and f"robot at {format_angle(bad.pos)}")
+
+    ok = (
+        len(expected) in (1, 2)
+        and len(sure) <= 1
+        and all(v.pos == leader for v in sure)
+        and len([v for v in confused if v.pos != leader]) <= 1
+    )
+    put("expected_leader_cardinality", None if ok else positions,
+        f"{len(sure)} sure / {len(confused)} confused "
+        f"in {[format_angle(p) for p in positions]}")
+
+    bad = None
+    if len(confused) == 2 and confused[0].pos == antipode(confused[1].pos):
+        bad = confused
+    put("confused_pair_not_antipodal", bad)
+
+    bad = None
+    if len(confused) == 2:
+        nb0 = positions[(positions.index(confused[0].pos) + 1) % n]
+        nb1 = positions[(positions.index(confused[1].pos) + 1) % n]
+        if nb0 == antipode(nb1):
+            bad = (nb0, nb1)
+    put("confused_pair_neighbors_not_antipodal", bad,
+        bad and f"neighbors {format_angle(bad[0])}, {format_angle(bad[1])}")
+    return report, leader, verdicts
+
+
+def test_random_config_draws_like_the_fraction_reference():
+    for seed in range(300):
+        for d in (7, 60, 120):
+            spec = GeneratorSpec(n=3 + seed % 8, denominator_bound=d, seed=seed)
+            try:
+                expected = ref_random_config(spec)
+            except GenerationExhausted as exc:
+                with pytest.raises(GenerationExhausted, match=str(exc)):
+                    random_config(spec)
+            else:
+                assert random_config(spec) == expected
+
+
+#: Denominators that divide the probe lattice lcm(1..12) = 27720, ones coprime
+#: to it, and any up to a million.
+DENOMINATORS = (
+    st.sampled_from((1, 2, 8, 12, 120, 27720))
+    | st.sampled_from((13, 101, 7 * 11 * 13 * 101))
+    | st.integers(1, 10**6)
+)
+POINTS = DENOMINATORS.flatmap(lambda d: st.integers(0, d - 1).map(lambda k: Fraction(k, d)))
+
+
+def points(*texts):
+    return [F(t) for t in texts]
+
+
+@settings(deadline=None)
+@given(st.lists(POINTS, min_size=2, max_size=8, unique=True), st.integers(0, 7))
+# The first failing probe lies below the first point, above the last, between two.
+@example(points("3/10", "1/2", "4/5"), 1)
+@example(points("1/10", "1/5", "3/5"), 2)
+@example(points("0", "1/5", "4/5"), 0)
+def test_int_oracle_matches_the_fraction_reference(positions, pick):
+    import circlegather.oracle as oracle
+
+    config = Configuration.from_points(sorted(positions))
+    try:
+        leader = ref_brute_force_leader(config)
+    except SymmetricConfiguration:
+        with pytest.raises(SymmetricConfiguration):
+            brute_force_leader(config)
+        return
+    assert brute_force_leader(config) == leader
+    for me in config.positions:
+        try:
+            expected = ref_oracle_classify(config.positions, me)
+        except CircleGatherError as exc:
+            with pytest.raises(type(exc)):
+                oracle_classify(config.positions, me)
+        else:
+            assert oracle_classify(config.positions, me) == expected
+    # Under a wrong leader the claims fail, so their witnesses are compared too.
+    for lead in {leader, config.positions[pick % len(config.positions)]}:
+        with mock.patch.object(oracle, "brute_force_leader", lambda c: lead):
+            report, got, verdicts = oracle._check(config)
+        assert ({k: v.to_json() for k, v in report.items()}, got, verdicts) == ref_check(
+            config, lead
+        )
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=12), st.integers(1, 10**6))
+def test_int_rotation_and_period_match_the_fraction_reference(ints, d):
+    import circlegather.oracle as oracle
+
+    gaps = tuple(ints)
+    fractions = tuple(Fraction(k, d) for k in ints)
+    assert oracle._least_rotation(gaps) == ref_least_rotation(fractions)
+    assert oracle._has_period(gaps) == ref_has_period(fractions)
