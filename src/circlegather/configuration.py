@@ -14,9 +14,9 @@ ints, shifted to the observer. :func:`elect` is the one integer leader
 election: one Lyndon factorisation of the gaps between those ints gives
 both the leader (the start of the least rotation of the gaps) and the
 symmetry test (that rotation is a power of a shorter word), in linear
-time. The symmetry test and leader of a
-configuration each read one view and call it, and so does the analysis.
-:func:`gap_sequence` is the independent Fraction path the oracle reads.
+time. The symmetry test and leader of a configuration each read one view
+and call it, and so does the analysis. :func:`gap_sequence` is the Fraction
+path that the tests' references and the benchmark's tracer read.
 A :class:`Snapshot` keeps ints: its visible points are ticks over one
 denominator, reduced by their gcd, each with one flag, and it checks them
 with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a

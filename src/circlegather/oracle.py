@@ -1,22 +1,22 @@
 """Independent brute-force oracles and randomized searchers.
 
 Everything here re-derives verdicts through a second code path. Each entry
-point scales its sorted positions once onto its own integer lattice, the lcm
-of a base and their denominators (:func:`_scale`): base 2 for a leader or one
-robot's classification, so the antipode of tick t is ``(t + L/2) % L``, and
-the probe grid's lcm(1..12) for the structural claims, so every probe is a
-tick too. Each point set (a configuration, a robot's two hypotheses C0 and
-C1, a configuration with one probe robot inserted) then gets its sorted int
-gap list built once: :func:`_gaps` builds it from neighbour differences, and
-a set that is its parent set plus one point (C1 is C0 plus the antipode, a
-probe set is the configuration plus the probe) gets it spliced from the
-parent's list by :func:`_insert`, since the new point only splits one gap.
-The symmetry test and the leader election both read that list, and the
-leader is elected once per point set by comparing every cyclic rotation of
-it with every other. Fractions appear only at the boundary: a leader, a
-verdict's position and a witness. The structural claims the analysis layer
-relies on are enumerated directly. Failures are data (reported with a
-witness), not exceptions, so a sweep can tally them.
+point scales its sorted positions once onto one integer lattice of L ticks,
+the lcm of lcm(1..12) and their denominators (:func:`_scale`). L is even, so
+the antipode of tick t is ``(t + L/2) % L``, and every probe of the insertion
+check is a tick. Each point set (a configuration, a robot's two hypotheses
+C0 and C1, a configuration with one probe robot inserted) then gets its
+sorted int gap list built once: :func:`_gaps` builds it from neighbour
+differences, and a set that is its parent set plus one point (C1 is C0 plus
+the antipode, a probe set is the configuration plus the probe) gets it
+spliced from the parent's list by :func:`_insert`, since the new point only
+splits one gap. One naive scan of that list, :func:`_least_rotation`, builds
+every cyclic rotation and gives both the leader (the start of the least
+one) and the symmetry test (the least one occurs at two starts). Fractions
+appear only at the boundary: a leader, a verdict's position and a witness.
+The structural claims the analysis layer relies on are enumerated directly.
+Failures are data (reported with a witness), not exceptions, so a sweep can
+tally them.
 
 :func:`proposition_sweep` is the one sweep over random configurations that
 both ``gather-sim verify`` and the acceptance suite run.
@@ -72,7 +72,7 @@ def random_config(spec: GeneratorSpec, rng: Optional[Random] = None) -> Configur
     rng = rng or Random(f"gen:{spec.seed}")
     for _ in range(RETRY_CAP):
         ticks = sorted(rng.randrange(d) for _ in range(spec.n))
-        if len(set(ticks)) != spec.n or _has_period(_gaps(ticks, d)):
+        if len(set(ticks)) != spec.n or _least_rotation(_gaps(ticks, d)) is None:
             continue
         return Configuration.from_points([Fraction(t, d) for t in ticks])
     raise GenerationExhausted(
@@ -81,9 +81,14 @@ def random_config(spec: GeneratorSpec, rng: Optional[Random] = None) -> Configur
     )
 
 
-def _scale(points: Sequence[Fraction], base: int) -> Tuple[int, List[int]]:
-    """(L, ticks): L = lcm(base, denominators), and each point times L."""
-    L = lcm(base, *(p.denominator for p in points))
+#: lcm(1..12): every oracle lattice is a multiple of it, so every probe
+#: :func:`_check` inserts is a tick, and L is even.
+_PROBE_LATTICE = lcm(*range(1, 13))
+
+
+def _scale(points: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(L, ticks): L = lcm(_PROBE_LATTICE, denominators), and each point times L."""
+    L = lcm(_PROBE_LATTICE, *(p.denominator for p in points))
     return L, [p.numerator * (L // p.denominator) for p in points]
 
 
@@ -94,41 +99,32 @@ def _gaps(ticks: Sequence[int], L: int) -> Tuple[int, ...]:
     return tuple(b - a for a, b in zip(ticks, ticks[1:])) + (L - ticks[-1] + ticks[0],)
 
 
-def _has_period(gaps: Tuple[int, ...]) -> bool:
-    n = len(gaps)
-    doubled = gaps + gaps
-    return any(doubled[k : k + n] == gaps for k in range(1, n))
-
-
 # ---------------------------------------------------------------------------
 # Independent leader election: least cyclic rotation of the gap sequence
 
 
-def _least_rotation(gaps: Tuple[int, ...]) -> int:
-    """Start index of the least cyclic rotation of ``gaps``.
+def _least_rotation(gaps: Tuple[int, ...]) -> Optional[int]:
+    """Start index of the least cyclic rotation of ``gaps``, None if periodic.
 
-    Every rotation is compared naively: deliberately a different algorithm
-    from the linear-time Lyndon election of the analysis layer.
+    The least rotation occurs at two starts i < j exactly when rotating by
+    j - i maps ``gaps`` onto itself. Every rotation is built and compared
+    naively: deliberately a different algorithm from the linear-time Lyndon
+    election of the analysis layer.
     """
-    n = len(gaps)
     doubled = gaps + gaps
-    best = 0
-    for k in range(1, n):
-        if doubled[k : k + n] < doubled[best : best + n]:
-            best = k
-    return best
+    rotations = [doubled[k : k + len(gaps)] for k in range(len(gaps))]
+    least = min(rotations)
+    return rotations.index(least) if rotations.count(least) == 1 else None
 
 
 def brute_force_leader(config: Configuration) -> Fraction:
     """Leader position via the least cyclic rotation of the sorted gap list."""
-    positions = sorted(set(config.positions))
-    if len(positions) != len(config.positions):
-        raise SymmetricConfiguration("leader undefined with a multiplicity point")
-    L, ticks = _scale(positions, 2)
-    gaps = _gaps(ticks, L)
-    if _has_period(gaps):
+    positions = sorted(config.positions)
+    L, ticks = _scale(positions)
+    lead = _least_rotation(_gaps(ticks, L))
+    if lead is None:
         raise SymmetricConfiguration("no unique leader in a symmetric configuration")
-    return positions[_least_rotation(gaps)]
+    return positions[lead]
 
 
 def _insert(positions: List, gaps: Tuple, p) -> Tuple[List, Tuple]:
@@ -169,7 +165,7 @@ def oracle_classify(positions: Sequence[Fraction], me: Fraction) -> RobotVerdict
 
     ``positions`` and ``me`` are angles in [0, 1), as in a configuration.
     """
-    L, ticks = _scale([*positions, me], 2)
+    L, ticks = _scale([*positions, me])
     return _classify(ticks[:-1], L, me, ticks[-1])
 
 
@@ -179,14 +175,14 @@ def _classify(ticks: Sequence[int], L: int, me: Fraction, tick: int) -> RobotVer
     c0 = sorted([t for t in ticks if t != tick and t != far] + [tick])
     gaps0 = _gaps(c0, L)
     c1, gaps1 = _insert(c0, gaps0, far)
-    sym0, sym1 = _has_period(gaps0), _has_period(gaps1)
-    leads0 = None if sym0 else c0[_least_rotation(gaps0)] == tick
-    leads1 = None if sym1 else c1[_least_rotation(gaps1)] == tick
-    if sym0 and sym1:
+    lead0, lead1 = _least_rotation(gaps0), _least_rotation(gaps1)
+    leads0 = None if lead0 is None else c0[lead0] == tick
+    leads1 = None if lead1 is None else c1[lead1] == tick
+    if lead0 is None and lead1 is None:
         raise SymmetricConfiguration("both hypotheses symmetric")
-    if sym0:
+    if lead0 is None:
         possibility, tag = "only-c1", ("sure-leader" if leads1 else "follower")
-    elif sym1:
+    elif lead1 is None:
         possibility, tag = "only-c0", ("sure-leader" if leads0 else "follower")
     else:
         possibility = "both"
@@ -217,9 +213,6 @@ CHECK_NAMES = (
 )
 
 
-#: lcm(1..12): the lattice :func:`_check` scales onto, so that every probe is a tick.
-_PROBE_LATTICE = lcm(*range(1, 13))
-
 #: The ticks proposition 2 inserts a robot at: every angle of denominator at most 12.
 _PROBES = tuple(sorted({k * (_PROBE_LATTICE // d) for d in range(1, 13) for k in range(d)}))
 
@@ -249,7 +242,7 @@ def _check(config: Configuration):
     """(:func:`check_propositions` report, oracle leader, robot verdicts)."""
     positions = sorted(config.positions)
     n = len(positions)
-    L, ticks = _scale(positions, _PROBE_LATTICE)
+    L, ticks = _scale(positions)
     half = L // 2
     occupied = set(ticks)
     leader = brute_force_leader(config)
@@ -293,9 +286,10 @@ def _check(config: Configuration):
         if probe in occupied:
             continue
         new_ticks, new_gaps = _insert(ticks, gaps, probe)
-        if _has_period(new_gaps):
+        new_lead = _least_rotation(new_gaps)
+        if new_lead is None:
             continue
-        new_leader = new_ticks[_least_rotation(new_gaps)]
+        new_leader = new_ticks[new_lead]
         if (new_leader - lt) % L > (probe - lt) % L:
             bad = (probe, new_leader)
             break

@@ -78,10 +78,11 @@ from .protocol import CW, Memory, MoveCommand
 
 @dataclass
 class Pending:
+    """A move in flight; it starts at its robot's anchor, which moves only at its end."""
+
     command: MoveCommand
     start: Fraction
     end: Fraction
-    origin: Fraction
     destination: Fraction
 
 
@@ -102,8 +103,8 @@ class RobotRuntime:
             return p.destination
         delta = t - p.start
         if p.command.direction == CW:
-            return (p.origin + delta) % 1
-        return (p.origin - delta) % 1
+            return (self.anchor + delta) % 1
+        return (self.anchor - delta) % 1
 
     def is_moving_at(self, t: Fraction) -> bool:
         return self.pending is not None and self.pending.start < t < self.pending.end
@@ -528,7 +529,7 @@ def run(
                 else:
                     destination = (origin - command.amount) % 1
                 end = t + command.amount
-                rr.pending = Pending(command, t, end, origin, destination)
+                rr.pending = Pending(command, t, end, destination)
                 records.append(
                     TraceRecord(
                         t,

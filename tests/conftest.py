@@ -1,4 +1,12 @@
-"""Shared pytest hooks: echo acceptance verdict lines after the run."""
+"""Shared pytest hooks: echo acceptance verdict lines after the run.
+
+The hypothesis profile ``deep`` (``--hypothesis-profile=deep``) runs each
+property test on 2000 examples; the default budget stays as it is.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deep", max_examples=2000)
 
 ACCEPTANCE_LINES = []
 

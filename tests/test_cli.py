@@ -416,6 +416,14 @@ MALFORMED_RUN_CONFIGS = {
     "scripted_event_missing_field": run_config_doc(
         policy={"kind": "scripted", "events": [{"robot": "r0", "look": "0/1"}]}
     ),
+    "scripted_robot_not_a_string": run_config_doc(
+        policy={"kind": "scripted", "events": [{"robot": 0, "look": "0/1", "decide": "1/4"}]}
+    ),
+    "scripted_events_not_a_list": run_config_doc(
+        policy={"kind": "scripted", "events": {"robot": "r0", "look": "0/1", "decide": "1/4"}}
+    ),
+    "missing_initial": {k: v for k, v in run_config_doc().items() if k != "initial"},
+    "negative_max_skips": run_config_doc(policy={"kind": "ssync", "max_skips": -1}),
     "max_events_zero": run_config_doc(limits={"max_events": 0}),
     "max_events_negative": run_config_doc(limits={"max_events": -1}),
     "removed_option_key": run_config_doc(

@@ -15,7 +15,12 @@ from circlegather.configuration import (
     take_snapshot,
     true_leader,
 )
-from circlegather.errors import CircleGatherError, GenerationExhausted, SymmetricConfiguration
+from circlegather.errors import (
+    CircleGatherError,
+    GenerationExhausted,
+    MultiplicityPresent,
+    SymmetricConfiguration,
+)
 from circlegather.oracle import (
     CHECK_NAMES,
     RETRY_CAP,
@@ -99,6 +104,14 @@ def test_brute_force_leader_on_worked_example():
 def test_brute_force_leader_rejects_symmetry():
     with pytest.raises(SymmetricConfiguration):
         brute_force_leader(Configuration.from_points([F(0), F("1/4"), F("1/2"), F("3/4")]))
+
+
+def test_both_elections_reject_a_multiplicity_alike():
+    cfg = Configuration.from_points([F(0), F("1/5"), F("1/5"), F("3/5")])
+    with pytest.raises(MultiplicityPresent):
+        true_leader(cfg)
+    with pytest.raises(MultiplicityPresent):
+        brute_force_leader(cfg)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -416,6 +429,8 @@ def points(*texts):
 @example(points("3/10", "1/2", "4/5"), 1)
 @example(points("1/10", "1/5", "3/5"), 2)
 @example(points("0", "1/5", "4/5"), 0)
+# Robot 0's C0 is the symmetric triangle, so its verdict is only-c1.
+@example(points("0", "1/3", "1/2", "2/3"), 0)
 def test_int_oracle_matches_the_fraction_reference(positions, pick):
     import circlegather.oracle as oracle
 
@@ -448,7 +463,6 @@ def test_int_oracle_matches_the_fraction_reference(positions, pick):
 def test_int_rotation_and_period_match_the_fraction_reference(ints, d):
     import circlegather.oracle as oracle
 
-    gaps = tuple(ints)
-    fractions = tuple(Fraction(k, d) for k in ints)
-    assert oracle._least_rotation(gaps) == ref_least_rotation(fractions)
-    assert oracle._has_period(gaps) == ref_has_period(fractions)
+    f = tuple(Fraction(k, d) for k in ints)
+    expected = None if ref_has_period(f) else ref_least_rotation(f)
+    assert oracle._least_rotation(tuple(ints)) == expected

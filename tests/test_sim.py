@@ -58,9 +58,7 @@ def load_fixture(name):
 def moving_robot(rid, origin, amount, start, direction=CW):
     rr = RobotRuntime(rid, origin)
     dest = (origin + amount) % 1 if direction == CW else (origin - amount) % 1
-    rr.pending = Pending(
-        MoveCommand(direction, amount), start, start + amount, origin, dest
-    )
+    rr.pending = Pending(MoveCommand(direction, amount), start, start + amount, dest)
     return rr
 
 
