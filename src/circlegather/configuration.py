@@ -21,8 +21,7 @@ A :class:`Snapshot` keeps ints: its visible points are ticks over one
 denominator, reduced by their gcd, each with one flag, and it checks them
 with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a
 Python loop. Its readers (the analysis and the protocol) decide on those
-ints; ``Snapshot.of`` builds a snapshot from Fraction offsets, and
-``Snapshot.json_text`` writes a trace's snapshot payload from the ints.
+ints; ``Snapshot.of`` builds a snapshot from Fraction offsets.
 """
 
 from __future__ import annotations
@@ -170,27 +169,6 @@ class Snapshot:
     @property
     def has_multiplicity(self) -> bool:
         return self.self_is_multiplicity or any(self.flags)
-
-    def json_text(self, fragments: Dict[int, Dict[int, str]]) -> str:
-        """The payload text of a snapshot record: sorted keys, each offset
-        ``tick/d`` in lowest terms. ``fragments`` memoises a point's text per
-        ``d``, keyed by the int ``2 * tick + flag``, across the snapshots of
-        one trace."""
-        d = self.d
-        memo = fragments.get(d)
-        if memo is None:
-            memo = fragments[d] = {}
-        parts = []
-        for t, flag in zip(self.ticks, self.flags):
-            text = memo.get(2 * t + flag)
-            if text is None:
-                g = gcd(t, d)
-                text = memo[2 * t + flag] = (
-                    f'{{"multiplicity":{"true" if flag else "false"},"offset":"{t // g}/{d // g}"}}'
-                )
-            parts.append(text)
-        own = "true" if self.self_is_multiplicity else "false"
-        return f'{{"self_multiplicity":{own},"visible":[{",".join(parts)}]}}'
 
 
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:

@@ -117,14 +117,19 @@ def _least_rotation(gaps: Tuple[int, ...]) -> Optional[int]:
     return rotations.index(least) if rotations.count(least) == 1 else None
 
 
+def _elect(gaps: Tuple[int, ...]) -> int:
+    """Leader index of the points with gap list ``gaps``; tests patch it to inject a wrong one."""
+    lead = _least_rotation(gaps)
+    if lead is None:
+        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
+    return lead
+
+
 def brute_force_leader(config: Configuration) -> Fraction:
     """Leader position via the least cyclic rotation of the sorted gap list."""
     positions = sorted(config.positions)
     L, ticks = _scale(positions)
-    lead = _least_rotation(_gaps(ticks, L))
-    if lead is None:
-        raise SymmetricConfiguration("no unique leader in a symmetric configuration")
-    return positions[lead]
+    return positions[_elect(_gaps(ticks, L))]
 
 
 def _insert(positions: List, gaps: Tuple, p) -> Tuple[List, Tuple]:
@@ -245,10 +250,9 @@ def _check(config: Configuration):
     L, ticks = _scale(positions)
     half = L // 2
     occupied = set(ticks)
-    leader = brute_force_leader(config)
-    lead_at = positions.index(leader)
-    lt = ticks[lead_at]
     gaps = _gaps(ticks, L)
+    lead_at = _elect(gaps)
+    leader, lt = positions[lead_at], ticks[lead_at]
     doubled = gaps * 2
     verdicts = [_classify(ticks, L, p, t) for p, t in zip(positions, ticks)]
     # Each group holds indices into positions, ticks and verdicts.

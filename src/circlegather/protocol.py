@@ -31,6 +31,9 @@ class Memory(enum.Enum):
     MOVE_MORE = "moveMore"
     TERMINATE = "terminate"
 
+    # Members are singletons compared by identity; Enum's own hash is a Python call.
+    __hash__ = object.__hash__
+
 
 #: Transitions the state machine may ever take (multiplicity-phase moves and
 #: self-loops keep the state unchanged).

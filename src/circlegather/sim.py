@@ -25,15 +25,16 @@ run's. Every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
 the instant and memoises each look by the observer's lattice int: robots
 resting on one point share one ``Snapshot``, their snapshot records'
-payload. The view is rebuilt only when the look instant changes: no move
-ends between the looks of one instant, and a move that starts at the look
-instant leaves its mover at rest on its origin, as the view already has it.
-Other payloads are dicts, equal ones shared: one activate dict per memory
-value and, per run, one decide dict per (state before, state after,
-command). Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once.
+payload, and one decide per memory. The view is rebuilt only when the look
+instant changes: no move ends between the looks of one instant, and a move
+that starts at the look instant leaves its mover at rest on its origin, as
+the view already has it. Other payloads are dicts, equal ones shared: one
+activate dict per memory value and, per run, one decide dict per (state
+before, state after, command). Payloads are read-only; :meth:`Trace.to_jsonl`
+encodes each once and writes each view once, before its first snapshot.
 
 Each queued event carries the data its handler needs: a look its decide
-instant, a decide the snapshot of its look. The event heap orders on ints:
+instant, a decide its look's memo entry. The event heap orders on ints:
 an event's key is its instant times ``scale``, the lcm of the denominators
 of every instant queued so far. An instant whose denominator does not
 divide the scale multiplies the scale and every queued key by one factor,
@@ -280,7 +281,7 @@ class TraceRecord(NamedTuple):
     payload: Snapshot | dict
 
 
-#: Encodes every trace line part but a snapshot: sorted keys, compact, ASCII-escaped.
+#: Encodes trace line parts: sorted keys, compact, ASCII-escaped.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -288,6 +289,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 class Trace:
     records: List[TraceRecord]
     summary: dict
+    #: The view and tick of each snapshot payload, keyed by its id (the records keep it alive).
+    views: Dict[int, Tuple[LatticeView, int]]
 
     def to_jsonl(self) -> str:
         """One JSON object per record, in processing order, then the summary line.
@@ -295,24 +298,35 @@ class Trace:
         A record's line is ``{"kind", "payload", "robot", "t"}`` with sorted
         keys, assembled from encoded parts: each distinct payload and instant
         object once, keyed by identity while this call holds them all (see
-        :func:`run` for the sharing), and each ``(kind, robot)`` head once. A
-        :class:`Snapshot` writes its own text, with one point memo per call.
+        :func:`run` for the sharing), and each ``(kind, robot)`` head once.
+        A snapshot's payload ``{"self_multiplicity", "tick"}`` reads the
+        ring of the ``view`` line ``{"d", "multiplicities", "ticks"}`` before
+        it, written once per view, by the rule of :meth:`LatticeView.snapshot`.
         """
         encode = _ENCODER.encode
+        views = self.views
         payloads: Dict[int, str] = {}
         instants: Dict[int, str] = {}
         heads: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        fragments: Dict[int, Dict[int, str]] = {}
+        written = None
         lines = []
         for t, robot, kind, p in self.records:
-            payload = payloads.get(id(p))
-            if payload is None:
-                payload = payloads[id(p)] = (
-                    p.json_text(fragments) if type(p) is Snapshot else encode(p)
-                )
             instant = instants.get(id(t))
             if instant is None:
                 instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
+            payload = payloads.get(id(p))
+            if type(p) is Snapshot:
+                view, tick = views[id(p)]
+                if view is not written:
+                    written, ticks = view, view.ticks
+                    mult = [k for k, f in zip(ticks, view.flags) if f]
+                    ring = encode({"d": view.d, "multiplicities": mult, "ticks": ticks})
+                    lines.append(f'{{"kind":"view","payload":{ring},"t":"{instant}')
+                if payload is None:
+                    own = "true" if p.self_is_multiplicity else "false"
+                    payload = payloads[id(p)] = f'{{"self_multiplicity":{own},"tick":{tick}}}'
+            elif payload is None:
+                payload = payloads[id(p)] = encode(p)
             head = heads.get((kind, robot))
             if head is None:
                 head = heads[kind, robot] = (
@@ -420,8 +434,8 @@ def run(
 
     # Entries are (key, rank, robot, t, data), the int key being t * scale
     # (see the module docstring). A look carries its decide instant, a decide
-    # its snapshot. A robot has exactly one event queued at a time, so
-    # (key, rank, robot) never ties and neither t nor data is compared.
+    # its look's entry in ``looks``. A robot has exactly one event queued at
+    # a time, so (key, rank, robot) never ties and neither t nor data is compared.
     heap: List[Tuple[int, int, str, Fraction, object]] = []
     scale = 1
     records: List[TraceRecord] = []
@@ -432,10 +446,12 @@ def run(
     in_flight: Dict[str, RobotRuntime] = {}
     mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
     # The world as every look at instant view_t sees it, and the looks
-    # already taken there, keyed by the observer's lattice int.
+    # already taken there, keyed by the observer's lattice int: each look's
+    # snapshot and its (memory after, command, payload) per memory before.
     view: Optional[LatticeView] = None
     view_t: Optional[Fraction] = None
-    looks: Dict[int, Snapshot] = {}
+    looks: Dict[int, Tuple[Snapshot, Dict[Memory, tuple]]] = {}
+    views: Dict[int, Tuple[LatticeView, int]] = {}
     # One decide payload per distinct (state before, state after, command).
     decisions: Dict[Tuple[Memory, Memory, MoveCommand], dict] = {}
 
@@ -454,20 +470,25 @@ def run(
             return
         # Fractions pass through as they are, so a round's shared instant
         # objects reach the records; other rationals are converted.
-        t_look, t_decide = (t if isinstance(t, Fraction) else Fraction(t) for t in cycle)
+        t_look, t_decide = cycle
+        if not isinstance(t_look, Fraction):
+            t_look = Fraction(t_look)
+        if not isinstance(t_decide, Fraction):
+            t_decide = Fraction(t_decide)
         # Grow the scale for all three instants first, so that both checks
         # compare ints of one scale.
-        q_busy, q_look, q_decide = not_before.denominator, t_look.denominator, t_decide.denominator
-        new_scale = math.lcm(scale, q_busy, q_look, q_decide)
-        if new_scale != scale:
-            grow(new_scale)
-        look = t_look.numerator * (scale // q_look)
-        if look < not_before.numerator * (scale // q_busy):
+        (p_busy, q_busy), (p_look, q_look), (p_decide, q_decide) = (
+            not_before.as_integer_ratio(), t_look.as_integer_ratio(), t_decide.as_integer_ratio()
+        )
+        if scale % q_busy or scale % q_look or scale % q_decide:
+            grow(math.lcm(scale, q_busy, q_look, q_decide))
+        look = p_look * (scale // q_look)
+        if look < p_busy * (scale // q_busy):
             raise ScheduleError(
                 f"policy scheduled robot {robot_id!r} to look at {t_look} "
                 f"while busy until {not_before}"
             )
-        if t_decide.numerator * (scale // q_decide) <= look:
+        if p_decide * (scale // q_decide) <= look:
             raise ScheduleError("look and compute must take strictly positive time")
         heappush(heap, (look, LOOK, robot_id, t_look, t_decide))
 
@@ -494,33 +515,42 @@ def run(
                 view, view_t, looks = LatticeView(points), t, {}
             # A looking robot's previous move has ended: it rests on its anchor.
             tick = view.tick(rr.anchor)
-            snap = looks.get(tick)
-            if snap is None:
-                snap = looks[tick] = view.snapshot(tick)
+            look = looks.get(tick)
+            if look is None:
+                snap = view.snapshot(tick)
+                look = looks[tick] = (snap, {})
+                views[id(snap)] = (view, tick)
             records.append(TraceRecord(t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
-            records.append(TraceRecord(t, rid, "snapshot", snap))
+            records.append(TraceRecord(t, rid, "snapshot", look[0]))
             # schedule_cycle grew the scale for the decide instant ``data``.
-            heappush(heap, (data.numerator * (scale // data.denominator), DECIDE, rid, data, snap))
+            heappush(heap, (data.numerator * (scale // data.denominator), DECIDE, rid, data, look))
             continue
 
         if rank == DECIDE:
+            # decide and the legality check are pure in (look, memory): a
+            # robot sharing a look with one of equal memory reuses its result.
+            snap, decided = data
             state_before = rr.memory
-            new_memory, command = protocol.decide(
-                data, rr.memory, options.multiplicity_threshold
-            )
-            if (state_before, new_memory) not in protocol.LEGAL_TRANSITIONS:
-                raise InvariantViolation(
-                    f"illegal state transition {state_before.value} -> {new_memory.value}"
+            decision = decided.get(state_before)
+            if decision is None:
+                new_memory, command = protocol.decide(
+                    snap, state_before, options.multiplicity_threshold
                 )
+                if (state_before, new_memory) not in protocol.LEGAL_TRANSITIONS:
+                    raise InvariantViolation(
+                        f"illegal state transition {state_before.value} -> {new_memory.value}"
+                    )
+                key = (state_before, new_memory, command)
+                payload = decisions.get(key)
+                if payload is None:
+                    payload = decisions[key] = {
+                        "state_before": state_before.value,
+                        "state_after": new_memory.value,
+                        "move": command.to_json(),
+                    }
+                decision = decided[state_before] = (new_memory, command, payload)
+            new_memory, command, payload = decision
             rr.memory = new_memory
-            key = (state_before, new_memory, command)
-            payload = decisions.get(key)
-            if payload is None:
-                payload = decisions[key] = {
-                    "state_before": state_before.value,
-                    "state_after": new_memory.value,
-                    "move": command.to_json(),
-                }
             records.append(TraceRecord(t, rid, "decide", payload))
             if command.is_move:
                 origin = rr.anchor
@@ -593,7 +623,7 @@ def run(
     }
     if gathered:
         summary["gather_point"] = format_angle(next(iter(positions.values())))
-    trace = Trace(records, summary)
+    trace = Trace(records, summary, views)
     if limit_hit:
         raise LimitExceeded("simulation hit its event or time limit", trace)
     return trace

@@ -245,14 +245,13 @@ def test_verify_small_sweep(capsys):
 def test_verify_reports_sweep_failures_with_exit_3(monkeypatch, capsys):
     import circlegather.oracle as oracle
 
-    elect = oracle.brute_force_leader
+    elect = oracle._elect
 
-    def next_after_leader(config):
+    def next_after_leader(gaps):
         """A wrong leader: the robot clockwise after the true one."""
-        positions = sorted(config.positions)
-        return positions[(positions.index(elect(config)) + 1) % len(positions)]
+        return (elect(gaps) + 1) % len(gaps)
 
-    monkeypatch.setattr(oracle, "brute_force_leader", next_after_leader)
+    monkeypatch.setattr(oracle, "_elect", next_after_leader)
     code = main(
         [
             "verify",

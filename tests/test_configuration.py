@@ -31,6 +31,8 @@ from circlegather.errors import (
     UnknownRobot,
 )
 from circlegather.oracle import brute_force_leader
+from circlegather.sim import Trace, TraceRecord
+from test_sim import expand_view_lines
 
 
 def F(s):
@@ -478,7 +480,13 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
     snap = Snapshot.of(points)
     ordered = sorted(points, key=lambda p: p[0])
     assert [(Fraction(t, snap.d), f) for t, f in zip(snap.ticks, snap.flags)] == ordered
-    assert [v["offset"] for v in json.loads(snap.json_text({}))["visible"]] == [
+    # The same look written as a trace's view line and snapshot line: the
+    # observer at 0 on a ring where a flagged point weighs 2.
+    ring = LatticeView([(Fraction(0), 1)] + [(o, 1 + m) for o, m in points])
+    assert ring.snapshot(0) == snap
+    trace = Trace([TraceRecord(Fraction(0), "r", "snapshot", snap)], {}, {id(snap): (ring, 0)})
+    line = json.loads(expand_view_lines(trace.to_jsonl()).splitlines()[0])
+    assert [v["offset"] for v in line["payload"]["visible"]] == [
         format_angle(o) for o, _ in ordered
     ]
 

@@ -120,6 +120,24 @@ def test_brute_force_leader_matches_sequence_election(name):
     assert brute_force_leader(cfg) == true_leader(cfg)
 
 
+def test_check_scales_and_splits_the_configuration_once(monkeypatch):
+    import circlegather.oracle as oracle
+
+    config = random_config(GeneratorSpec(6, 60, 1))
+    calls = []
+    for name in ("_scale", "_gaps"):
+        def counted(*args, helper=getattr(oracle, name), name=name):
+            calls.append(name)
+            return helper(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    report, leader, verdicts = oracle._check(config)
+    # One gap list for the configuration and one for each robot's C0; each
+    # C1 and probe set is spliced from one of those.
+    assert sorted(calls) == ["_gaps"] * 7 + ["_scale"]
+    assert len(verdicts) == 6
+
+
 def test_leader_oracles_agree_on_random_corpus():
     for i in range(300):
         cfg = random_config(GeneratorSpec(n=3 + i % 8, denominator_bound=60, seed=i))
@@ -202,7 +220,8 @@ def test_checks_fail_with_a_witness_under_a_wrong_leader(
 
     cfg = Configuration.from_points([F(p) for p in points])
     assert brute_force_leader(cfg) != F(wrong)
-    monkeypatch.setattr(oracle, "brute_force_leader", lambda config: F(wrong))
+    wrong_at = sorted(cfg.positions).index(F(wrong))
+    monkeypatch.setattr(oracle, "_elect", lambda gaps: wrong_at)
     result = check_propositions(cfg)[check]
     assert not result.passed
     assert result.witness == witness
@@ -452,7 +471,8 @@ def test_int_oracle_matches_the_fraction_reference(positions, pick):
             assert oracle_classify(config.positions, me) == expected
     # Under a wrong leader the claims fail, so their witnesses are compared too.
     for lead in {leader, config.positions[pick % len(config.positions)]}:
-        with mock.patch.object(oracle, "brute_force_leader", lambda c: lead):
+        lead_at = sorted(config.positions).index(lead)
+        with mock.patch.object(oracle, "_elect", lambda gaps: lead_at):
             report, got, verdicts = oracle._check(config)
         assert ({k: v.to_json() for k, v in report.items()}, got, verdicts) == ref_check(
             config, lead

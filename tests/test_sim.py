@@ -9,11 +9,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlegather import protocol
 from circlegather.analysis import expected_leaders
 from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
 from circlegather.cli import load_run_config, main
 from circlegather.configuration import (
     Configuration,
+    LatticeView,
     Robot,
     Snapshot,
     is_rotationally_symmetric,
@@ -25,7 +27,7 @@ from circlegather.errors import (
     SymmetricConfiguration,
 )
 from circlegather.oracle import GeneratorSpec, random_config
-from circlegather.protocol import CW, MoveCommand
+from circlegather.protocol import CW, Memory, MoveCommand
 from circlegather.sim import (
     AsyncRandomPolicy,
     FsyncPolicy,
@@ -37,6 +39,7 @@ from circlegather.sim import (
     ScriptedPolicy,
     SsyncPolicy,
     Trace,
+    TraceRecord,
     is_gathered,
     multiplicity_points,
     run,
@@ -171,6 +174,7 @@ def test_records_are_ordered_and_serializable():
     parsed = [json.loads(line) for line in lines]
     assert parsed[-1]["kind"] == "summary"
     assert {p["kind"] for p in parsed[:-1]} <= {
+        "view",
         "activate",
         "snapshot",
         "decide",
@@ -195,8 +199,9 @@ def dumps(obj):
 
 
 def reference_jsonl(trace):
-    """The serialiser ``Trace.to_jsonl`` replaced: one ``json.dumps`` per record,
-    a snapshot payload first turned into its :func:`reference_snapshot_json` dict."""
+    """The per-record form ``Trace.to_jsonl`` wrote before view lines: one
+    ``json.dumps`` per record, a snapshot payload first turned into its
+    :func:`reference_snapshot_json` dict."""
     lines = [
         dumps(
             {
@@ -213,6 +218,42 @@ def reference_jsonl(trace):
         for r in trace.records
     ]
     lines.append(dumps({"kind": "summary", **trace.summary}))
+    return "\n".join(lines) + "\n"
+
+
+def expand_view_lines(text):
+    """``Trace.to_jsonl`` text in the per-record form of :func:`reference_jsonl`.
+
+    Each snapshot line's payload is rebuilt from the view line before it, with
+    ``Fraction`` arithmetic: every ring point's offset from the observer's
+    tick, modulo a turn, except the observer's own point and its antipode,
+    flagged iff its tick is among the ring's multiplicities. View lines are
+    dropped; every other line is re-encoded as it is.
+    """
+    lines, ring = [], None
+    for line in text.splitlines():
+        obj = json.loads(line)
+        if obj["kind"] == "view":
+            assert set(obj) == {"kind", "payload", "t"}
+            ring = obj
+            continue
+        if obj["kind"] == "snapshot":
+            assert ring["t"] == obj["t"]
+            d, ticks = ring["payload"]["d"], ring["payload"]["ticks"]
+            flagged = set(ring["payload"]["multiplicities"])
+            assert ticks == sorted(set(ticks)) and flagged <= set(ticks)
+            me, own = obj["payload"]["tick"], obj["payload"]["self_multiplicity"]
+            assert me in ticks and own == (me in flagged)
+            visible = sorted((Fraction(k - me, d) % 1, k in flagged) for k in ticks)
+            obj["payload"] = {
+                "visible": [
+                    {"offset": f"{o.numerator}/{o.denominator}", "multiplicity": flag}
+                    for o, flag in visible
+                    if o not in (0, HALF_TURN)
+                ],
+                "self_multiplicity": own,
+            }
+        lines.append(dumps(obj))
     return "\n".join(lines) + "\n"
 
 
@@ -247,9 +288,9 @@ def test_to_jsonl_matches_the_per_record_reference(name):
     trace = JSONL_TRACES[name]()
     # Records share payload objects, so the once-per-object encoding is exercised.
     assert len({id(r.payload) for r in trace.records}) < len(trace.records)
-    assert trace.to_jsonl() == reference_jsonl(trace)
+    assert expand_view_lines(trace.to_jsonl()) == reference_jsonl(trace)
     if name == "fsync-n24":
-        # One point memo serves snapshots over distinct d and both flags.
+        # The views' snapshots reduce to distinct d and hold both flags.
         snaps = [r.payload for r in trace.records if r.kind == "snapshot"]
         assert len({s.d for s in snaps}) >= 2
         assert {f for s in snaps for f in s.flags} == {False, True}
@@ -261,27 +302,27 @@ def test_to_jsonl_matches_the_per_record_reference(name):
 
 
 @st.composite
-def snapshots(draw):
-    """A snapshot over d <= 200, handed to the constructor on a lattice up
-    to three times finer than its reduced one."""
-    k = draw(st.integers(1, 3))
-    d = draw(st.integers(1, 200 // k))
-    ticks = sorted(
-        t for t in draw(st.sets(st.integers(1, max(d - 1, 1)), max_size=30))
-        if t < d and 2 * t != d
+def looks(draw):
+    """A ring of points over d <= 200, weighing 0 to 2 each, and two of its
+    points as observers."""
+    d = draw(st.integers(1, 200))
+    points = draw(
+        st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, 2)), min_size=1, max_size=30)
     )
-    flags = draw(st.lists(st.booleans(), min_size=len(ticks), max_size=len(ticks)))
-    return Snapshot(d * k, tuple(t * k for t in ticks), tuple(flags), draw(st.booleans()))
-
-
-#: One point memo for every example, as one ``to_jsonl`` call shares it.
-_SHARED_FRAGMENTS = {}
+    view = LatticeView((Fraction(k, d), weight) for k, weight in points)
+    return view, draw(st.sampled_from(view.ticks)), draw(st.sampled_from(view.ticks))
 
 
 @settings(max_examples=300, deadline=None)
-@given(snapshots())
-def test_snapshot_jsonl_text_matches_the_reference(snap):
-    assert snap.json_text(_SHARED_FRAGMENTS) == dumps(reference_snapshot_json(snap))
+@given(looks())
+def test_snapshot_jsonl_text_matches_the_reference(look):
+    view, first, second = look
+    snaps = [view.snapshot(first), view.snapshot(second)]
+    records = [TraceRecord(F(1), f"r{i}", "snapshot", snap) for i, snap in enumerate(snaps)]
+    trace = Trace(records, {}, {id(snaps[0]): (view, first), id(snaps[1]): (view, second)})
+    text = trace.to_jsonl()
+    assert text.count('"kind":"view"') == 1
+    assert expand_view_lines(text) == reference_jsonl(trace)
 
 
 def test_moves_are_rigid():
@@ -472,7 +513,8 @@ def test_policy_with_int_look_instants_matches_fsync():
 # whole world after every event; they hold the incremental world state to
 # byte-identical output. The async and scripted rows were re-pinned when the
 # records moved to processing order; SORTED_DIGESTS shows each re-pin is a
-# reordering.
+# reordering. Since view lines, these digests hold the per-record form, and
+# VIEW_DIGESTS pins ``to_jsonl`` (see assert_pinned).
 
 
 def _pinned_policy(kind, seed, config):
@@ -558,8 +600,19 @@ def _pinned_trace(case):
         return exc.trace
 
 
-def sha256_of(trace):
-    return hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+def sha256_of(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def assert_pinned(name, trace, digest):
+    """The per-record form of ``trace`` still hashes to ``digest``, the pin
+    taken before view lines; ``to_jsonl`` expands to that form, so it only
+    re-encodes the records, and its own text hashes to ``VIEW_DIGESTS[name]``."""
+    reference = reference_jsonl(trace)
+    assert sha256_of(reference) == digest
+    text = trace.to_jsonl()
+    assert expand_view_lines(text) == reference
+    assert sha256_of(text) == VIEW_DIGESTS[name]
 
 
 @pytest.mark.parametrize("case", PINNED_TRACES, ids=_pinned_id)
@@ -567,7 +620,7 @@ def test_pinned_trace_digests(case):
     max_mult, digest = case[6:]
     trace = _pinned_trace(case)
     assert trace.summary["max_simultaneous_multiplicities"] == max_mult
-    assert sha256_of(trace) == digest
+    assert_pinned(_pinned_id(case), trace, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +733,51 @@ def test_robots_on_one_point_share_one_look_per_instant():
     assert at_2["r0"] is not at_1["r0"]
 
 
+def test_robots_sharing_a_look_and_memory_decide_once(monkeypatch):
+    calls = []
+    decide = protocol.decide
+
+    def counted(snap, memory, threshold):
+        calls.append(snap)
+        return decide(snap, memory, threshold)
+
+    monkeypatch.setattr(protocol, "decide", counted)
+    trace = JSONL_TRACES["fsync-n24"]()
+    looked, pairs, decides = {}, set(), 0
+    for r in trace.records:
+        if r.kind == "snapshot":
+            looked[r.robot] = r.payload
+        elif r.kind == "decide":
+            pairs.add((id(looked[r.robot]), r.payload["state_before"]))
+            decides += 1
+    assert len(calls) == len(pairs) < decides
+    # The digest of this run before decides were shared.
+    assert sha256_of(reference_jsonl(trace)) == (
+        "c07394c913b46444965c243d917b8bffc78d4f3c37749d0056ea7b6c7fd1d31b"
+    )
+
+
+def test_robots_sharing_a_look_with_other_memories_decide_apart():
+    # Under fsync, robots in memories off and moveMore rest on one point of
+    # this configuration and look at one instant.
+    trace = run(random_config(GeneratorSpec(4, 60, 5577)), FsyncPolicy())
+    memory, looked, readers = {}, {}, {}
+    for r in trace.records:
+        if r.kind == "activate":
+            memory[r.robot] = Memory(r.payload["state"])
+        elif r.kind == "snapshot":
+            looked[r.robot] = r.payload
+            readers.setdefault(id(r.payload), set()).add(memory[r.robot])
+        elif r.kind == "decide":
+            after, command = protocol.decide(looked[r.robot], memory[r.robot], HALF_TURN)
+            assert r.payload == {
+                "state_before": memory[r.robot].value,
+                "state_after": after.value,
+                "move": command.to_json(),
+            }
+    assert any(len(memories) > 1 for memories in readers.values())
+
+
 def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
     # r0 walks from 0 onto r1 at 1/10 during [1/4, 7/20]. r2 and r3 look
     # twice in that interval and stay, so no move starts or ends between
@@ -764,11 +862,57 @@ def test_event_clock_rejects_a_busy_look_at_a_new_denominator():
 # ---------------------------------------------------------------------------
 # The bound of two multiplicity points along asynchronous runs
 
-# The sha256 of each committed run configuration's trace JSONL.
+# The sha256 of each committed run configuration's trace in the per-record
+# form (see assert_pinned).
 RUN_DIGESTS = {
     "async_n10_seed1297162590": "a4e8e25361c91cc92ad1af94bf990ca11fd4faffc91e03097076b944cce1b596",
     "async_n30_seed150608039": "ee90dca7510fe8f9557b8352701509c00c9e76c7b1654452720db75001ef9e75",
     "class_C_async_seed0": "f51b51d2a36899c6aaec1d395e326eb06d4b04659ac2acaabec6f8ca2585c8f4",
+}
+
+# The sha256 of ``to_jsonl`` of each pinned case and run witness, pinned when
+# view lines replaced the per-record snapshot payloads.
+VIEW_DIGESTS = {
+    "fsync-n5-seed1-pi/2-relaxed":
+        "a9e971a4d3aec31aa486554788f7866f55c73247079a94bbc73251f56069e30a",
+    "fsync-n8-seed2-pi-strict":
+        "99b64541203d6dcc5994c72b537c5ba74f091919b243d425402439dac9cedbb3",
+    "fsync-n20-seed3-pi-relaxed":
+        "78030d483f84843141a97963a28ec00ef7687b712f5a16d3332fec486ed250cd",
+    "ssync-n6-seed4-pi/2-strict":
+        "d8a259eebcfa450452b0e2d87ef7b68e8ae475b63b810beb5c1a639ec777009c",
+    "ssync-n10-seed5-pi-relaxed":
+        "0177fa03b407a0b1b5e9cc9ad1a8e3afc1634e9d849be0cb0de81a1163ec7768",
+    "ssync-n16-seed6-pi-strict":
+        "ea965f8515ddbe17242a66379c78cc5bd8e5e7438ad15d2c2f6e48d209e9a496",
+    "async-n7-seed8-pi/2-strict":
+        "97094335514ba175870ddd33b03e4c60241bd963aea0728406b956c34ea62003",
+    "async-n10-seed34-pi-relaxed":
+        "7f31c0eaf478eae72c8f2eaa60b72b1fce4b91395d05205ded6944a1e9726b2b",
+    "async-n12-seed33-pi-strict":
+        "4172dd09bb42661d7bfc20b3b38bfc49d3f2370149da1dec664b0dbab024f773",
+    "async-n12-seed8-pi-relaxed":
+        "7dacf72a8a945d24736fd2f55be6cc017db713146a4cb08773c590276a341017",
+    "async-n16-seed61-pi-strict":
+        "36c999b677c01314fadf4494b9137a9f4ca4fc8ae79b42e5554f8c0aff828965",
+    "async-n20-seed12-pi-relaxed":
+        "51f595363d665e0bc4193470d7e0c49ce59aee0cef0ad1c2677227b009058e4a",
+    "async-n8-seed37-pi/2-relaxed":
+        "f48bc27356db67bd86789602e0385cc460975c3ce1831123a9edd57afedc92b4",
+    "scripted-n4-seed9-pi/2-relaxed":
+        "1af01c02529ba009d8c5cf1ef5def1ca2c4cd573af146ec9213abf0f4db37fe0",
+    "scripted-n6-seed10-pi-strict":
+        "6773938543a6958bd4a10c076fce8aeecd3f674914d24ec9c19391b6111dcbc8",
+    "scripted-n8-seed14-pi-relaxed":
+        "7b5a31bb173d4eeb8f8aa615dc4ce26ee9b18de8e71249e855121848b53caabd",
+    "scripted-n12-seed13-pi/2-strict":
+        "d2041e55194cf7b1602d4f6973c0ea48b08e1d34d0430651b63ccad8f15d303b",
+    "async_n10_seed1297162590":
+        "88474c4a4c0596b98b498b16147812a6c254fca7a86864bf5183dd6760bfefbe",
+    "async_n30_seed150608039":
+        "31d99c1bd7748093aca853d98325f8aa9173ce62da440416a6afbcba518841fd",
+    "class_C_async_seed0":
+        "7cf768e15a186c1d380c5bf93da8d0f7d298d56a56c761315ad4e499fa91e063",
 }
 
 RUN_WITNESSES = sorted(p.stem for p in (FIXTURES / "runs").glob("*.json"))
@@ -793,7 +937,7 @@ def test_run_witnesses_gather_within_the_bound(name):
     trace = run(*_witness_config(name))
     assert trace.summary["gathered"]
     assert trace.summary["max_simultaneous_multiplicities"] <= 2
-    assert sha256_of(trace) == RUN_DIGESTS[name]
+    assert_pinned(name, trace, RUN_DIGESTS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +986,8 @@ def test_pinned_digests_reorder_the_sorted_traces(name):
         trace = run(*_witness_config(name))
     else:
         trace = _pinned_trace(next(c for c in PINNED_TRACES if _pinned_id(c) == name))
-    resorted = Trace(sorted(trace.records, key=itemgetter(0, 1, 2)), trace.summary)
-    assert sha256_of(resorted) == SORTED_DIGESTS[name]
+    resorted = Trace(sorted(trace.records, key=itemgetter(0, 1, 2)), trace.summary, trace.views)
+    assert sha256_of(reference_jsonl(resorted)) == SORTED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["async_n10_seed1297162590", "event-clock"])
@@ -853,12 +997,16 @@ def test_processing_order_cut_at_the_event_limit_is_a_prefix(name):
         options = None
     else:
         initial, policy, _, options = _witness_config(name)
-    full = run(initial, policy, None, options).records
+    whole = run(initial, policy, None, options)
+    full, full_lines = whole.records, whole.to_jsonl().splitlines()
     for k in range(1, len(full)):
         with pytest.raises(LimitExceeded) as exc:
             run(initial, policy, RunLimits(max_events=k), options)
         partial = exc.value.trace.records
         assert partial == full[: len(partial)], k
+        # The lines too, view lines included, but for the summary.
+        lines = exc.value.trace.to_jsonl().splitlines()[:-1]
+        assert lines == full_lines[: len(lines)], k
 
 
 def test_processing_order_puts_a_queued_look_right_after_its_decide():
