@@ -19,7 +19,6 @@ from .analysis import (
     classify_all,
     configuration_class,
     expected_leaders,
-    hypothesis_configs,
     is_safe_neighbor,
 )
 from .configuration import (

@@ -1,18 +1,20 @@
 """Leader reasoning from local views and whole-configuration taxonomy.
 
 Because a robot never sees its antipodal point, every multiplicity-free view
-spawns two hypothesis configurations: the view as-is (antipode empty) and
-the view plus one robot at the antipode. Classification, the safe-neighbor
-test and the A/BI/BII/C taxonomy are all built on electing leaders inside
-those hypotheses, which are elected on the snapshot's own ints by
+spawns two hypotheses: the view as-is (antipode empty) and the view plus
+one robot at the antipode. Classification, the safe-neighbor test and the
+A/BI/BII/C taxonomy are all built on electing leaders inside those
+hypotheses, which are elected on the snapshot's own ints by
 ``configuration.elect``: c0 is the observer's tick 0 plus the snapshot's
 ticks over ``d``, and c1 doubles them and adds the half turn, over ``2d``.
-Each hypothesis is elected once; a leader is an index, the observer's
-being 0. ``classify`` and friends consume a Snapshot only, so a robot
-could run them from purely local information; the whole-configuration
-operations at the bottom exist for the simulator and the test oracles.
-They build one ``LatticeView`` per configuration and read every robot's
-snapshot, the symmetry test and the leader off it.
+A leader is an index, the observer's being 0. ``classify`` and friends
+consume a Snapshot only, so a robot could run them from purely local
+information; the whole-configuration operations at the bottom exist for
+the simulator, the CLI and the test oracles. The taxonomy reads one
+``configuration.distinct_view`` of the occupied points and classifies each
+point's snapshot by its lattice int, so, like the anonymous robots, it
+reads no robot identity; only ``classify_all`` and the report's per-robot
+list key their verdicts by robot id.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .angles import HALF_TURN, format_angle
-from .configuration import Configuration, LatticeView, Snapshot, elect
+from .angles import format_angle
+from .configuration import Configuration, LatticeView, Snapshot, distinct_view, elect
 from .errors import (
     AmbiguousSymmetric,
     InvariantViolation,
     MultiplicityInSnapshot,
-    MultiplicityPresent,
     NotConfusedLeader,
     SymmetricConfiguration,
 )
@@ -71,13 +72,12 @@ class ConfigurationClass(enum.Enum):
 
 
 def _require_plain(snapshot: Snapshot) -> None:
-    if snapshot.has_multiplicity:
+    if snapshot.self_is_multiplicity or any(snapshot.flags):
         raise MultiplicityInSnapshot(
             "hypothesis reasoning needs a multiplicity-free snapshot"
         )
 
 
-@lru_cache(maxsize=1 << 16)
 def _hypothesis_data(snapshot: Snapshot):
     """(c0 ticks, c1 ticks, possibility, c0 leader, c1 leader).
 
@@ -100,23 +100,6 @@ def _hypothesis_data(snapshot: Snapshot):
     else:
         possibility = Possibility.BOTH
     return c0, c1, possibility, lead0, lead1
-
-
-def hypothesis_configs(snapshot: Snapshot):
-    """The observer's two candidate worlds and which of them are possible.
-
-    Returns ``(c0, c1, possibility)`` as Configurations in the observer
-    frame: the observer at 0 with id ``"v0"``, the visible robots as
-    ``"v1"`` to ``"v<k>"`` in clockwise order and the hypothetical antipodal
-    robot as ``"antipodal"``.
-    """
-    _require_plain(snapshot)
-    c0, _, possibility, _, _ = _hypothesis_data(snapshot)
-    conf0 = Configuration.from_points([Fraction(t, snapshot.d) for t in c0], prefix="v")
-    robots = list(conf0.robots)
-    robots.append(type(robots[0])("antipodal", HALF_TURN))
-    conf1 = Configuration(tuple(robots))
-    return conf0, conf1, possibility
 
 
 @lru_cache(maxsize=1 << 16)
@@ -181,18 +164,10 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
     return False
 
 
-def _view(config: Configuration) -> LatticeView:
-    return LatticeView((r.pos, 1) for r in config.robots)
-
-
-def _snapshots(config: Configuration, view: LatticeView) -> Dict[str, Snapshot]:
-    """Every robot's snapshot, read off one lattice view of the configuration."""
-    return {r.robot_id: view.snapshot(view.tick(r.pos)) for r in config.robots}
-
-
 def classify_all(config: Configuration) -> Dict[str, LeaderClass]:
     """Every robot's self-classification from its own snapshot."""
-    return {rid: classify(snap) for rid, snap in _snapshots(config, _view(config)).items()}
+    view = LatticeView((r.pos, 1) for r in config.robots)
+    return {r.robot_id: classify(view.snapshot(view.tick(r.pos))) for r in config.robots}
 
 
 def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
@@ -204,55 +179,45 @@ def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
 
 def configuration_class(config: Configuration) -> ConfigurationClass:
     """The A / BI / BII / C taxonomy of an asymmetric multiplicity-free configuration."""
-    view = _view(config)
-    return _taxonomy(config, view, _snapshots(config, view))[0]
+    return _taxonomy(distinct_view(config.positions))[0]
 
 
-def _taxonomy(
-    config: Configuration, view: LatticeView, snapshots: Dict[str, Snapshot]
-) -> Tuple[ConfigurationClass, int]:
-    """The class and the leader's lattice int, both read off ``view``."""
-    if len(view.ticks) < len(config.robots):
-        raise MultiplicityPresent("taxonomy undefined with a multiplicity point")
+def _taxonomy(view: LatticeView) -> Tuple[ConfigurationClass, int, Dict[int, LeaderClass]]:
+    """The class, the leader's lattice int and each point's verdict, by its int.
+
+    Every point of ``view`` is classified from its own snapshot; the expected
+    leaders are told apart from the leader by their ints alone.
+    """
     lead = elect(view.ticks, view.d)
     if lead is None:
         raise SymmetricConfiguration("taxonomy undefined for symmetric configurations")
     lead_tick = view.ticks[lead]
-    verdicts = ((rid, classify(snap)) for rid, snap in snapshots.items())
-    leaders = [(rid, cls) for rid, cls in verdicts if cls.is_expected_leader]
+    verdicts = {tick: classify(view.snapshot(tick)) for tick in view.ticks}
+    leaders = [tick for tick, cls in verdicts.items() if cls.is_expected_leader]
     if len(leaders) == 1:
-        rid, cls = leaders[0]
-        if cls.tag is LeaderTag.SURE_LEADER:
-            return ConfigurationClass.A, lead_tick
-        safe = is_safe_neighbor(snapshots[rid])
-        return ConfigurationClass.A if safe else ConfigurationClass.C, lead_tick
-    if len(leaders) == 2:
-        others = [rid for rid, _ in leaders if view.tick(config.robot(rid).pos) != lead_tick]
-        if len(others) != 1:
-            raise InvariantViolation(
-                f"expected exactly one non-leader expected leader, got {others}"
-            )
-        other_cls = dict(leaders)[others[0]]
-        if other_cls.tag is not LeaderTag.CONFUSED_LEADER:
-            raise InvariantViolation(
-                "the expected leader away from the true leader must be confused"
-            )
-        safe = is_safe_neighbor(snapshots[others[0]])
-        return ConfigurationClass.BI if safe else ConfigurationClass.BII, lead_tick
-    raise InvariantViolation(
-        f"expected-leader count must be 1 or 2, got {len(leaders)} "
-        f"in {[format_angle(p) for p in config.positions]}"
-    )
+        tick = leaders[0]
+        if verdicts[tick].tag is LeaderTag.SURE_LEADER or is_safe_neighbor(view.snapshot(tick)):
+            return ConfigurationClass.A, lead_tick, verdicts
+        return ConfigurationClass.C, lead_tick, verdicts
+    others = [tick for tick in leaders if tick != lead_tick]
+    if len(leaders) != 2 or len(others) != 1:
+        raise InvariantViolation(
+            f"expected the leader and at most one other expected leader, got ticks {leaders} "
+            f"over {view.d} with the leader at {lead_tick}"
+        )
+    if verdicts[others[0]].tag is not LeaderTag.CONFUSED_LEADER:
+        raise InvariantViolation("the expected leader away from the true leader must be confused")
+    safe = is_safe_neighbor(view.snapshot(others[0]))
+    return (ConfigurationClass.BI if safe else ConfigurationClass.BII), lead_tick, verdicts
 
 
 def analysis_report(config: Configuration) -> dict:
     """JSON-ready report: taxonomy class, leader, and per-robot verdicts."""
-    view = _view(config)
-    snapshots = _snapshots(config, view)
-    cls, lead_tick = _taxonomy(config, view, snapshots)
+    view = distinct_view(config.positions)
+    cls, lead_tick, verdicts = _taxonomy(view)
     per_robot = []
     for r in config.robots:
-        lc = classify(snapshots[r.robot_id])
+        lc = verdicts[view.tick(r.pos)]
         per_robot.append(
             {
                 "id": r.robot_id,

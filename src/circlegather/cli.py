@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Optional
 
-from .analysis import ConfigurationClass
+from .analysis import ConfigurationClass, analysis_report
 from .angles import HALF_TURN, QUARTER_TURN, parse_time
 from .configuration import Configuration, reject_unknown_keys
 from .errors import (
@@ -140,8 +140,6 @@ def _load_json(path: str):
 
 def cmd_analyze(args) -> int:
     config = Configuration.from_json(_load_json(args.config))
-    from .analysis import analysis_report
-
     report = analysis_report(config)
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
@@ -193,8 +191,6 @@ def _policy_from_json(obj):
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _POLICY_KEYS:
         raise ParseError(f"unknown policy kind {kind!r}")
-    if kind == "ssync" and "fairness_window" in obj:
-        raise ParseError("ssync policy field 'fairness_window' is now 'max_skips'")
     reject_unknown_keys(obj, _POLICY_KEYS[kind], f"{kind} policy field")
     if kind == "fsync":
         return FsyncPolicy()

@@ -1,8 +1,9 @@
 """Configurations of robots on the circle and per-robot snapshots.
 
 A configuration is a multiset of positions with opaque robot identities.
-Identities exist only for the simulator and tests; none of the analysis
-operations read them. Snapshots are what a single robot actually sees:
+Identities exist only for the simulator, the tests and per-robot reports;
+the symmetry test, the leader election and the taxonomy read only the
+occupied points. Snapshots are what a single robot actually sees:
 clockwise offsets of occupied points strictly closer than a half turn,
 with weak multiplicity flags (a flag, never a count).
 
@@ -14,9 +15,10 @@ ints, shifted to the observer. :func:`elect` is the one integer leader
 election: one Lyndon factorisation of the gaps between those ints gives
 both the leader (the start of the least rotation of the gaps) and the
 symmetry test (that rotation is a power of a shorter word), in linear
-time. The symmetry test and leader of a configuration each read one view
-and call it, and so does the analysis. :func:`gap_sequence` is the Fraction
-path that the tests' references and the benchmark's tracer read.
+time. :func:`distinct_view` is the one multiplicity check on the lattice:
+the symmetry test, the leader and the analysis's taxonomy each read one
+such view and elect on it. :func:`gap_sequence` is the Fraction path that
+the tests' references and the benchmark's tracer read.
 A :class:`Snapshot` keeps ints: its visible points are ticks over one
 denominator, reduced by their gcd, each with one flag, and it checks them
 with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a
@@ -26,6 +28,7 @@ ints; ``Snapshot.of`` builds a snapshot from Fraction offsets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -68,9 +71,9 @@ class Configuration:
             raise ContractViolation("robot ids must be unique")
 
     @classmethod
-    def from_points(cls, points: Iterable, prefix: str = "r") -> "Configuration":
+    def from_points(cls, points: Iterable) -> "Configuration":
         pts = [norm(p) for p in points]
-        return cls(tuple(Robot(f"{prefix}{i}", p) for i, p in enumerate(pts)))
+        return cls(tuple(Robot(f"r{i}", p) for i, p in enumerate(pts)))
 
     @classmethod
     def from_json(cls, obj) -> "Configuration":
@@ -166,10 +169,6 @@ class Snapshot:
         ticks, flags = tuple([t for t, _ in points]), tuple([f for _, f in points])
         return cls(d, ticks, flags, self_is_multiplicity)
 
-    @property
-    def has_multiplicity(self) -> bool:
-        return self.self_is_multiplicity or any(self.flags)
-
 
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:
     """Clockwise gaps between consecutive occupied points, from the smallest position.
@@ -219,10 +218,10 @@ class LatticeView:
     being the lcm of their denominators; pairs on one point are merged,
     adding their weights, and the points are sorted clockwise from 0. A
     point of weight two or more is a multiplicity: ``flags`` keeps that
-    verdict per point, and ``index`` maps each int to its place.
+    verdict per point; a point's place on the ring is found by bisection.
     """
 
-    __slots__ = ("d", "ticks", "flags", "index")
+    __slots__ = ("d", "ticks", "flags")
 
     def __init__(self, points: Iterable[Tuple[Fraction, int]]):
         points = list(points)
@@ -235,7 +234,6 @@ class LatticeView:
         self.d = d
         self.ticks = sorted(merged)
         self.flags = [merged[t] >= 2 for t in self.ticks]
-        self.index = {t: i for i, t in enumerate(self.ticks)}
 
     def tick(self, pos: Fraction) -> int:
         """The lattice int of the occupied point ``pos``."""
@@ -243,7 +241,8 @@ class LatticeView:
         d = self.d
         if d % q == 0:
             tick = num * (d // q) % d
-            if tick in self.index:
+            i = bisect_left(self.ticks, tick)
+            if self.ticks[i : i + 1] == [tick]:
                 return tick
         raise UnknownRobot(f"no robot at position {format_angle(pos)}")
 
@@ -259,15 +258,14 @@ class LatticeView:
         :class:`Snapshot` keeps.
         """
         ticks, flags, d = self.ticks, self.flags, self.d
-        i = self.index[tick]
+        i = bisect_left(ticks, tick)
         offs = list(map((-tick).__add__, ticks[i + 1 :]))
         offs += map((d - tick).__add__, ticks[:i])
         seen = flags[i + 1 :] + flags[:i]
         if not d % 2:
-            j = self.index.get((tick + d // 2) % d)
-            if j is not None:
-                # The antipode's place in the clockwise read.
-                k = (j - i - 1) % len(ticks)
+            # An occupied antipode is at offset d / 2; the offsets are sorted.
+            k = bisect_left(offs, d // 2)
+            if offs[k : k + 1] == [d // 2]:
                 del offs[k], seen[k]
         return Snapshot(d, tuple(offs), tuple(seen), flags[i])
 
@@ -292,8 +290,11 @@ def _positions_of(config) -> Tuple[Fraction, ...]:
     return config.positions if isinstance(config, Configuration) else tuple(config)
 
 
-def _distinct_view(positions: Sequence[Fraction]) -> LatticeView:
-    """One view of ``positions``; fewer view points than positions means a shared point."""
+def distinct_view(positions: Sequence[Fraction]) -> LatticeView:
+    """One view of ``positions``; fewer view points than positions means a shared point.
+
+    This is the multiplicity check of every operation that needs distinct points.
+    """
     view = LatticeView((p, 1) for p in positions)
     if len(view.ticks) < len(positions):
         raise MultiplicityPresent("operation undefined with a multiplicity point")
@@ -302,7 +303,7 @@ def _distinct_view(positions: Sequence[Fraction]) -> LatticeView:
 
 def is_rotationally_symmetric(config) -> bool:
     """True iff some nontrivial rotation maps the configuration onto itself."""
-    view = _distinct_view(_positions_of(config))
+    view = distinct_view(_positions_of(config))
     return elect(view.ticks, view.d) is None
 
 
@@ -312,7 +313,7 @@ def true_leader(config) -> Fraction:
     The position comes back as given, not normalised to [0, 1).
     """
     positions = _positions_of(config)
-    view = _distinct_view(positions)
+    view = distinct_view(positions)
     lead = elect(view.ticks, view.d)
     if lead is None:
         raise SymmetricConfiguration("no unique leader in a symmetric configuration")

@@ -504,8 +504,6 @@ def run(
         rr = world[rid]
 
         if rank == LOOK:
-            if rr.is_moving_at(t):
-                raise ObserverMoving(f"robot {rid!r} cannot look while moving")
             # Round policies share instant objects, so most looks of one
             # instant pass on identity alone.
             if t is not view_t and t != view_t:
@@ -513,7 +511,8 @@ def run(
                 for mover in in_flight.values():
                     points.append((mover.position_at(t), 0 if mover.is_moving_at(t) else 1))
                 view, view_t, looks = LatticeView(points), t, {}
-            # A looking robot's previous move has ended: it rests on its anchor.
+            # A robot's next cycle is queued only after a stay or once its
+            # move has ended, so a looking robot rests on its anchor.
             tick = view.tick(rr.anchor)
             look = looks.get(tick)
             if look is None:
@@ -587,14 +586,14 @@ def run(
                     mult_points -= 1
                 in_flight[rid] = rr
             else:
+                # The set is empty unless the world is gathered: only a move
+                # start ungathers it, and a move start clears the set.
                 if not in_flight and len(resting) == 1:
                     gathered_confirmed.add(rid)
                     if gathered_confirmed == set(all_ids):
                         # Every robot has witnessed the gathering with a
                         # moveless cycle: gathered and quiescent.
                         break
-                else:
-                    gathered_confirmed.clear()
                 schedule_cycle(rid, t)
             continue
 

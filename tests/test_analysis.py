@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from circlegather import analysis
 from circlegather.analysis import (
@@ -18,17 +18,16 @@ from circlegather.analysis import (
     configuration_class,
     detect_confused_peer_in_c0,
     expected_leaders,
-    hypothesis_configs,
     is_safe_neighbor,
 )
-from circlegather.angles import HALF_TURN, antipode
+from circlegather.angles import HALF_TURN, antipode, format_angle
 from circlegather.configuration import (
     Configuration,
     Snapshot,
     gap_sequence,
+    is_rotationally_symmetric,
     snapshot_of_positions,
     take_snapshot,
-    true_leader,
 )
 from circlegather.errors import (
     AmbiguousSymmetric,
@@ -37,8 +36,12 @@ from circlegather.errors import (
     NotConfusedLeader,
     SymmetricConfiguration,
 )
+from circlegather.oracle import brute_force_leader, oracle_classify
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Examples per property test: 300, or the deep profile's budget when it is larger.
+BUDGET = max(300, settings.default.max_examples)
 
 
 def F(s):
@@ -55,34 +58,21 @@ def worked():
     return load_fixture("worked_example")
 
 
-def test_hypothesis_configs_frame(worked):
-    snap = take_snapshot(worked, "r0")
-    c0, c1, possibility = hypothesis_configs(snap)
-    assert possibility is Possibility.BOTH
-    assert c0.positions == (F(0), F("1/10"), F("9/20"), F("7/10"))
-    assert set(c1.positions) == set(c0.positions) | {F("1/2")}
-    assert c1.robot("antipodal").pos == F("1/2")
-
-
 def test_hypothesis_rejects_multiplicity_snapshot():
-    snap = Snapshot.of([(F("1/10"), True)])
-    with pytest.raises(MultiplicityInSnapshot):
-        hypothesis_configs(snap)
-    with pytest.raises(MultiplicityInSnapshot):
-        classify(snap)
+    for snap in (Snapshot.of([(F("1/10"), True)]), Snapshot.of([(F("1/10"), False)], True)):
+        with pytest.raises(MultiplicityInSnapshot):
+            classify(snap)
 
 
 def test_only_c0_when_adding_the_antipode_creates_symmetry():
     # Observer at 0 with robots at 1/4 and 3/4: adding 1/2 makes a square.
     snap = Snapshot.of([(F("1/4"), False), (F("3/4"), False)])
-    _, _, possibility = hypothesis_configs(snap)
-    assert possibility is Possibility.ONLY_C0
+    assert classify(snap).possibility is Possibility.ONLY_C0
 
 
 def test_only_c1_when_the_view_alone_is_symmetric():
     snap = Snapshot.of([(F("1/3"), False), (F("2/3"), False)])
-    _, _, possibility = hypothesis_configs(snap)
-    assert possibility is Possibility.ONLY_C1
+    assert classify(snap).possibility is Possibility.ONLY_C1
 
 
 def test_no_snapshot_with_both_hypotheses_symmetric_found():
@@ -117,9 +107,10 @@ def test_worked_example_classification(worked):
 
 def test_worked_example_confused_leader_splits_hypotheses(worked):
     snap = take_snapshot(worked, "r0")
-    c0, c1, _ = hypothesis_configs(snap)
-    assert true_leader(c0) == 0
-    assert true_leader(c1) != 0
+    # c0 is the observer frame of the view: the observer, index 0, leads it.
+    _, _, _, lead0, lead1 = analysis._hypothesis_data(snap)
+    assert lead0 == 0
+    assert lead1 != 0
 
 
 def test_worked_example_safe_neighbor_and_class(worked):
@@ -183,7 +174,9 @@ def test_expected_leader_tag_combinations():
 
 
 def test_taxonomy_rejects_illegal_inputs():
-    with pytest.raises(MultiplicityPresent, match="^taxonomy undefined with a multiplicity point$"):
+    with pytest.raises(
+        MultiplicityPresent, match="^operation undefined with a multiplicity point$"
+    ):
         configuration_class(Configuration.from_points([F(0), F(0), F("1/4")]))
     with pytest.raises(
         SymmetricConfiguration, match="^taxonomy undefined for symmetric configurations$"
@@ -292,14 +285,13 @@ def check_against_reference(snapshot):
     Returns the reference's tag and possibility and, for a confused leader,
     its safe-neighbor and confused-peer verdicts (None otherwise).
     """
-    c0, _, possibility, _, _ = reference_hypotheses(snapshot)
+    c0, c1, possibility, _, _ = reference_hypotheses(snapshot)
     tag, _ = reference_classify(snapshot)
     cls = classify(snapshot)
     assert (cls.tag, cls.possibility) == (tag, possibility), snapshot
-    conf0, conf1, got = hypothesis_configs(snapshot)
-    assert got is possibility
-    assert conf0.positions == c0
-    assert conf1.positions == c0 + (HALF_TURN,)
+    ticks0, ticks1 = analysis._hypothesis_data(snapshot)[:2]
+    assert tuple(Fraction(t, snapshot.d) for t in ticks0) == c0
+    assert tuple(Fraction(t, 2 * snapshot.d) for t in ticks1) == c1
     if tag is not LeaderTag.CONFUSED_LEADER:
         with pytest.raises(NotConfusedLeader):
             is_safe_neighbor(snapshot)
@@ -357,7 +349,7 @@ def plain_views(draw):
     return plain(d, sorted(ticks))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=BUDGET, deadline=None)
 @given(plain_views())
 def test_int_election_matches_the_fraction_reference(snapshot):
     check_against_reference(snapshot)
@@ -365,10 +357,10 @@ def test_int_election_matches_the_fraction_reference(snapshot):
 
 @pytest.fixture
 def cold_caches():
-    for f in (analysis._hypothesis_data, classify, is_safe_neighbor, detect_confused_peer_in_c0):
+    for f in (classify, is_safe_neighbor, detect_confused_peer_in_c0):
         f.cache_clear()
     yield
-    for f in (analysis._hypothesis_data, classify, is_safe_neighbor, detect_confused_peer_in_c0):
+    for f in (classify, is_safe_neighbor, detect_confused_peer_in_c0):
         f.cache_clear()
 
 
@@ -381,5 +373,62 @@ def test_both_hypotheses_symmetric_raises_like_the_reference(monkeypatch, cold_c
             reference_hypotheses(snapshot, symmetric=lambda gaps: True)
         with pytest.raises(AmbiguousSymmetric):
             classify(snapshot)
-        with pytest.raises(AmbiguousSymmetric):
-            hypothesis_configs(snapshot)
+
+
+# ---------------------------------------------------------------------------
+# The taxonomy against a reference built from the oracle
+
+
+def reference_taxonomy(config):
+    """(class, leader, verdicts) from the oracle and the Fraction references.
+
+    Each robot is classified by ``oracle_classify`` and the leader elected by
+    ``brute_force_leader``. With one expected leader the class is A when it
+    is sure or its first clockwise neighbor is safe, and C otherwise; with
+    two, the one away from the leader is confused, and the class is BI or
+    BII as its neighbor is safe or not.
+    """
+    positions = config.positions
+    leader = brute_force_leader(config)
+    verdicts = [oracle_classify(positions, p) for p in positions]
+    expected = [v for v in verdicts if v.tag != "follower"]
+
+    def safe(verdict):
+        return reference_is_safe_neighbor(snapshot_of_positions(positions, verdict.pos))
+
+    if len(expected) == 1:
+        (v,) = expected
+        cls = "A" if v.tag == "sure-leader" or safe(v) else "C"
+    else:
+        assert len(expected) == 2, expected
+        (v,) = [v for v in expected if v.pos != leader]
+        assert v.tag == "confused-leader", v
+        cls = "BI" if safe(v) else "BII"
+    return cls, leader, verdicts
+
+
+@st.composite
+def asymmetric_configs(draw):
+    """Asymmetric multiplicity-free configurations of 3 to 10 robots, on
+    small lattices, where classes BI, BII and C are common."""
+    d = draw(st.sampled_from((9, 12, 15, 16, 20, 24, 60)))
+    n = draw(st.integers(3, min(10, d)))
+    ticks = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n, unique=True))
+    config = Configuration.from_points([Fraction(t, d) for t in ticks])
+    assume(not is_rotationally_symmetric(config))
+    return config
+
+
+@settings(max_examples=BUDGET, deadline=None)
+@given(asymmetric_configs())
+@example(load_fixture("class_BI"))
+@example(load_fixture("class_BII"))
+@example(load_fixture("class_C"))
+def test_configuration_class_matches_the_fraction_reference(config):
+    cls, leader, verdicts = reference_taxonomy(config)
+    assert configuration_class(config).value == cls
+    report = analysis_report(config)
+    assert (report["class"], report["leader"]) == (cls, format_angle(leader))
+    assert [(r["class"], r["possibility"]) for r in report["robots"]] == [
+        (v.tag, v.possibility) for v in verdicts
+    ]

@@ -546,11 +546,11 @@ def test_run_ssync_policy_reads_max_skips(tmp_path, capsys):
     assert by_round and all(ids == robots for ids in by_round.values())
 
 
-def test_run_ssync_old_fairness_window_key_names_max_skips(tmp_path, capsys):
+def test_run_ssync_old_fairness_window_key_is_an_unknown_field(tmp_path, capsys):
     rc = write_json(
         tmp_path / "run.json",
         run_config_doc(policy={"kind": "ssync", "seed": 4, "fairness_window": 1}),
     )
     assert main(["run", rc]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("parse error: ") and "max_skips" in err
+    assert err == "parse error: unknown ssync policy field(s) ['fairness_window']\n"

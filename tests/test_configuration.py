@@ -393,7 +393,7 @@ def reference_view_snapshot(view, tick):
     the observer's, clockwise round the ring, each offset taken modulo ``d``
     and the antipodal offset skipped."""
     ticks, flags, d = view.ticks, view.flags, view.d
-    i = view.index[tick]
+    i = view.ticks.index(tick)
     offs, seen = [], []
     # Negative indices wrap, so k = i + 1 - n .. i - 1 goes clockwise from
     # the observer's successor round the ring to its predecessor.
