@@ -16,9 +16,7 @@ from .analysis import (
     Possibility,
     analysis_report,
     classify,
-    classify_all,
     configuration_class,
-    expected_leaders,
     is_safe_neighbor,
 )
 from .configuration import (

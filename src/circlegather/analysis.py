@@ -13,8 +13,8 @@ information; the whole-configuration operations at the bottom exist for
 the simulator, the CLI and the test oracles. The taxonomy reads one
 ``configuration.distinct_view`` of the occupied points and classifies each
 point's snapshot by its lattice int, so, like the anonymous robots, it
-reads no robot identity; only ``classify_all`` and the report's per-robot
-list key their verdicts by robot id.
+reads no robot identity; only the report's per-robot list keys its
+verdicts by robot id.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .angles import format_angle
 from .configuration import Configuration, LatticeView, Snapshot, distinct_view, elect
 from .errors import (
     AmbiguousSymmetric,
     InvariantViolation,
-    MultiplicityInSnapshot,
+    MultiplicityPresent,
     NotConfusedLeader,
     SymmetricConfiguration,
 )
@@ -71,13 +71,6 @@ class ConfigurationClass(enum.Enum):
     C = "C"
 
 
-def _require_plain(snapshot: Snapshot) -> None:
-    if snapshot.self_is_multiplicity or any(snapshot.flags):
-        raise MultiplicityInSnapshot(
-            "hypothesis reasoning needs a multiplicity-free snapshot"
-        )
-
-
 def _hypothesis_data(snapshot: Snapshot):
     """(c0 ticks, c1 ticks, possibility, c0 leader, c1 leader).
 
@@ -109,8 +102,10 @@ def classify(snapshot: Snapshot) -> LeaderClass:
     The hypothetical antipodal robot counts as a leader candidate inside c1.
     A confused verdict always has the observer leading c0 and not c1; the
     opposite split would contradict a checked model invariant and aborts.
+    A flagged snapshot raises :class:`MultiplicityPresent`.
     """
-    _require_plain(snapshot)
+    if snapshot.self_is_multiplicity or any(snapshot.flags):
+        raise MultiplicityPresent("operation undefined with a multiplicity point")
     _, _, possibility, lead0, lead1 = _hypothesis_data(snapshot)
     leads0, leads1 = lead0 == 0, lead1 == 0
     if possibility is Possibility.ONLY_C0:
@@ -162,19 +157,6 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
         if classify(view.snapshot(tick)).tag is LeaderTag.CONFUSED_LEADER:
             return True
     return False
-
-
-def classify_all(config: Configuration) -> Dict[str, LeaderClass]:
-    """Every robot's self-classification from its own snapshot."""
-    view = LatticeView((r.pos, 1) for r in config.robots)
-    return {r.robot_id: classify(view.snapshot(view.tick(r.pos))) for r in config.robots}
-
-
-def expected_leaders(config: Configuration) -> List[Tuple[str, LeaderClass]]:
-    """(robot_id, class) for every robot that is not a follower."""
-    return [
-        (rid, cls) for rid, cls in classify_all(config).items() if cls.is_expected_leader
-    ]
 
 
 def configuration_class(config: Configuration) -> ConfigurationClass:

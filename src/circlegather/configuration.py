@@ -23,7 +23,7 @@ A :class:`Snapshot` keeps ints: its visible points are ticks over one
 denominator, reduced by their gcd, each with one flag, and it checks them
 with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a
 Python loop. Its readers (the analysis and the protocol) decide on those
-ints; ``Snapshot.of`` builds a snapshot from Fraction offsets.
+ints; every snapshot the package builds comes from a ``LatticeView``.
 """
 
 from __future__ import annotations
@@ -153,21 +153,6 @@ class Snapshot:
         if g > 1:
             object.__setattr__(self, "d", d // g)
             object.__setattr__(self, "ticks", tuple([t // g for t in ticks]))
-
-    @classmethod
-    def of(
-        cls, pairs: Iterable[Tuple[Fraction, bool]], self_is_multiplicity: bool = False
-    ) -> "Snapshot":
-        """A snapshot from ``(offset, flag)`` pairs given in any order.
-
-        The offsets are scaled to the lcm of their denominators and sorted;
-        the constructor makes every check.
-        """
-        pairs = list(pairs)
-        d = lcm(*[o.denominator for o, _ in pairs])
-        points = sorted((o.numerator * (d // o.denominator), flag) for o, flag in pairs)
-        ticks, flags = tuple([t for t, _ in points]), tuple([f for _, f in points])
-        return cls(d, ticks, flags, self_is_multiplicity)
 
 
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:

@@ -10,11 +10,11 @@ class ParseError(CircleGatherError):
 
 
 class MultiplicityPresent(CircleGatherError):
-    """Operation requires a configuration with all robots at distinct points."""
+    """Operation requires all robots at distinct points.
 
-
-class MultiplicityInSnapshot(CircleGatherError):
-    """Hypothesis reasoning is only defined for multiplicity-free snapshots."""
+    Raised for a configuration with a shared point and for a snapshot with a
+    multiplicity flag, which hypothesis reasoning cannot read.
+    """
 
 
 class SymmetricConfiguration(CircleGatherError):

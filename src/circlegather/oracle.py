@@ -135,10 +135,9 @@ def brute_force_leader(config: Configuration) -> Fraction:
 def _insert(positions: List, gaps: Tuple, p) -> Tuple[List, Tuple]:
     """``positions`` with ``p`` added, and its gap list, spliced from ``gaps``.
 
-    ``positions`` are sorted distinct points of one circle (angles of [0, 1)
-    or ticks of a lattice) with gap list ``gaps``; ``p`` is a new point of
-    it. It splits the one gap it falls in, so this equals the gap list of
-    the new set.
+    ``positions`` are sorted distinct ticks of one lattice with gap list
+    ``gaps``; ``p`` is a new tick of it. It splits the one gap it falls in,
+    so this equals the gap list of the new set.
     """
     i = bisect(positions, p)
     if i == 0:
@@ -202,20 +201,6 @@ def _classify(ticks: Sequence[int], L: int, me: Fraction, tick: int) -> RobotVer
 
 # ---------------------------------------------------------------------------
 # Structural claims checked by direct enumeration
-
-
-#: Names of the structural claims evaluated by :func:`check_propositions`.
-CHECK_NAMES = (
-    "no_left_prefix_rival",
-    "insertion_keeps_leader_in_arc",
-    "confused_leads_empty_hypothesis_only",
-    "confused_true_leader_antipode_empty",
-    "confused_non_leader_antipode_occupied",
-    "other_expected_leader_half_turn_away",
-    "expected_leader_cardinality",
-    "confused_pair_not_antipodal",
-    "confused_pair_neighbors_not_antipodal",
-)
 
 
 #: The ticks proposition 2 inserts a robot at: every angle of denominator at most 12.

@@ -586,11 +586,11 @@ def run(
                     mult_points -= 1
                 in_flight[rid] = rr
             else:
-                # The set is empty unless the world is gathered: only a move
-                # start ungathers it, and a move start clears the set.
+                # The set holds ids of all_ids only, and is empty unless the
+                # world is gathered: only a move start ungathers it, and clears it.
                 if not in_flight and len(resting) == 1:
                     gathered_confirmed.add(rid)
-                    if gathered_confirmed == set(all_ids):
+                    if len(gathered_confirmed) == len(all_ids):
                         # Every robot has witnessed the gathering with a
                         # moveless cycle: gathered and quiescent.
                         break

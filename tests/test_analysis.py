@@ -14,10 +14,8 @@ from circlegather.analysis import (
     Possibility,
     analysis_report,
     classify,
-    classify_all,
     configuration_class,
     detect_confused_peer_in_c0,
-    expected_leaders,
     is_safe_neighbor,
 )
 from circlegather.angles import HALF_TURN, antipode, format_angle
@@ -31,7 +29,6 @@ from circlegather.configuration import (
 )
 from circlegather.errors import (
     AmbiguousSymmetric,
-    MultiplicityInSnapshot,
     MultiplicityPresent,
     NotConfusedLeader,
     SymmetricConfiguration,
@@ -58,20 +55,30 @@ def worked():
     return load_fixture("worked_example")
 
 
+def report_leaders(config):
+    """(robot id, class) of every robot the analysis report does not call a follower."""
+    robots = analysis_report(config)["robots"]
+    return [(r["id"], r["class"]) for r in robots if r["class"] != "follower"]
+
+
 def test_hypothesis_rejects_multiplicity_snapshot():
-    for snap in (Snapshot.of([(F("1/10"), True)]), Snapshot.of([(F("1/10"), False)], True)):
-        with pytest.raises(MultiplicityInSnapshot):
-            classify(snap)
+    """A flagged neighbour or own point raises the error the CLI maps to exit 2."""
+    for snap in (Snapshot(10, (1,), (True,)), Snapshot(10, (1,), (False,), True)):
+        for reasoning in (classify, is_safe_neighbor, detect_confused_peer_in_c0):
+            with pytest.raises(
+                MultiplicityPresent, match="^operation undefined with a multiplicity point$"
+            ):
+                reasoning(snap)
 
 
 def test_only_c0_when_adding_the_antipode_creates_symmetry():
     # Observer at 0 with robots at 1/4 and 3/4: adding 1/2 makes a square.
-    snap = Snapshot.of([(F("1/4"), False), (F("3/4"), False)])
+    snap = Snapshot(4, (1, 3), (False, False))
     assert classify(snap).possibility is Possibility.ONLY_C0
 
 
 def test_only_c1_when_the_view_alone_is_symmetric():
-    snap = Snapshot.of([(F("1/3"), False), (F("2/3"), False)])
+    snap = Snapshot(3, (1, 2), (False, False))
     assert classify(snap).possibility is Possibility.ONLY_C1
 
 
@@ -81,25 +88,21 @@ def test_no_snapshot_with_both_hypotheses_symmetric_found():
     A view symmetric both with and without its antipodal point would be
     unclassifiable; enumerate small evenly spaced views to confirm none is.
     """
-    from itertools import combinations
-
     for d in range(3, 13):
-        offsets = [F(k) / d for k in range(1, d)]
         for size in (1, 2, 3):
-            for combo in combinations(offsets, size):
-                if F("1/2") in combo:
+            for ticks in combinations(range(1, d), size):
+                if any(2 * t == d for t in ticks):
                     continue
-                snap = Snapshot.of((o, False) for o in combo)
-                classify(snap)
+                classify(plain(d, ticks))
 
 
 def test_worked_example_classification(worked):
-    tags = {rid: lc.tag for rid, lc in classify_all(worked).items()}
+    tags = {r["id"]: r["class"] for r in analysis_report(worked)["robots"]}
     assert tags == {
-        "r0": LeaderTag.CONFUSED_LEADER,
-        "r1": LeaderTag.FOLLOWER,
-        "r2": LeaderTag.FOLLOWER,
-        "r3": LeaderTag.FOLLOWER,
+        "r0": "confused-leader",
+        "r1": "follower",
+        "r2": "follower",
+        "r3": "follower",
     }
     lc = classify(take_snapshot(worked, "r0"))
     assert lc.possibility is Possibility.BOTH
@@ -141,24 +144,19 @@ def test_fixture_classes(name, expected):
 
 
 def test_class_A_sure_fixture_has_a_sure_leader():
-    leaders = expected_leaders(load_fixture("class_A_sure"))
-    assert len(leaders) == 1
-    assert leaders[0][1].tag is LeaderTag.SURE_LEADER
+    assert [cls for _, cls in report_leaders(load_fixture("class_A_sure"))] == ["sure-leader"]
 
 
 def test_class_C_fixture_leader_is_confused_and_unsafe():
     cfg = load_fixture("class_C")
-    leaders = expected_leaders(cfg)
-    assert len(leaders) == 1
-    rid, lc = leaders[0]
-    assert lc.tag is LeaderTag.CONFUSED_LEADER
+    ((rid, cls),) = report_leaders(cfg)
+    assert cls == "confused-leader"
     assert not is_safe_neighbor(take_snapshot(cfg, rid))
 
 
 def test_two_leader_fixtures_have_two_expected_leaders():
     for name in ("class_BI", "class_BII", "leaders_two_confused", "leaders_sure_and_confused"):
-        cfg = load_fixture(name)
-        assert len(expected_leaders(cfg)) == 2, name
+        assert len(report_leaders(load_fixture(name))) == 2, name
 
 
 def test_expected_leader_tag_combinations():
@@ -169,7 +167,7 @@ def test_expected_leader_tag_combinations():
         "leaders_sure_and_confused": ("confused-leader", "sure-leader"),
     }
     for name, expected in combos.items():
-        tags = tuple(sorted(lc.tag.value for _, lc in expected_leaders(load_fixture(name))))
+        tags = tuple(sorted(cls for _, cls in report_leaders(load_fixture(name))))
         assert tags == expected, name
 
 

@@ -270,7 +270,8 @@ def test_verify_reports_sweep_failures_with_exit_3(monkeypatch, capsys):
     assert report["leader_mismatches"] > 0
     failures = report["proposition_failures"]
     assert failures
-    assert all(f["check"] in oracle.CHECK_NAMES for f in failures)
+    claims = oracle.check_propositions(Configuration.from_json({"robots": _worked_robots()}))
+    assert all(f["check"] in claims for f in failures)
     assert all(f["witness"] and f["config"]["robots"] for f in failures)
     # Only the sweep failed: every class was found and nothing was simulated.
     assert all(report["classes_found"].values()) and report["sim_failures"] == []

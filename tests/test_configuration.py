@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -167,17 +168,9 @@ def test_snapshot_of_positions_matches_take_snapshot():
         assert snapshot_of_positions(pts, r.pos) == take_snapshot(cfg, r.robot_id)
 
 
-def test_visible_point_validation():
-    with pytest.raises(ContractViolation):
-        Snapshot.of([(F("1/2"), False)])
-    with pytest.raises(ContractViolation):
-        Snapshot.of([(F(0), False)])
-    with pytest.raises(ContractViolation):
-        Snapshot.of([(F("1/4"), False), (F("1/4"), True)])
-
-
 def test_snapshot_sorts_visible_by_offset():
-    snap = Snapshot.of([(F("3/4"), True), (F("1/4"), False)])
+    # A ring lists points clockwise from 0 whatever order they come in.
+    snap = LatticeView([(F("3/4"), 2), (F(0), 1), (F("1/4"), 1)]).snapshot(0)
     assert (snap.ticks, snap.d) == ((1, 3), 4)
     assert snap.flags == (False, True)
 
@@ -352,17 +345,20 @@ def test_election_on_adversarial_gap_patterns():
 
 def reference_snapshot(occupancy, flags, observer):
     """The definition in plain Fraction arithmetic: every occupied point but the
-    observer's own and its antipode is visible, flagged when counted twice."""
+    observer's own and its antipode is visible, flagged when counted twice.
+    The sorted offsets are written as ints over the lcm of their denominators."""
     visible = []
     for pos in occupancy:
         offset = (pos - observer) % 1
         if offset != 0 and offset != Fraction(1, 2):
             visible.append((offset, flags[pos] >= 2))
     visible.sort()
-    return Snapshot.of(visible, flags[observer] >= 2)
+    d = lcm(*[o.denominator for o, _ in visible])
+    ticks = tuple(int(o * d) for o, _ in visible)
+    return Snapshot(d, ticks, tuple(f for _, f in visible), flags[observer] >= 2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(
     st.lists(st.tuples(mixed_point(), st.integers(1, 3), st.integers(0, 3)), min_size=1,
              max_size=30),
@@ -417,7 +413,7 @@ def weighted_points(draw):
     ]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(weighted_points())
 @example([(F(0), 1)])  # one point
 @example([(F("2/3"), 2)])  # one point, flagged
@@ -434,7 +430,7 @@ def test_lattice_view_reads_positions_modulo_a_turn_and_rejects_empty_points():
     view = LatticeView([(F("5/4"), 1), (F("1/4"), 1), (F("-1/3"), 1)])
     assert view.tick(F("1/4")) == view.tick(F("-3/4"))
     snap = view.snapshot(view.tick(F("2/3")))
-    assert snap == Snapshot.of([(F("7/12"), True)], False)
+    assert snap == Snapshot(12, (7,), (True,), False)
     for empty in (F("1/2"), F("1/5")):
         with pytest.raises(UnknownRobot):
             view.tick(empty)
@@ -472,26 +468,43 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
             o, m = entries[i]
             points.append((Fraction(3 * o.numerator, 3 * o.denominator), not m))
     rnd.shuffle(points)
-    offsets = [o for o, _ in points]
-    if len(set(offsets)) != len(offsets):
-        with pytest.raises(ContractViolation):
-            Snapshot.of(points)
-        return
-    snap = Snapshot.of(points)
-    ordered = sorted(points, key=lambda p: p[0])
-    assert [(Fraction(t, snap.d), f) for t, f in zip(snap.ticks, snap.flags)] == ordered
-    # The same look written as a trace's view line and snapshot line: the
-    # observer at 0 on a ring where a flagged point weighs 2.
+    # The look as the run loop builds it: the observer at 0 on a ring where a
+    # flagged point weighs 2, so the ring lists each offset once, clockwise,
+    # flagged when its copies weigh 2 or more.
     ring = LatticeView([(Fraction(0), 1)] + [(o, 1 + m) for o, m in points])
-    assert ring.snapshot(0) == snap
+    snap = ring.snapshot(0)
+    weight = Counter()
+    for o, m in points:
+        weight[o] += 1 + m
+    ordered = sorted(weight)
+    assert [(Fraction(t, snap.d), f) for t, f in zip(snap.ticks, snap.flags)] == [
+        (o, weight[o] >= 2) for o in ordered
+    ]
+    # The constructor takes the drawn offsets as ints only when each comes
+    # once and in clockwise order, as the Fractions are.
+    offsets = [o for o, _ in points]
+    ticks, flags = tuple(int(o * snap.d) for o in offsets), tuple(m for _, m in points)
+    if offsets == ordered:
+        assert Snapshot(snap.d, ticks, flags) == snap
+    else:
+        with pytest.raises(ContractViolation):
+            Snapshot(snap.d, ticks, flags)
+    # The same look written as a trace's view line and snapshot line.
     trace = Trace([TraceRecord(Fraction(0), "r", "snapshot", snap)], {}, {id(snap): (ring, 0)})
     line = json.loads(expand_view_lines(trace.to_jsonl()).splitlines()[0])
-    assert [v["offset"] for v in line["payload"]["visible"]] == [
-        format_angle(o) for o, _ in ordered
-    ]
+    assert [v["offset"] for v in line["payload"]["visible"]] == list(map(format_angle, ordered))
 
 
-@settings(max_examples=200, deadline=None)
+def ring_snapshot(entries, own_flag):
+    """The view of an observer at 0, built the way the run loop builds a look:
+    on a ring where a flagged point weighs 2."""
+    ring = LatticeView(
+        [(Fraction(0), 2 if own_flag else 1)] + [(o, 2 if m else 1) for o, m in entries]
+    )
+    return ring.snapshot(0)
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(
     st.lists(st.tuples(visible_offset(), st.booleans()), max_size=25,
              unique_by=lambda e: e[0]),
@@ -499,12 +512,13 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
     st.randoms(use_true_random=False),
 )
 def test_equal_snapshots_hash_equal(entries, own_flag, rnd):
-    snap = Snapshot.of(entries, own_flag)
+    snap = ring_snapshot(entries, own_flag)
+    assert len(snap.ticks) == len(entries)
     # The same points in another order, each offset a new Fraction built
     # from a scaled numerator and denominator.
     points = [(Fraction(3 * o.numerator, 3 * o.denominator), m) for o, m in entries]
     rnd.shuffle(points)
-    again = Snapshot.of(points, own_flag)
+    again = ring_snapshot(points, own_flag)
     assert again == snap and hash(again) == hash(snap)
     # The same ints on a lattice three times finer, before reduction.
     scaled = Snapshot(3 * snap.d, tuple(3 * t for t in snap.ticks), snap.flags, own_flag)
@@ -524,8 +538,9 @@ def test_equal_snapshots_hash_equal(entries, own_flag, rnd):
     "offset", [F(0), F(1), F("1/2"), F("-1/4"), F("5/4"), 0, 1], ids=repr
 )
 def test_visible_point_rejects_offsets_outside_the_open_turn_or_at_half(offset):
+    num, den = Fraction(offset).as_integer_ratio()
     with pytest.raises(ContractViolation):
-        Snapshot.of([(offset, False)])
+        Snapshot(den, (num,), (False,))
 
 
 

@@ -22,7 +22,6 @@ from circlegather.errors import (
     SymmetricConfiguration,
 )
 from circlegather.oracle import (
-    CHECK_NAMES,
     RETRY_CAP,
     GeneratorSpec,
     RobotVerdict,
@@ -157,7 +156,8 @@ def test_oracle_classify_agrees_with_snapshot_classifier():
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_propositions_hold_on_fixtures(name):
     report = check_propositions(load_fixture(name))
-    assert sorted(report) == sorted(CHECK_NAMES)
+    assert sorted(report) == sorted(check_propositions(load_fixture("worked_example")))
+    assert len(report) == 9
     failed = {k: v.witness for k, v in report.items() if not v.passed}
     assert not failed
 

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from circlegather.analysis import LeaderTag, analysis_report, classify, is_safe_neighbor
 from circlegather.angles import HALF_TURN, QUARTER_TURN
 from circlegather.configuration import (
     Configuration,
+    LatticeView,
     Snapshot,
     take_snapshot,
 )
@@ -32,7 +34,15 @@ def F(s):
 
 
 def snap(*entries, self_mult=False):
-    return Snapshot.of([(F(o), m) for o, m in entries], self_mult)
+    """The view of an observer at 0 from ``(offset, flag)`` entries, built the
+    way the run loop builds a look: on a ring where a flagged point weighs 2."""
+    ring = LatticeView(
+        [(Fraction(0), 2 if self_mult else 1)] + [(F(o), 2 if m else 1) for o, m in entries]
+    )
+    s = ring.snapshot(0)
+    # A ring merges repeated offsets and hides the half turn; no entry may vanish.
+    assert len(s.ticks) == len(entries), entries
+    return s
 
 
 def load_fixture(name):
@@ -53,7 +63,7 @@ def test_move_command_validation():
 
 def test_empty_view_moves_quarter_turn():
     for state in Memory:
-        new_state, cmd = decide(Snapshot.of(()), state)
+        new_state, cmd = decide(Snapshot(1, (), ()), state)
         assert new_state is state
         assert cmd == MoveCommand(CW, QUARTER_TURN)
 
@@ -155,9 +165,7 @@ def test_confused_safe_leader_moves_to_neighbor():
 
 def test_confused_unsafe_leader_starts_the_dance():
     cfg = load_fixture("class_C")
-    from circlegather.analysis import expected_leaders
-
-    (rid, _), = expected_leaders(cfg)
+    (rid,) = [r["id"] for r in analysis_report(cfg)["robots"] if r["class"] != "follower"]
     s = take_snapshot(cfg, rid)
     state, cmd = decide(s, Memory.OFF)
     assert state is Memory.MOVE_HALF
@@ -166,8 +174,6 @@ def test_confused_unsafe_leader_starts_the_dance():
 
 def test_confused_unsafe_with_confused_peer_stays():
     cfg = load_fixture("class_BII")
-    from circlegather.analysis import LeaderTag, classify, is_safe_neighbor
-
     moved = []
     for r in cfg.robots:
         s = take_snapshot(cfg, r.robot_id)
@@ -246,7 +252,7 @@ offset_sets = st.lists(
 
 @given(offset_sets, st.sampled_from(list(Memory)), st.booleans())
 def test_decide_is_total_legal_and_bounded(offsets, state, flag_first):
-    s = Snapshot.of((o, flag_first and i == 0) for i, o in enumerate(sorted(offsets)))
+    s = snap(*((o, flag_first and i == 0) for i, o in enumerate(sorted(offsets))))
     try:
         new_state, cmd = decide(s, state)
     except Exception as exc:  # classification aborts on symmetric views
@@ -291,7 +297,7 @@ def test_multiplicity_walks_match_their_definition(offsets, flags, self_mult, th
     flags = flags[: len(offsets)]
     if not (self_mult or any(flags)):
         return
-    s = Snapshot.of(zip(offsets, flags), self_mult)
+    s = snap(*zip(offsets, flags), self_mult=self_mult)
     state, cmd = decide(s, Memory.MOVE_HALF, threshold)
     assert state is Memory.MOVE_HALF
     assert cmd == reference_multiplicity_move(offsets, flags, self_mult, threshold)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlegather import protocol
-from circlegather.analysis import expected_leaders
+from circlegather.analysis import analysis_report
 from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
 from circlegather.cli import load_run_config, main
 from circlegather.configuration import (
@@ -1064,8 +1064,10 @@ def positions_at_decides(trace):
 def test_expected_leader_count_holds_along_runs(name):
     """After every decision the configuration keeps one or two expected leaders.
 
-    Configurations holding a multiplicity (the gathered one included) or a
-    rotational symmetry have no expected leaders to count and are skipped.
+    The analysis report classifies every robot, so the taxonomy's checks on
+    the expected leaders run on each counted state too. Configurations
+    holding a multiplicity (the gathered one included) or a rotational
+    symmetry have no expected leaders to count and are skipped.
     """
     cfg = load_fixture(name)
     for policy in (
@@ -1081,7 +1083,8 @@ def test_expected_leader_count_holds_along_runs(name):
                 tuple(positions)
             ):
                 continue
-            count = len(expected_leaders(Configuration.from_points(positions)))
+            robots = analysis_report(Configuration.from_points(positions))["robots"]
+            count = sum(r["class"] != "follower" for r in robots)
             assert count in (1, 2), (type(policy).__name__, t, positions)
 
 
