@@ -49,7 +49,6 @@ from .oracle import (
     oracle_classify,
     random_config,
     search_class,
-    shrink_config,
 )
 from .protocol import Memory, MoveCommand, decide
 from .render import RenderSpec, render_svg

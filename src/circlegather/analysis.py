@@ -152,7 +152,7 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
         raise NotConfusedLeader("peer detection applies to confused leaders only")
     # The observer sits at tick 0 of c0's view; every other tick is a peer.
     d = snapshot.d
-    view = LatticeView((Fraction(t, d), 1) for t in _hypothesis_data(snapshot)[0])
+    view = LatticeView((Fraction(t, d), 1) for t in (0,) + snapshot.ticks)
     for tick in view.ticks[1:]:
         if classify(view.snapshot(tick)).tag is LeaderTag.CONFUSED_LEADER:
             return True

@@ -320,9 +320,7 @@ def take_snapshot(config: Configuration, observer: str) -> Snapshot:
 
     Coincident robots collapse to one visible point with a multiplicity flag.
     """
-    pos = config.robot(observer).pos
-    view = LatticeView((r.pos, 1) for r in config.robots)
-    return view.snapshot(view.tick(pos))
+    return snapshot_of_positions(config.positions, config.robot(observer).pos)
 
 
 def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction) -> Snapshot:

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .angles import format_angle
 from .analysis import ConfigurationClass, configuration_class
 from .configuration import Configuration, true_leader
-from .errors import CircleGatherError, GenerationExhausted, MultiplicityPresent, SymmetricConfiguration
+from .errors import GenerationExhausted, MultiplicityPresent, SymmetricConfiguration
 
 # ---------------------------------------------------------------------------
 # Generation
@@ -409,12 +409,10 @@ def search_class(
     target: ConfigurationClass,
     spec: GeneratorSpec,
     budget: int,
-    predicate=None,
 ) -> Optional[Configuration]:
     """First generated configuration of the requested taxonomy class.
 
-    ``predicate`` may refine the match (e.g. require a sure leader). Returns
-    None when the budget runs out.
+    Returns None when the budget runs out.
     """
     rng = Random(f"search:{spec.seed}")
     for _ in range(budget):
@@ -422,55 +420,6 @@ def search_class(
             config = random_config(spec, rng)
         except GenerationExhausted:
             return None
-        if configuration_class(config) is not target:
-            continue
-        if predicate is not None and not predicate(config):
-            continue
-        return config
+        if configuration_class(config) is target:
+            return config
     return None
-
-
-def shrink_config(config: Configuration, predicate) -> Configuration:
-    """Greedy witness shrinking: drop robots, then reduce denominators.
-
-    ``predicate`` must hold on the input and is preserved throughout.
-    """
-    current = config
-    changed = True
-    while changed:
-        changed = False
-        if len(current.robots) > 2:
-            for i in range(len(current.robots)):
-                smaller = Configuration.from_points(
-                    [r.pos for j, r in enumerate(current.robots) if j != i]
-                )
-                if _safe_predicate(predicate, smaller):
-                    current = smaller
-                    changed = True
-                    break
-        if changed:
-            continue
-        for i, robot in enumerate(current.robots):
-            pos = robot.pos
-            for d in range(1, pos.denominator):
-                candidate_pos = Fraction(round(pos * d), d) % 1
-                pts = [
-                    candidate_pos if j == i else r.pos
-                    for j, r in enumerate(current.robots)
-                ]
-                smaller = Configuration.from_points(pts)
-                if _safe_predicate(predicate, smaller):
-                    current = smaller
-                    changed = True
-                    break
-            if changed:
-                break
-    return current
-
-
-def _safe_predicate(predicate, config: Configuration) -> bool:
-    """False where ``predicate`` raises a package error, as on a symmetric candidate."""
-    try:
-        return bool(predicate(config))
-    except CircleGatherError:
-        return False

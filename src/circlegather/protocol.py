@@ -102,11 +102,9 @@ def decide(
         return memory, MoveCommand(CW, QUARTER_TURN)
     if memory is Memory.OFF:
         return _decide_off(snapshot)
-    if memory is Memory.MOVE_HALF:
-        return _decide_staged(snapshot, Memory.MOVE_HALF)
-    if memory is Memory.MOVE_MORE:
-        return _decide_staged(snapshot, Memory.MOVE_MORE)
-    return Memory.TERMINATE, STAY
+    if memory is Memory.TERMINATE:
+        return Memory.TERMINATE, STAY
+    return _decide_staged(snapshot, memory)
 
 
 def _from_own_multiplicity(snapshot: Snapshot, threshold: Fraction) -> MoveCommand:

@@ -44,8 +44,7 @@ class RenderSpec:
 
 def render_svg(trace: Trace, spec: RenderSpec) -> str:
     """Render sampled frames of the trace into one SVG document."""
-    frames = _frames(trace)
-    frames = frames[:: spec.frame_stride]
+    frames = _frames(trace, spec.frame_stride)
     size = spec.image_size
     cols = min(4, len(frames))
     rows = (len(frames) + cols - 1) // cols
@@ -67,17 +66,25 @@ def _initial_positions(trace: Trace) -> Dict[str, Fraction]:
     return {rid: parse_angle(p) for rid, p in trace.summary.get("initial", {}).items()}
 
 
-def _frames(trace: Trace):
-    """Positions and states reconstructed at every decide / move-end instant."""
+def _frames(trace: Trace, stride: int):
+    """Positions and states after every ``stride``-th decide / move-end event.
+
+    The initial frame counts as event 0, so the frames are those of events
+    0, stride, 2 * stride, ...; only they copy the two maps.
+    """
     positions = _initial_positions(trace)
     states = {rid: "off" for rid in positions}
     frames = [(Fraction(0), dict(positions), dict(states))]
+    event = 0
     for rec in trace.records:
         if rec.kind == "decide":
             states[rec.robot] = rec.payload["state_after"]
-            frames.append((rec.t, dict(positions), dict(states)))
         elif rec.kind == "move-end":
             positions[rec.robot] = parse_angle(rec.payload["to"])
+        else:
+            continue
+        event += 1
+        if event % stride == 0:
             frames.append((rec.t, dict(positions), dict(states)))
     return frames
 

@@ -30,7 +30,6 @@ from circlegather.oracle import (
     oracle_classify,
     random_config,
     search_class,
-    shrink_config,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -176,30 +175,9 @@ def test_search_class_finds_each_class():
         assert configuration_class(found) is target
 
 
-def test_search_class_honors_predicate_and_budget():
+def test_search_class_returns_none_when_the_budget_runs_out():
     spec = GeneratorSpec(n=5, denominator_bound=40, seed=11)
-    assert search_class(ConfigurationClass.A, spec, 200, lambda c: False) is None
-    found = search_class(
-        ConfigurationClass.A, spec, 5000, lambda c: len(c.robots) == 5
-    )
-    assert found is not None and len(found.robots) == 5
-
-
-def test_shrink_config_reduces_while_preserving_predicate():
-    cfg = load_fixture("class_C")
-    pred = lambda c: configuration_class(c) is ConfigurationClass.C
-    small = shrink_config(cfg, pred)
-    assert pred(small)
-    assert len(small.robots) <= len(cfg.robots)
-    assert sum(p.denominator for p in small.positions) <= sum(
-        p.denominator for p in cfg.positions
-    )
-
-
-def test_shrink_config_propagates_a_predicate_bug():
-    # Only symmetric or multiplicity candidates count as a failed predicate.
-    with pytest.raises(AttributeError):
-        shrink_config(load_fixture("class_C"), lambda c: c.robotz)
+    assert search_class(ConfigurationClass.A, spec, 0) is None
 
 
 # Failure paths: a wrong leader must make the prefix and insertion checks fail.

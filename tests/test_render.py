@@ -53,18 +53,28 @@ def test_labels_are_optional(trace, tmp_path):
     assert "r0" not in plain
 
 
-#: sha256 of the renders of the ``trace`` fixture, with and without labels,
-#: taken before labels were escaped: plain ids render byte for byte the same.
+#: sha256 of the renders of the ``trace`` fixture by (labels, frame stride).
+#: The stride-1 pair was taken before labels were escaped: plain ids render
+#: byte for byte the same. The stride-5 one pins which events a strided
+#: render draws: the initial frame, then every fifth decide or move-end.
 PLAIN_ID_SVG_SHA256 = {
-    True: "faa0360b45784a8dac880065fd05d0f7dfc6c176b26eecd6fba56285f2b74ae0",
-    False: "b6d5efee3975f5791f123dcfe742112afecf8c5ac72b00372d2b16856e70be24",
+    (True, 1): "faa0360b45784a8dac880065fd05d0f7dfc6c176b26eecd6fba56285f2b74ae0",
+    (False, 1): "b6d5efee3975f5791f123dcfe742112afecf8c5ac72b00372d2b16856e70be24",
+    (False, 5): "0ac89e37820506e990792189148ee623f1f0572b09a5ca6822e8c7b7167dd2b1",
 }
 
 
-@pytest.mark.parametrize("labels", [True, False])
-def test_plain_ids_render_as_before(trace, tmp_path, labels):
-    svg = render_svg(trace, RenderSpec(str(tmp_path / "p.svg"), show_labels=labels))
-    assert hashlib.sha256(svg.encode()).hexdigest() == PLAIN_ID_SVG_SHA256[labels]
+@pytest.mark.parametrize(
+    "labels, stride",
+    sorted(PLAIN_ID_SVG_SHA256),
+    # A stride-1 case keeps the id it had before strides were pinned: its label flag.
+    ids=[str(labels) if stride == 1 else f"{labels}-stride{stride}"
+         for labels, stride in sorted(PLAIN_ID_SVG_SHA256)],
+)
+def test_plain_ids_render_as_before(trace, tmp_path, labels, stride):
+    spec = RenderSpec(str(tmp_path / "p.svg"), frame_stride=stride, show_labels=labels)
+    svg = render_svg(trace, spec)
+    assert hashlib.sha256(svg.encode()).hexdigest() == PLAIN_ID_SVG_SHA256[labels, stride]
 
 
 def test_labels_with_markup_characters_stay_well_formed(tmp_path):
