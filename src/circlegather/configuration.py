@@ -9,21 +9,23 @@ with weak multiplicity flags (a flag, never a count).
 
 Angles are exact Fractions at every public boundary. A
 :class:`LatticeView` is the one place that scales a point set to ints: the
-occupied points on their common-denominator lattice, sorted clockwise, so
-every observer's view of one world state is two slices of one ring of
-ints, shifted to the observer. :func:`elect` is the one integer leader
-election: one Lyndon factorisation of the gaps between those ints gives
-both the leader (the start of the least rotation of the gaps) and the
-symmetry test (that rotation is a power of a shorter word), in linear
-time. :func:`distinct_view` is the one multiplicity check on the lattice:
-the symmetry test, the leader and the analysis's taxonomy each read one
-such view and elect on it. :func:`gap_sequence` is the Fraction path that
+occupied points on their common-denominator lattice, sorted clockwise and
+kept doubled, so every observer's view of one world state is one slice of
+one ring of ints (two around an occupied antipode), shifted to the
+observer. :func:`elect` is the one integer leader election: one Lyndon
+factorisation of the gaps between those ints gives both the leader (the
+start of the least rotation of the gaps) and the symmetry test (that
+rotation is a power of a shorter word), in linear time.
+:func:`distinct_view` is the one multiplicity check on the lattice: the
+symmetry test, the leader and the analysis's taxonomy each read one such
+view and elect on it. :func:`gap_sequence` is the Fraction path that
 the tests' references and the benchmark's tracer read.
-A :class:`Snapshot` keeps ints: its visible points are ticks over one
-denominator, reduced by their gcd, each with one flag, and it checks them
-with C-level builtins (``min``, ``max``, ``in``, ``map``) rather than a
-Python loop. Its readers (the analysis and the protocol) decide on those
-ints; every snapshot the package builds comes from a ``LatticeView``.
+A :class:`Snapshot` is a tuple of ints: its visible points are ticks over
+one denominator, reduced by their gcd, each with one flag, and it checks
+them with C-level builtins (``map``, ``in``, and ``min``/``max`` only for
+unsorted ticks) rather than a Python loop. Its readers (the analysis and
+the protocol) decide on those ints; every snapshot the package builds comes
+from a ``LatticeView``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lt
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .angles import format_angle, norm, parse_angle
 from .errors import (
@@ -116,8 +118,14 @@ class Configuration:
         raise UnknownRobot(f"no robot with id {robot_id!r}")
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class _SnapshotFields(NamedTuple):
+    d: int
+    ticks: Tuple[int, ...]
+    flags: Tuple[bool, ...]
+    self_is_multiplicity: bool = False
+
+
+class Snapshot(_SnapshotFields):
     """What one robot sees: visible occupied points plus its own-point flag.
 
     The visible points are clockwise offsets from the observer on one
@@ -126,33 +134,37 @@ class Snapshot:
     increasing, so ``ticks[0]`` is the first clockwise neighbour and
     ``ticks[-1]`` the first counter-clockwise one, and each lies strictly
     between 0 and ``d`` and off the half turn. The lattice is reduced by
-    ``gcd(d, *ticks)``, so equal views are equal field by field and the
-    dataclass equality and hash serve as the analysis cache keys.
+    ``gcd(d, *ticks)``, so equal views are equal field by field.
+
+    A tuple of its four fields, checked in ``__new__`` (flag count, then
+    range and antipode, then order); it equals the plain tuple of its
+    fields, and its C-level tuple hash and equality serve as the analysis
+    cache keys. ``_make`` (so ``_replace``) and unpickling run the checks too.
     """
 
-    d: int
-    ticks: Tuple[int, ...]
-    flags: Tuple[bool, ...]
-    self_is_multiplicity: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, ticks = self.d, self.ticks
-        if len(self.flags) != len(ticks):
+    def __new__(cls, d: int, ticks, flags, self_is_multiplicity: bool = False):
+        if len(flags) != len(ticks):
             raise ContractViolation("a snapshot needs one flag per visible point")
-        if (
-            d < 1
-            or ticks and (min(ticks) <= 0 or max(ticks) >= d)
-            or not d % 2 and d // 2 in ticks
-        ):
+        # Sorted ticks have their extremes at the ends.
+        ordered = all(map(lt, ticks, ticks[1:]))
+        if ticks:
+            lo, hi = (ticks[0], ticks[-1]) if ordered else (min(ticks), max(ticks))
+        if d < 1 or ticks and (lo <= 0 or hi >= d) or not d % 2 and d // 2 in ticks:
             raise ContractViolation(
                 f"visible offsets must be in (0,1) and never 1/2, got {ticks} over {d}"
             )
-        if not all(map(lt, ticks, ticks[1:])):
+        if not ordered:
             raise ContractViolation("visible offsets must be distinct and sorted")
         g = gcd(d, *ticks)
         if g > 1:
-            object.__setattr__(self, "d", d // g)
-            object.__setattr__(self, "ticks", tuple([t // g for t in ticks]))
+            d, ticks = d // g, tuple([t // g for t in ticks])
+        return tuple.__new__(cls, (d, ticks, flags, self_is_multiplicity))
+
+    @classmethod
+    def _make(cls, iterable) -> "Snapshot":
+        return cls(*iterable)
 
 
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:
@@ -204,9 +216,11 @@ class LatticeView:
     adding their weights, and the points are sorted clockwise from 0. A
     point of weight two or more is a multiplicity: ``flags`` keeps that
     verdict per point; a point's place on the ring is found by bisection.
+    The ring is also kept doubled, each tick once more plus ``D`` and each
+    flag twice, so that the points clockwise from any observer are one slice.
     """
 
-    __slots__ = ("d", "ticks", "flags")
+    __slots__ = ("d", "ticks", "flags", "_ring", "_seen")
 
     def __init__(self, points: Iterable[Tuple[Fraction, int]]):
         points = list(points)
@@ -217,8 +231,10 @@ class LatticeView:
             tick = num * (d // q) % d
             merged[tick] = merged.get(tick, 0) + weight
         self.d = d
-        self.ticks = sorted(merged)
-        self.flags = [merged[t] >= 2 for t in self.ticks]
+        self.ticks = ticks = sorted(merged)
+        self.flags = flags = [merged[t] >= 2 for t in ticks]
+        self._ring = ticks + [t + d for t in ticks]
+        self._seen = flags * 2
 
     def tick(self, pos: Fraction) -> int:
         """The lattice int of the occupied point ``pos``."""
@@ -226,8 +242,9 @@ class LatticeView:
         d = self.d
         if d % q == 0:
             tick = num * (d // q) % d
-            i = bisect_left(self.ticks, tick)
-            if self.ticks[i : i + 1] == [tick]:
+            ticks = self.ticks
+            i = bisect_left(ticks, tick)
+            if i < len(ticks) and ticks[i] == tick:
                 return tick
         raise UnknownRobot(f"no robot at position {format_angle(pos)}")
 
@@ -237,22 +254,25 @@ class LatticeView:
         Every other occupied point strictly closer than a half turn is
         visible; the antipodal point is skipped even if occupied, and the
         observer's own point only contributes ``self_is_multiplicity``. The
-        ring is read clockwise from the observer in two slices, the points
-        after it shifted by ``-tick`` and then the points before it shifted
-        by ``d - tick``, so the visible points come out in the order
-        :class:`Snapshot` keeps.
+        doubled ring holds the other points clockwise from the observer at
+        index ``i`` as the slice ``i + 1 .. i + n``, in the order
+        :class:`Snapshot` keeps; shifted by ``-tick``, they are the offsets.
+        An occupied antipode at ``tick + d / 2`` splits the slice in two.
         """
-        ticks, flags, d = self.ticks, self.flags, self.d
-        i = bisect_left(ticks, tick)
-        offs = list(map((-tick).__add__, ticks[i + 1 :]))
-        offs += map((d - tick).__add__, ticks[:i])
-        seen = flags[i + 1 :] + flags[:i]
+        ring, seen, d = self._ring, self._seen, self.d
+        n = len(self.ticks)
+        i = bisect_left(ring, tick, 0, n)
+        j = i + n
+        offs, flags = ring[i + 1 : j], seen[i + 1 : j]
         if not d % 2:
-            # An occupied antipode is at offset d / 2; the offsets are sorted.
-            k = bisect_left(offs, d // 2)
-            if offs[k : k + 1] == [d // 2]:
-                del offs[k], seen[k]
-        return Snapshot(d, tuple(offs), tuple(seen), flags[i])
+            far = tick + d // 2
+            # ring[j] is the observer's own tick plus d, never its antipode.
+            k = bisect_left(ring, far, i + 1, j)
+            if ring[k] == far:
+                offs, flags = ring[i + 1 : k] + ring[k + 1 : j], seen[i + 1 : k] + seen[k + 1 : j]
+        # tuple() of a map guesses a length and shrinks the tuple after, which
+        # fills CPython's per-length tuple free lists; a list has the exact length.
+        return Snapshot(d, tuple(list(map((-tick).__add__, offs))), tuple(flags), seen[i])
 
 
 def elect(ticks: Sequence[int], d: int) -> Optional[int]:

@@ -38,7 +38,9 @@ instant, a decide its look's memo entry. The event heap orders on ints:
 an event's key is its instant times ``scale``, the lcm of the denominators
 of every instant queued so far. An instant whose denominator does not
 divide the scale multiplies the scale and every queued key by one factor,
-which keeps their order. Policies, records and ``max_time`` keep their
+which keeps their order. While a policy hands back one tuple object at one
+scale, as a round policy does to every robot of a round, its instants are
+converted and keyed once. Policies, records and ``max_time`` keep their
 ``Fraction`` instants. The fsync and ssync policies share one round rule: a
 robot's next cycle is the first round from ``ceil(not_before)`` in which it
 is active. Whatever the policy, the run loop rejects a cycle that looks
@@ -135,9 +137,9 @@ class _RoundPolicy(SchedulerPolicy):
 
     A robot's next cycle is the first round from ``ceil(not_before)`` in
     which :meth:`_active` admits it. The policy builds each round's
-    ``(k, k + 1/4)`` pair once and hands the same two objects to every robot
-    active in that round, so the run loop's view check compares equal
-    instants by identity instead of by ``Fraction.__eq__``, and
+    ``(k, k + 1/4)`` pair once and hands that one tuple to every robot active
+    in that round, so the run loop keys it once, its view check compares
+    equal instants by identity instead of by ``Fraction.__eq__``, and
     :meth:`Trace.to_jsonl` encodes each once.
     """
 
@@ -271,8 +273,8 @@ class ScriptedPolicy(SchedulerPolicy):
 class TraceRecord(NamedTuple):
     """One event; a snapshot record's payload is its :class:`Snapshot`, others' a dict.
 
-    A ``NamedTuple``: immutable, cheap to build, and equal to the plain tuple
-    ``(t, robot, kind, payload)`` of its fields.
+    A ``NamedTuple``: immutable, and equal to the plain tuple ``(t, robot,
+    kind, payload)`` of its fields; :func:`run` builds it with ``tuple.__new__``.
     """
 
     t: Fraction
@@ -452,52 +454,65 @@ def run(
     view_t: Optional[Fraction] = None
     looks: Dict[int, Tuple[Snapshot, Dict[Memory, tuple]]] = {}
     views: Dict[int, Tuple[LatticeView, int]] = {}
-    # One decide payload per distinct (state before, state after, command).
-    decisions: Dict[Tuple[Memory, Memory, MoveCommand], dict] = {}
+    # One decide payload per distinct (state before, state after, command),
+    # the command keyed by its fields as ints and strings.
+    decisions: Dict[Tuple[Memory, Memory, str, str, int, int], dict] = {}
+    # The last cycle pair the policy handed back, and its instants as
+    # Fractions with their keys at scale ``cycle_scale``: a round policy hands
+    # every robot of a round one pair object, converted and keyed once.
+    last_cycle = cycle_scale = cycle_keys = None
+    # A NamedTuple's own __new__ is a Python-level call; records skip it.
+    new_record = tuple.__new__
 
-    def grow(new_scale: int) -> None:
-        """Raise ``scale`` to its multiple ``new_scale``. Every queued key is
-        multiplied by the same factor, which keeps their order: the list
-        stays a heap."""
+    def grow(new_scale: int) -> int:
+        """Raise ``scale`` to its multiple ``new_scale`` and return the factor.
+        Every queued key is multiplied by that factor, which keeps their
+        order: the list stays a heap."""
         nonlocal scale
         factor = new_scale // scale
         heap[:] = [(key * factor, rank, rid, t, data) for key, rank, rid, t, data in heap]
         scale = new_scale
+        return factor
 
-    def schedule_cycle(robot_id: str, not_before: Fraction) -> None:
+    def schedule_cycle(robot_id: str, not_before: Fraction, busy: int) -> None:
+        """Queue the robot's next look; ``busy`` is ``not_before`` times ``scale``."""
+        nonlocal last_cycle, cycle_scale, cycle_keys
         cycle = policy.next_cycle(robot_id, not_before)
         if cycle is None:
             return
-        # Fractions pass through as they are, so a round's shared instant
-        # objects reach the records; other rationals are converted.
-        t_look, t_decide = cycle
-        if not isinstance(t_look, Fraction):
-            t_look = Fraction(t_look)
-        if not isinstance(t_decide, Fraction):
-            t_decide = Fraction(t_decide)
-        # Grow the scale for all three instants first, so that both checks
-        # compare ints of one scale.
-        (p_busy, q_busy), (p_look, q_look), (p_decide, q_decide) = (
-            not_before.as_integer_ratio(), t_look.as_integer_ratio(), t_decide.as_integer_ratio()
-        )
-        if scale % q_busy or scale % q_look or scale % q_decide:
-            grow(math.lcm(scale, q_busy, q_look, q_decide))
-        look = p_look * (scale // q_look)
-        if look < p_busy * (scale // q_busy):
+        if cycle is not last_cycle or scale != cycle_scale:
+            # Fractions pass through as they are, so a round's shared instant
+            # objects reach the records; other rationals are converted.
+            t_look, t_decide = cycle
+            if not isinstance(t_look, Fraction):
+                t_look = Fraction(t_look)
+            if not isinstance(t_decide, Fraction):
+                t_decide = Fraction(t_decide)
+            (p_look, q_look), (p_decide, q_decide) = (
+                t_look.as_integer_ratio(), t_decide.as_integer_ratio()
+            )
+            if scale % q_look or scale % q_decide:
+                busy *= grow(math.lcm(scale, q_look, q_decide))
+            # Only an immutable pair can be read again by identity.
+            last_cycle, cycle_scale = cycle if type(cycle) is tuple else None, scale
+            look, decide = p_look * (scale // q_look), p_decide * (scale // q_decide)
+            cycle_keys = (t_look, t_decide, look, decide)
+        t_look, t_decide, look, decide = cycle_keys
+        if look < busy:
             raise ScheduleError(
                 f"policy scheduled robot {robot_id!r} to look at {t_look} "
                 f"while busy until {not_before}"
             )
-        if p_decide * (scale // q_decide) <= look:
+        if decide <= look:
             raise ScheduleError("look and compute must take strictly positive time")
         heappush(heap, (look, LOOK, robot_id, t_look, t_decide))
 
     for rid in all_ids:
-        schedule_cycle(rid, Fraction(0))
+        schedule_cycle(rid, Fraction(0), 0)
 
     max_time, max_events = limits.max_time, limits.max_events
     while heap:
-        _, rank, rid, t, data = heappop(heap)
+        key, rank, rid, t, data = heappop(heap)
         if len(records) >= max_events or (max_time is not None and t > max_time):
             limit_hit = True
             break
@@ -519,8 +534,10 @@ def run(
                 snap = view.snapshot(tick)
                 look = looks[tick] = (snap, {})
                 views[id(snap)] = (view, tick)
-            records.append(TraceRecord(t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
-            records.append(TraceRecord(t, rid, "snapshot", look[0]))
+            records.append(
+                new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
+            )
+            records.append(new_record(TraceRecord, (t, rid, "snapshot", look[0])))
             # schedule_cycle grew the scale for the decide instant ``data``.
             heappush(heap, (data.numerator * (scale // data.denominator), DECIDE, rid, data, look))
             continue
@@ -539,10 +556,14 @@ def run(
                     raise InvariantViolation(
                         f"illegal state transition {state_before.value} -> {new_memory.value}"
                     )
-                key = (state_before, new_memory, command)
-                payload = decisions.get(key)
+                amount = command.amount
+                decision_key = (
+                    state_before, new_memory, command.direction, command.target_kind,
+                    amount.numerator, amount.denominator,
+                )
+                payload = decisions.get(decision_key)
                 if payload is None:
-                    payload = decisions[key] = {
+                    payload = decisions[decision_key] = {
                         "state_before": state_before.value,
                         "state_after": new_memory.value,
                         "move": command.to_json(),
@@ -550,7 +571,7 @@ def run(
                 decision = decided[state_before] = (new_memory, command, payload)
             new_memory, command, payload = decision
             rr.memory = new_memory
-            records.append(TraceRecord(t, rid, "decide", payload))
+            records.append(new_record(TraceRecord, (t, rid, "decide", payload)))
             if command.is_move:
                 origin = rr.anchor
                 if command.direction == CW:
@@ -559,18 +580,12 @@ def run(
                     destination = (origin - command.amount) % 1
                 end = t + command.amount
                 rr.pending = Pending(command, t, end, destination)
-                records.append(
-                    TraceRecord(
-                        t,
-                        rid,
-                        "move-start",
-                        {
-                            "from": format_angle(origin),
-                            "direction": command.direction,
-                            "amount": format_angle(command.amount),
-                        },
-                    )
-                )
+                move = {
+                    "from": format_angle(origin),
+                    "direction": command.direction,
+                    "amount": format_angle(command.amount),
+                }
+                records.append(new_record(TraceRecord, (t, rid, "move-start", move)))
                 q = end.denominator
                 if scale % q:
                     grow(math.lcm(scale, q))
@@ -594,7 +609,7 @@ def run(
                         # Every robot has witnessed the gathering with a
                         # moveless cycle: gathered and quiescent.
                         break
-                schedule_cycle(rid, t)
+                schedule_cycle(rid, t, key)
             continue
 
         # move_end: the robot rests at its destination.
@@ -606,8 +621,9 @@ def run(
         if count == 2:
             mult_points += 1
             max_mult = max(max_mult, mult_points)
-        records.append(TraceRecord(t, rid, "move-end", {"to": format_angle(rr.anchor)}))
-        schedule_cycle(rid, t)
+        arrival = {"to": format_angle(rr.anchor)}
+        records.append(new_record(TraceRecord, (t, rid, "move-end", arrival)))
+        schedule_cycle(rid, t, key)
 
     end_time = records[-1].t if records else Fraction(0)
     gathered = not in_flight and len(resting) == 1

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -581,3 +582,25 @@ def test_snapshot_rejects_ints_off_the_contract(name):
     with pytest.raises(ContractViolation) as exc:
         Snapshot(d, ticks, flags)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SNAPSHOTS))
+def test_snapshot_tuple_constructors_run_the_same_checks(name):
+    d, ticks, flags, message = MALFORMED_SNAPSHOTS[name]
+    for build in (
+        lambda: Snapshot._make((d, ticks, flags, False)),
+        lambda: Snapshot(1, (), ())._replace(d=d, ticks=ticks, flags=flags),
+        lambda: pickle.loads(pickle.dumps(tuple.__new__(Snapshot, (d, ticks, flags, False)))),
+    ):
+        with pytest.raises(ContractViolation) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_snapshot_equals_the_plain_tuple_of_its_reduced_fields():
+    snap = Snapshot(12, (3, 9), (True, False), True)
+    assert snap == (4, (1, 3), (True, False), True)
+    assert hash(snap) == hash((4, (1, 3), (True, False), True))
+    assert Snapshot._make((12, (3, 9), (True, False), True)) == snap
+    assert snap._replace(d=8, ticks=(2, 6)) == Snapshot(4, (1, 3), (True, False), True)
+    assert pickle.loads(pickle.dumps(snap)) == snap

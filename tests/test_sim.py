@@ -508,6 +508,30 @@ def test_policy_with_int_look_instants_matches_fsync():
     assert trace.to_jsonl() == expected
 
 
+def test_policy_sharing_one_int_look_pair_per_round_matches_fsync():
+    class SharedIntLookFsync(SchedulerPolicy):
+        """Fsync's schedule, every robot of round k handed one ``(k, k + 1/4)``
+        tuple object whose look instant is a plain int."""
+
+        def bind(self, robot_ids):
+            super().bind(robot_ids)
+            self._next_round = {r: 0 for r in robot_ids}
+            self._pairs = {}
+
+        def next_cycle(self, robot_id, not_before):
+            k = max(self._next_round[robot_id], math.ceil(not_before))
+            self._next_round[robot_id] = k + 1
+            if k not in self._pairs:
+                self._pairs[k] = (k, Fraction(4 * k + 1, 4))
+            return self._pairs[k]
+
+    cfg = load_fixture("worked_example")
+    expected = run(cfg, FsyncPolicy()).to_jsonl()
+    trace = run(cfg, SharedIntLookFsync())
+    assert all(type(r.t) is Fraction for r in trace.records)
+    assert trace.to_jsonl() == expected
+
+
 # ---------------------------------------------------------------------------
 # Pinned traces. The digests were taken with a run loop that rescanned the
 # whole world after every event; they hold the incremental world state to
