@@ -24,8 +24,9 @@ is its sequence number, and a trace cut at a limit is a prefix of the whole
 run's. Every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
 the instant and memoises each look by the observer's lattice int: robots
-resting on one point share one ``Snapshot``, their snapshot records'
-payload, and one decide per memory. The view is rebuilt only when the look
+resting on one point share one ``(view, tick)`` pair, their snapshot
+records' payload, and one decide per memory on its ``Snapshot``, which only
+the memo and queued decides keep. The view is rebuilt only when the look
 instant changes: no move ends between the looks of one instant, and a move
 that starts at the look instant leaves its mover at rest on its origin, as
 the view already has it. Other payloads are dicts, equal ones shared: one
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,20 +146,20 @@ class _RoundPolicy(SchedulerPolicy):
     """
 
     def __init__(self):
-        self._instants: List[Tuple[Fraction, Fraction]] = []
+        self._instants: Dict[int, Tuple[Fraction, Fraction]] = {}
 
     def _active(self, robot_id: str, k: int) -> bool:
         raise NotImplementedError
 
     def _round(self, k: int) -> Tuple[Fraction, Fraction]:
-        instants = self._instants
-        while len(instants) <= k:
-            j = len(instants)
-            instants.append((Fraction(j), Fraction(4 * j + 1, 4)))
-        return instants[k]
+        pair = self._instants.get(k)
+        if pair is None:
+            pair = self._instants[k] = (Fraction(k), Fraction(4 * k + 1, 4))
+        return pair
 
     def next_cycle(self, robot_id, not_before):
-        k = math.ceil(not_before)
+        p, q = not_before.as_integer_ratio()
+        k = -(-p // q)
         while not self._active(robot_id, k):
             k += 1
         return self._round(k)
@@ -271,16 +273,17 @@ class ScriptedPolicy(SchedulerPolicy):
 
 
 class TraceRecord(NamedTuple):
-    """One event; a snapshot record's payload is its :class:`Snapshot`, others' a dict.
+    """One event; a snapshot record's payload is a ``(view, tick)`` pair, others' a dict.
 
-    A ``NamedTuple``: immutable, and equal to the plain tuple ``(t, robot,
-    kind, payload)`` of its fields; :func:`run` builds it with ``tuple.__new__``.
+    ``view.snapshot(tick)`` is the look the pair encodes. A ``NamedTuple``:
+    immutable, and equal to the plain tuple ``(t, robot, kind, payload)`` of
+    its fields; :func:`run` builds it with ``tuple.__new__``.
     """
 
     t: Fraction
     robot: str
     kind: str
-    payload: Snapshot | dict
+    payload: Tuple[LatticeView, int] | dict
 
 
 #: Encodes trace line parts: sorted keys, compact, ASCII-escaped.
@@ -289,10 +292,10 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 @dataclass
 class Trace:
+    """A run's records in processing order and its summary."""
+
     records: List[TraceRecord]
     summary: dict
-    #: The view and tick of each snapshot payload, keyed by its id (the records keep it alive).
-    views: Dict[int, Tuple[LatticeView, int]]
 
     def to_jsonl(self) -> str:
         """One JSON object per record, in processing order, then the summary line.
@@ -306,7 +309,6 @@ class Trace:
         it, written once per view, by the rule of :meth:`LatticeView.snapshot`.
         """
         encode = _ENCODER.encode
-        views = self.views
         payloads: Dict[int, str] = {}
         instants: Dict[int, str] = {}
         heads: Dict[Tuple[str, str], Tuple[str, str]] = {}
@@ -317,15 +319,15 @@ class Trace:
             if instant is None:
                 instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
             payload = payloads.get(id(p))
-            if type(p) is Snapshot:
-                view, tick = views[id(p)]
+            if type(p) is tuple:
+                view, tick = p
                 if view is not written:
                     written, ticks = view, view.ticks
                     mult = [k for k, f in zip(ticks, view.flags) if f]
                     ring = encode({"d": view.d, "multiplicities": mult, "ticks": ticks})
                     lines.append(f'{{"kind":"view","payload":{ring},"t":"{instant}')
                 if payload is None:
-                    own = "true" if p.self_is_multiplicity else "false"
+                    own = "true" if view.flags[bisect_left(view.ticks, tick)] else "false"
                     payload = payloads[id(p)] = f'{{"self_multiplicity":{own},"tick":{tick}}}'
             elif payload is None:
                 payload = payloads[id(p)] = encode(p)
@@ -449,11 +451,11 @@ def run(
     mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
     # The world as every look at instant view_t sees it, and the looks
     # already taken there, keyed by the observer's lattice int: each look's
-    # snapshot and its (memory after, command, payload) per memory before.
+    # (view, tick) record payload, its snapshot and its (memory after,
+    # command, payload) per memory before.
     view: Optional[LatticeView] = None
     view_t: Optional[Fraction] = None
-    looks: Dict[int, Tuple[Snapshot, Dict[Memory, tuple]]] = {}
-    views: Dict[int, Tuple[LatticeView, int]] = {}
+    looks: Dict[int, Tuple[Tuple[LatticeView, int], Snapshot, Dict[Memory, tuple]]] = {}
     # One decide payload per distinct (state before, state after, command),
     # the command keyed by its fields as ints and strings.
     decisions: Dict[Tuple[Memory, Memory, str, str, int, int], dict] = {}
@@ -531,9 +533,7 @@ def run(
             tick = view.tick(rr.anchor)
             look = looks.get(tick)
             if look is None:
-                snap = view.snapshot(tick)
-                look = looks[tick] = (snap, {})
-                views[id(snap)] = (view, tick)
+                look = looks[tick] = ((view, tick), view.snapshot(tick), {})
             records.append(
                 new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
             )
@@ -545,7 +545,7 @@ def run(
         if rank == DECIDE:
             # decide and the legality check are pure in (look, memory): a
             # robot sharing a look with one of equal memory reuses its result.
-            snap, decided = data
+            _, snap, decided = data
             state_before = rr.memory
             decision = decided.get(state_before)
             if decision is None:
@@ -638,7 +638,7 @@ def run(
     }
     if gathered:
         summary["gather_point"] = format_angle(next(iter(positions.values())))
-    trace = Trace(records, summary, views)
+    trace = Trace(records, summary)
     if limit_hit:
         raise LimitExceeded("simulation hit its event or time limit", trace)
     return trace

@@ -491,7 +491,7 @@ def test_snapshot_orders_and_rejects_like_fraction_offsets(entries, repeats, rnd
         with pytest.raises(ContractViolation):
             Snapshot(snap.d, ticks, flags)
     # The same look written as a trace's view line and snapshot line.
-    trace = Trace([TraceRecord(Fraction(0), "r", "snapshot", snap)], {}, {id(snap): (ring, 0)})
+    trace = Trace([TraceRecord(Fraction(0), "r", "snapshot", (ring, 0))], {})
     line = json.loads(expand_view_lines(trace.to_jsonl()).splitlines()[0])
     assert [v["offset"] for v in line["payload"]["visible"]] == list(map(format_angle, ordered))
 

@@ -194,14 +194,20 @@ def reference_snapshot_json(snap):
     return {"visible": visible, "self_multiplicity": snap.self_is_multiplicity}
 
 
+def look_of(payload):
+    """The ``Snapshot`` a snapshot record's ``(view, tick)`` payload encodes."""
+    view, tick = payload
+    return view.snapshot(tick)
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def reference_jsonl(trace):
     """The per-record form ``Trace.to_jsonl`` wrote before view lines: one
-    ``json.dumps`` per record, a snapshot payload first turned into its
-    :func:`reference_snapshot_json` dict."""
+    ``json.dumps`` per record, a snapshot payload first turned into the
+    :func:`reference_snapshot_json` dict of its look."""
     lines = [
         dumps(
             {
@@ -209,8 +215,8 @@ def reference_jsonl(trace):
                 "robot": r.robot,
                 "kind": r.kind,
                 "payload": (
-                    reference_snapshot_json(r.payload)
-                    if isinstance(r.payload, Snapshot)
+                    reference_snapshot_json(look_of(r.payload))
+                    if r.kind == "snapshot"
                     else r.payload
                 ),
             }
@@ -291,7 +297,7 @@ def test_to_jsonl_matches_the_per_record_reference(name):
     assert expand_view_lines(trace.to_jsonl()) == reference_jsonl(trace)
     if name == "fsync-n24":
         # The views' snapshots reduce to distinct d and hold both flags.
-        snaps = [r.payload for r in trace.records if r.kind == "snapshot"]
+        snaps = [look_of(r.payload) for r in trace.records if r.kind == "snapshot"]
         assert len({s.d for s in snaps}) >= 2
         assert {f for s in snaps for f in s.flags} == {False, True}
     if name == "escaped-ids":
@@ -299,6 +305,33 @@ def test_to_jsonl_matches_the_per_record_reference(name):
         assert text.isascii()
         assert '"robot":"say \\"hi\\""' in text and '"robot":"back\\\\slash"' in text
         assert '"robot":"caf\\u00e9"' in text and '"robot":"robot-\\ud83e\\udd16"' in text
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_TRACES))
+def test_snapshot_records_hold_the_view_and_tick_their_lines_encode(name):
+    trace = JSONL_TRACES[name]()
+    assert not any(isinstance(r.payload, Snapshot) for r in trace.records)
+    snapshots = [r for r in trace.records if r.kind == "snapshot"]
+    assert snapshots
+    views, pairs = [], {}
+    for r in snapshots:
+        assert type(r.payload) is tuple and len(r.payload) == 2
+        view, tick = r.payload
+        assert type(view) is LatticeView and type(tick) is int and tick in view.ticks
+        if not any(v is view for v in views):
+            views.append(view)
+        # Records that share a look share one pair object.
+        assert pairs.setdefault((id(view), tick), r.payload) is r.payload
+    lines = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    rings = [line["payload"] for line in lines if line["kind"] == "view"]
+    assert rings == [
+        {
+            "d": v.d,
+            "ticks": v.ticks,
+            "multiplicities": [k for k, f in zip(v.ticks, v.flags) if f],
+        }
+        for v in views
+    ]
 
 
 @st.composite
@@ -317,9 +350,11 @@ def looks(draw):
 @given(looks())
 def test_snapshot_jsonl_text_matches_the_reference(look):
     view, first, second = look
-    snaps = [view.snapshot(first), view.snapshot(second)]
-    records = [TraceRecord(F(1), f"r{i}", "snapshot", snap) for i, snap in enumerate(snaps)]
-    trace = Trace(records, {}, {id(snaps[0]): (view, first), id(snaps[1]): (view, second)})
+    records = [
+        TraceRecord(F(1), f"r{i}", "snapshot", (view, tick))
+        for i, tick in enumerate((first, second))
+    ]
+    trace = Trace(records, {})
     text = trace.to_jsonl()
     assert text.count('"kind":"view"') == 1
     assert expand_view_lines(text) == reference_jsonl(trace)
@@ -379,7 +414,7 @@ def test_scripted_run_observes_mid_move_positions():
     snap = next(
         r for r in trace.records if r.kind == "snapshot" and r.robot == "r1"
     )
-    assert reference_snapshot_json(snap.payload)["visible"] == [
+    assert reference_snapshot_json(look_of(snap.payload))["visible"] == [
         {"offset": "19/20", "multiplicity": False}
     ]
     assert trace.summary["final"] == {"r0": "1/10", "r1": "1/10"}
@@ -486,6 +521,37 @@ def test_round_policies_hand_out_one_instant_object_per_round(make_policy):
     for k in shared:
         (la, da), (lb, db), (lc, dc) = (cycles[r][k] for r in robots)
         assert la is lb is lc and da is db is dc
+
+
+# (not_before, ceil(not_before)), with ints among the instants.
+NOT_BEFORE_CEILINGS = [
+    (0, 0), (F(3), 3), (F(3) + F("1/4"), 4), (F("7/3"), 3), (5, 5),
+    (10**20 + Fraction(1, 10**20), 10**20 + 1),
+]
+
+
+# SsyncPolicy draws each round's members in sequence from round 0, so it
+# cannot reach round 10**20; fsync covers that ceiling.
+@pytest.mark.parametrize(
+    "make_policy, cases",
+    [(FsyncPolicy, NOT_BEFORE_CEILINGS), (lambda: SsyncPolicy(seed=5), NOT_BEFORE_CEILINGS[:-1])],
+    ids=["fsync", "ssync"],
+)
+def test_round_policies_pick_the_first_active_round_from_the_ceiling(make_policy, cases):
+    policy = make_policy()
+    robots = ("a", "b", "c")
+    policy.bind(robots)
+    waited = False
+    for not_before, first in cases:
+        for r in robots:
+            look, decide = policy.next_cycle(r, not_before)
+            k = look.numerator
+            assert look == Fraction(k) and decide == Fraction(k) + Fraction(1, 4)
+            assert k >= first and policy._active(r, k), (not_before, r)
+            assert not any(policy._active(r, j) for j in range(first, k)), (not_before, r)
+            waited = waited or k > first
+    # Some ssync robot sits out its ceiling round and waits for a later one.
+    assert waited == isinstance(policy, SsyncPolicy)
 
 
 def test_policy_with_int_look_instants_matches_fsync():
@@ -659,7 +725,7 @@ def config_of(**positions):
 
 def snapshots_at(trace, t):
     return {
-        r.robot: reference_snapshot_json(r.payload)
+        r.robot: reference_snapshot_json(look_of(r.payload))
         for r in trace.records
         if r.kind == "snapshot" and r.t == t
     }
@@ -793,7 +859,7 @@ def test_robots_sharing_a_look_with_other_memories_decide_apart():
             looked[r.robot] = r.payload
             readers.setdefault(id(r.payload), set()).add(memory[r.robot])
         elif r.kind == "decide":
-            after, command = protocol.decide(looked[r.robot], memory[r.robot], HALF_TURN)
+            after, command = protocol.decide(look_of(looked[r.robot]), memory[r.robot], HALF_TURN)
             assert r.payload == {
                 "state_before": memory[r.robot].value,
                 "state_after": after.value,
@@ -1010,8 +1076,17 @@ def test_pinned_digests_reorder_the_sorted_traces(name):
         trace = run(*_witness_config(name))
     else:
         trace = _pinned_trace(next(c for c in PINNED_TRACES if _pinned_id(c) == name))
-    resorted = Trace(sorted(trace.records, key=itemgetter(0, 1, 2)), trace.summary, trace.views)
+    resorted = Trace(sorted(trace.records, key=itemgetter(0, 1, 2)), trace.summary)
     assert sha256_of(reference_jsonl(resorted)) == SORTED_DIGESTS[name]
+
+
+def spelled_out(records):
+    """The records with each ``(view, tick)`` payload spelled out as the
+    view's ints and the tick, so that records of equal looks compare equal."""
+    return [
+        (t, robot, kind, (p[0].d, p[0].ticks, p[0].flags, p[1]) if kind == "snapshot" else p)
+        for t, robot, kind, p in records
+    ]
 
 
 @pytest.mark.parametrize("name", ["async_n10_seed1297162590", "event-clock"])
@@ -1022,11 +1097,11 @@ def test_processing_order_cut_at_the_event_limit_is_a_prefix(name):
     else:
         initial, policy, _, options = _witness_config(name)
     whole = run(initial, policy, None, options)
-    full, full_lines = whole.records, whole.to_jsonl().splitlines()
+    full, full_lines = spelled_out(whole.records), whole.to_jsonl().splitlines()
     for k in range(1, len(full)):
         with pytest.raises(LimitExceeded) as exc:
             run(initial, policy, RunLimits(max_events=k), options)
-        partial = exc.value.trace.records
+        partial = spelled_out(exc.value.trace.records)
         assert partial == full[: len(partial)], k
         # The lines too, view lines included, but for the summary.
         lines = exc.value.trace.to_jsonl().splitlines()[:-1]
