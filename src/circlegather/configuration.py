@@ -8,14 +8,16 @@ clockwise offsets of occupied points strictly closer than a half turn,
 with weak multiplicity flags (a flag, never a count).
 
 Angles are exact Fractions at every public boundary. A
-:class:`LatticeView` is the one place that scales a point set to ints: the
-occupied points on their common-denominator lattice, sorted clockwise and
-kept doubled, so every observer's view of one world state is one slice of
-one ring of ints (two around an occupied antipode), shifted to the
-observer. :func:`elect` is the one integer leader election: one Lyndon
-factorisation of the gaps between those ints gives both the leader (the
-start of the least rotation of the gaps) and the symmetry test (that
-rotation is a power of a shorter word), in linear time.
+:class:`LatticeView` is the one view of a point set as ints: the occupied
+points on their common-denominator lattice, sorted clockwise and kept
+doubled, so every observer's view of one world state is one slice of one
+ring of ints (two around an occupied antipode), shifted to the observer.
+It scales Fractions itself, and :meth:`LatticeView.on_lattice` takes the
+ints the simulator keeps on its own lattice. :func:`elect` is the one
+integer leader election: one Lyndon factorisation of the gaps between those
+ints gives both the leader (the start of the least rotation of the gaps)
+and the symmetry test (that rotation is a power of a shorter word), in
+linear time.
 :func:`distinct_view` is the one multiplicity check on the lattice: the
 symmetry test, the leader and the analysis's taxonomy each read one such
 view and elect on it. :func:`gap_sequence` is the Fraction path that
@@ -216,8 +218,9 @@ class LatticeView:
     adding their weights, and the points are sorted clockwise from 0. A
     point of weight two or more is a multiplicity: ``flags`` keeps that
     verdict per point; a point's place on the ring is found by bisection.
-    The ring is also kept doubled, each tick once more plus ``D`` and each
-    flag twice, so that the points clockwise from any observer are one slice.
+    The first :meth:`snapshot` also keeps the ring doubled, each tick once
+    more plus ``D`` and each flag twice, so that the points clockwise from
+    any observer are one slice; views that only elect never build it.
     """
 
     __slots__ = ("d", "ticks", "flags", "_ring", "_seen")
@@ -230,11 +233,22 @@ class LatticeView:
         for (num, q), (_, weight) in zip(ratios, points):
             tick = num * (d // q) % d
             merged[tick] = merged.get(tick, 0) + weight
+        self._fill(d, merged)
+
+    @classmethod
+    def on_lattice(cls, scale: int, weights: Mapping[int, int]) -> "LatticeView":
+        """The view of the points ``p / scale``, each int p in [0, scale)
+        weighing ``weights[p]``: one ``gcd`` reduces them to their own lattice."""
+        g = gcd(scale, *weights)
+        view = cls.__new__(cls)
+        view._fill(scale // g, {p // g: w for p, w in weights.items()} if g > 1 else weights)
+        return view
+
+    def _fill(self, d: int, merged: Mapping[int, int]) -> None:
         self.d = d
         self.ticks = ticks = sorted(merged)
-        self.flags = flags = [merged[t] >= 2 for t in ticks]
-        self._ring = ticks + [t + d for t in ticks]
-        self._seen = flags * 2
+        self.flags = [merged[t] >= 2 for t in ticks]
+        self._ring = None
 
     def tick(self, pos: Fraction) -> int:
         """The lattice int of the occupied point ``pos``."""
@@ -259,8 +273,11 @@ class LatticeView:
         :class:`Snapshot` keeps; shifted by ``-tick``, they are the offsets.
         An occupied antipode at ``tick + d / 2`` splits the slice in two.
         """
-        ring, seen, d = self._ring, self._seen, self.d
-        n = len(self.ticks)
+        ring, d, ticks = self._ring, self.d, self.ticks
+        if ring is None:
+            ring = self._ring = ticks + [t + d for t in ticks]
+            self._seen = self.flags * 2
+        seen, n = self._seen, len(ticks)
         i = bisect_left(ring, tick, 0, n)
         j = i + n
         offs, flags = ring[i + 1 : j], seen[i + 1 : j]

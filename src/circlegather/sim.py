@@ -6,16 +6,29 @@ completes. Schedulers only choose the instants; all of them draw times from
 rational grids so that interpolated positions, and therefore coincidence
 tests, stay exact. Identical inputs produce byte-identical traces.
 
+Robots move rigidly at unit speed on a circle of one turn, so a move of
+``a`` turns takes ``a`` time units: time and angle share one unit, and the
+run loop keeps both as ints on one lattice. One int ``scale`` holds an
+instant t as the key ``t * scale`` and a position p as ``p * scale mod
+scale``; it starts as the lcm of the initial positions' denominators. An
+instant or move amount whose denominator does not divide the scale
+multiplies the scale and every key and position int by one factor, which
+keeps their order. A move builds a ``Fraction`` only for its move-end
+record's instant, and the trace's angles are formatted from the ints.
+Policies, records and ``max_time`` keep their ``Fraction`` instants.
+
 The run loop keeps the world state incrementally instead of rescanning every
-robot after each event: a count of robots per resting position plus the set
-of robots in flight, both changed only when a move starts or ends. The
-number of multiplicity points follows from those two updates in O(1), and a
-look interpolates only the robots in flight. A look flags a point as a
-multiplicity only from robots at rest on it, the same count that defines
-the multiplicity points: a mover passing through an occupied point is seen
-there, but does not make it a multiplicity. :func:`world_snapshot`,
-:func:`multiplicity_points` and :func:`is_gathered` remain whole-world scans
-over ``RobotRuntime`` maps, for tests and for use outside the run loop.
+robot after each event: each robot's anchor and memory, a count of robots
+per resting position and the moves in flight, changed only when a move
+starts or ends. The number of multiplicity points follows from those two
+updates in O(1), and a look interpolates only the robots in flight. A look
+flags a point as a multiplicity only from robots at rest on it, the same
+count that defines the multiplicity points: a mover passing through an
+occupied point is seen there, but does not make it a multiplicity.
+:class:`RobotRuntime`, :class:`Pending` and the whole-world scans
+:func:`world_snapshot`, :func:`multiplicity_points` and :func:`is_gathered`
+are the ``Fraction`` reference of that state, kept only for the tests and
+the benchmark's tracer; the run loop uses none of them.
 
 Events at one instant run move-ends first, then looks, then decides, each
 rank by robot id; a look that a decide queues at its own instant runs right
@@ -23,7 +36,7 @@ after that decide. Records stay in this processing order: a record's index
 is its sequence number, and a trace cut at a limit is a prefix of the whole
 run's. Every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
-the instant and memoises each look by the observer's lattice int: robots
+the instant and memoises each look by the observer's view tick: robots
 resting on one point share one ``(view, tick)`` pair, their snapshot
 records' payload, and one decide per memory on its ``Snapshot``, which only
 the memo and queued decides keep. The view is rebuilt only when the look
@@ -31,24 +44,21 @@ instant changes: no move ends between the looks of one instant, and a move
 that starts at the look instant leaves its mover at rest on its origin, as
 the view already has it. Other payloads are dicts, equal ones shared: one
 activate dict per memory value and, per run, one decide dict per (state
-before, state after, command). Payloads are read-only; :meth:`Trace.to_jsonl`
-encodes each once and writes each view once, before its first snapshot.
+before, state after, command) and one move-end dict per destination.
+Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once and writes
+each view once, before its first snapshot.
 
 Each queued event carries the data its handler needs: a look its decide
-instant, a decide its look's memo entry. The event heap orders on ints:
-an event's key is its instant times ``scale``, the lcm of the denominators
-of every instant queued so far. An instant whose denominator does not
-divide the scale multiplies the scale and every queued key by one factor,
-which keeps their order. While a policy hands back one tuple object at one
-scale, as a round policy does to every robot of a round, its instants are
-converted and keyed once. Policies, records and ``max_time`` keep their
-``Fraction`` instants. The fsync and ssync policies share one round rule: a
-robot's next cycle is the first round from ``ceil(not_before)`` in which it
-is active. Whatever the policy, the run loop rejects a cycle that looks
-before the robot's previous one, move included, has ended. The loop checks
-no global property such as the expected-leader count; a trace records every
-move start, so the positions at any instant can be replayed from the trace
-alone, and the tests check that property that way.
+instant, a decide its look's memo entry. While a policy hands back one tuple
+object at one scale, as a round policy does to every robot of a round, its
+instants are converted and keyed once. The fsync and ssync policies share
+one round rule: a robot's next cycle is the first round from
+``ceil(not_before)`` in which it is active. Whatever the policy, the run
+loop rejects a cycle that looks before the robot's previous one, move
+included, has ended. The loop checks no global property such as the
+expected-leader count; a trace records every move start, so the positions
+at any instant can be replayed from the trace alone, and the tests check
+that property that way.
 """
 
 from __future__ import annotations
@@ -140,9 +150,8 @@ class _RoundPolicy(SchedulerPolicy):
     A robot's next cycle is the first round from ``ceil(not_before)`` in
     which :meth:`_active` admits it. The policy builds each round's
     ``(k, k + 1/4)`` pair once and hands that one tuple to every robot active
-    in that round, so the run loop keys it once, its view check compares
-    equal instants by identity instead of by ``Fraction.__eq__``, and
-    :meth:`Trace.to_jsonl` encodes each once.
+    in that round, so the run loop keys it once and :meth:`Trace.to_jsonl`
+    encodes each once.
     """
 
     def __init__(self):
@@ -345,10 +354,6 @@ class Trace:
 # World queries
 
 
-def world_positions(world: Dict[str, RobotRuntime], t: Fraction) -> Dict[str, Fraction]:
-    return {rid: rr.position_at(t) for rid, rr in world.items()}
-
-
 def multiplicity_points(world: Dict[str, RobotRuntime], t: Fraction) -> List[Tuple[Fraction, int]]:
     """Formed multiplicity points: two or more robots resting on one point.
 
@@ -366,8 +371,7 @@ def is_gathered(world: Dict[str, RobotRuntime], t: Fraction) -> bool:
     """All robots at one exact point with no move in flight."""
     if any(rr.pending is not None for rr in world.values()):
         return False
-    positions = set(world_positions(world, t).values())
-    return len(positions) == 1
+    return len({rr.position_at(t) for rr in world.values()}) == 1
 
 
 def world_snapshot(world: Dict[str, RobotRuntime], observer: str, t: Fraction) -> Snapshot:
@@ -420,9 +424,10 @@ def run(
     with a moveless cycle, or when the schedule runs dry. Hitting the event
     or time limit raises :class:`LimitExceeded` carrying the partial trace.
 
-    ``resting`` counts the robots per resting position and ``in_flight``
-    holds the robots mid-move (see the module docstring). A look instant's
-    view holds ``resting``, each robot weighing 1, and the movers at their
+    The world is ints (see the module docstring): ``anchors`` and
+    ``memories`` per robot, ``resting`` counting the robots per resting
+    position and ``in_flight`` the moves under way. A look instant's view
+    holds ``resting``, each robot weighing 1, and the movers at their
     interpolated positions, weighing 0, except a mover whose move starts at
     the look instant: it is still at rest on its origin and weighs 1.
     """
@@ -430,35 +435,40 @@ def run(
     options = options or RunOptions()
     require_legal_initial(initial)
 
-    world: Dict[str, RobotRuntime] = {
-        r.robot_id: RobotRuntime(r.robot_id, r.pos) for r in initial.robots
+    scale = math.lcm(*[r.pos.denominator for r in initial.robots])
+    anchors: Dict[str, int] = {
+        r.robot_id: r.pos.numerator * (scale // r.pos.denominator) % scale
+        for r in initial.robots
     }
-    all_ids = sorted(world)
+    memories: Dict[str, Memory] = dict.fromkeys(anchors, Memory.OFF)
+    all_ids = sorted(anchors)
     policy.bind(all_ids)
 
-    # Entries are (key, rank, robot, t, data), the int key being t * scale
-    # (see the module docstring). A look carries its decide instant, a decide
-    # its look's entry in ``looks``. A robot has exactly one event queued at
-    # a time, so (key, rank, robot) never ties and neither t nor data is compared.
+    # Entries are (key, rank, robot, t, data). A look carries its decide
+    # instant, a decide its look's entry in ``looks``. A robot has exactly
+    # one event queued at a time, so (key, rank, robot) never ties and
+    # neither t nor data is compared.
     heap: List[Tuple[int, int, str, Fraction, object]] = []
-    scale = 1
     records: List[TraceRecord] = []
     gathered_confirmed: set = set()
     limit_hit = False
 
-    resting: Counter = Counter(rr.anchor for rr in world.values())
-    in_flight: Dict[str, RobotRuntime] = {}
+    resting: Counter = Counter(anchors.values())
+    # A mover's (start key, end key, +1 clockwise or -1, destination).
+    in_flight: Dict[str, Tuple[int, int, int, int]] = {}
     mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
-    # The world as every look at instant view_t sees it, and the looks
-    # already taken there, keyed by the observer's lattice int: each look's
-    # (view, tick) record payload, its snapshot and its (memory after,
-    # command, payload) per memory before.
-    view: Optional[LatticeView] = None
-    view_t: Optional[Fraction] = None
+    # The world as every look at key view_key sees it, ``step`` the scale's
+    # ints per view tick, and the looks already taken there, keyed by the
+    # observer's view tick: each look's (view, tick) record payload, its
+    # snapshot and its (memory after, payload, direction, amount ratio) per
+    # memory before.
+    view_key = step = -1
     looks: Dict[int, Tuple[Tuple[LatticeView, int], Snapshot, Dict[Memory, tuple]]] = {}
     # One decide payload per distinct (state before, state after, command),
-    # the command keyed by its fields as ints and strings.
+    # the command keyed by its fields as ints and strings; one move-end
+    # payload per destination int.
     decisions: Dict[Tuple[Memory, Memory, str, str, int, int], dict] = {}
+    arrivals: Dict[int, dict] = {}
     # The last cycle pair the policy handed back, and its instants as
     # Fractions with their keys at scale ``cycle_scale``: a round policy hands
     # every robot of a round one pair object, converted and keyed once.
@@ -466,13 +476,25 @@ def run(
     # A NamedTuple's own __new__ is a Python-level call; records skip it.
     new_record = tuple.__new__
 
+    def angle(p: int) -> str:
+        """The ``format_angle`` text of the position int ``p``."""
+        g = math.gcd(p, scale)
+        return f"{p // g}/{scale // g}"
+
     def grow(new_scale: int) -> int:
         """Raise ``scale`` to its multiple ``new_scale`` and return the factor.
-        Every queued key is multiplied by that factor, which keeps their
-        order: the list stays a heap."""
-        nonlocal scale
+        Every key and position int is multiplied by that factor, which keeps
+        their order: the list stays a heap."""
+        nonlocal scale, resting, view_key, step
         factor = new_scale // scale
         heap[:] = [(key * factor, rank, rid, t, data) for key, rank, rid, t, data in heap]
+        for rid in anchors:
+            anchors[rid] *= factor
+        for rid, (start, end, sign, to) in in_flight.items():
+            in_flight[rid] = (start * factor, end * factor, sign, to * factor)
+        resting = Counter({p * factor: c for p, c in resting.items()})
+        arrivals.clear()
+        view_key, step = view_key * factor, step * factor
         scale = new_scale
         return factor
 
@@ -509,6 +531,16 @@ def run(
             raise ScheduleError("look and compute must take strictly positive time")
         heappush(heap, (look, LOOK, robot_id, t_look, t_decide))
 
+    def position(rid: str, key: int) -> Tuple[int, int]:
+        """The robot's position int at ``key`` and its weight in a view there."""
+        move = in_flight.get(rid)
+        if move is None or key <= move[0]:
+            return anchors[rid], 1
+        start, end, sign, to = move
+        if key >= end:
+            return to, 1
+        return (anchors[rid] + sign * (key - start)) % scale, 0
+
     for rid in all_ids:
         schedule_cycle(rid, Fraction(0), 0)
 
@@ -518,24 +550,23 @@ def run(
         if len(records) >= max_events or (max_time is not None and t > max_time):
             limit_hit = True
             break
-        rr = world[rid]
 
         if rank == LOOK:
-            # Round policies share instant objects, so most looks of one
-            # instant pass on identity alone.
-            if t is not view_t and t != view_t:
-                points = list(resting.items())
-                for mover in in_flight.values():
-                    points.append((mover.position_at(t), 0 if mover.is_moving_at(t) else 1))
-                view, view_t, looks = LatticeView(points), t, {}
+            if key != view_key:
+                weights = dict(resting)
+                for mover in in_flight:
+                    p, weight = position(mover, key)
+                    weights[p] = weights.get(p, 0) + weight
+                view, view_key, looks = LatticeView.on_lattice(scale, weights), key, {}
+                step = scale // view.d
             # A robot's next cycle is queued only after a stay or once its
             # move has ended, so a looking robot rests on its anchor.
-            tick = view.tick(rr.anchor)
+            tick = anchors[rid] // step
             look = looks.get(tick)
             if look is None:
                 look = looks[tick] = ((view, tick), view.snapshot(tick), {})
             records.append(
-                new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[rr.memory]))
+                new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[memories[rid]]))
             )
             records.append(new_record(TraceRecord, (t, rid, "snapshot", look[0])))
             # schedule_cycle grew the scale for the decide instant ``data``.
@@ -546,7 +577,7 @@ def run(
             # decide and the legality check are pure in (look, memory): a
             # robot sharing a look with one of equal memory reuses its result.
             _, snap, decided = data
-            state_before = rr.memory
+            state_before = memories[rid]
             decision = decided.get(state_before)
             if decision is None:
                 new_memory, command = protocol.decide(
@@ -556,10 +587,9 @@ def run(
                     raise InvariantViolation(
                         f"illegal state transition {state_before.value} -> {new_memory.value}"
                     )
-                amount = command.amount
+                num, den = command.amount.as_integer_ratio()
                 decision_key = (
-                    state_before, new_memory, command.direction, command.target_kind,
-                    amount.numerator, amount.denominator,
+                    state_before, new_memory, command.direction, command.target_kind, num, den
                 )
                 payload = decisions.get(decision_key)
                 if payload is None:
@@ -568,28 +598,22 @@ def run(
                         "state_after": new_memory.value,
                         "move": command.to_json(),
                     }
-                decision = decided[state_before] = (new_memory, command, payload)
-            new_memory, command, payload = decision
-            rr.memory = new_memory
+                decision = (new_memory, payload, command.direction, num, den)
+                decided[state_before] = decision
+            new_memory, payload, direction, num, den = decision
+            memories[rid] = new_memory
             records.append(new_record(TraceRecord, (t, rid, "decide", payload)))
-            if command.is_move:
-                origin = rr.anchor
-                if command.direction == CW:
-                    destination = (origin + command.amount) % 1
-                else:
-                    destination = (origin - command.amount) % 1
-                end = t + command.amount
-                rr.pending = Pending(command, t, end, destination)
-                move = {
-                    "from": format_angle(origin),
-                    "direction": command.direction,
-                    "amount": format_angle(command.amount),
-                }
+            if num:  # a move: its amount is positive
+                if scale % den:
+                    key *= grow(math.lcm(scale, den))
+                amount = num * (scale // den)
+                origin = anchors[rid]
+                sign = 1 if direction == CW else -1
+                end = key + amount
+                in_flight[rid] = (key, end, sign, (origin + sign * amount) % scale)
+                move = {"from": angle(origin), "direction": direction, "amount": angle(amount)}
                 records.append(new_record(TraceRecord, (t, rid, "move-start", move)))
-                q = end.denominator
-                if scale % q:
-                    grow(math.lcm(scale, q))
-                heappush(heap, (end.numerator * (scale // q), MOVE_END, rid, end, None))
+                heappush(heap, (end, MOVE_END, rid, Fraction(end, scale), None))
                 gathered_confirmed.clear()
                 # Lift the robot off its origin.
                 count = resting[origin]
@@ -599,7 +623,6 @@ def run(
                     resting[origin] = count - 1
                 if count == 2:
                     mult_points -= 1
-                in_flight[rid] = rr
             else:
                 # The set holds ids of all_ids only, and is empty unless the
                 # world is gathered: only a move start ungathers it, and clears it.
@@ -613,31 +636,31 @@ def run(
             continue
 
         # move_end: the robot rests at its destination.
-        rr.anchor = rr.pending.destination
-        rr.pending = None
-        del in_flight[rid]
-        count = resting[rr.anchor] + 1
-        resting[rr.anchor] = count
+        to = anchors[rid] = in_flight.pop(rid)[3]
+        count = resting[to] = resting.get(to, 0) + 1
         if count == 2:
             mult_points += 1
             max_mult = max(max_mult, mult_points)
-        arrival = {"to": format_angle(rr.anchor)}
+        arrival = arrivals.get(to)
+        if arrival is None:
+            arrival = arrivals[to] = {"to": angle(to)}
         records.append(new_record(TraceRecord, (t, rid, "move-end", arrival)))
         schedule_cycle(rid, t, key)
 
     end_time = records[-1].t if records else Fraction(0)
+    end_key = end_time.numerator * (scale // end_time.denominator)
     gathered = not in_flight and len(resting) == 1
-    positions = world_positions(world, end_time)
+    final = {rid: angle(position(rid, end_key)[0]) for rid in all_ids}
     summary = {
         "gathered": gathered,
         "event_count": len(records),
         "max_simultaneous_multiplicities": max_mult,
         "limit_exceeded": limit_hit,
         "initial": {r.robot_id: format_angle(r.pos) for r in initial.robots},
-        "final": {rid: format_angle(p) for rid, p in sorted(positions.items())},
+        "final": final,
     }
     if gathered:
-        summary["gather_point"] = format_angle(next(iter(positions.values())))
+        summary["gather_point"] = final[all_ids[0]]
     trace = Trace(records, summary)
     if limit_hit:
         raise LimitExceeded("simulation hit its event or time limit", trace)

@@ -427,6 +427,23 @@ def test_lattice_view_snapshot_matches_the_modular_walk(pairs):
         assert view.snapshot(tick) == reference_view_snapshot(view, tick), tick
 
 
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(weighted_points(), st.integers(1, 6))
+@example([(F(0), 1)], 1)  # one point on the trivial lattice
+@example([(F(0), 2), (F("1/2"), 1), (F("1/4"), 0), (F("3/4"), 2)], 3)
+@example([(F("2/6"), 1), (F("4/6"), 0)], 5)  # the ints share a factor with the scale
+def test_lattice_view_on_lattice_matches_the_fraction_view(pairs, multiple):
+    scale = lcm(*[p.denominator for p, _ in pairs]) * multiple
+    weights = {}
+    for p, weight in pairs:
+        k = p.numerator * (scale // p.denominator) % scale
+        weights[k] = weights.get(k, 0) + weight
+    view, expected = LatticeView.on_lattice(scale, weights), LatticeView(pairs)
+    assert (view.d, view.ticks, view.flags) == (expected.d, expected.ticks, expected.flags)
+    for tick in expected.ticks:
+        assert view.snapshot(tick) == expected.snapshot(tick), tick
+
+
 def test_lattice_view_reads_positions_modulo_a_turn_and_rejects_empty_points():
     view = LatticeView([(F("5/4"), 1), (F("1/4"), 1), (F("-1/3"), 1)])
     assert view.tick(F("1/4")) == view.tick(F("-3/4"))

@@ -487,6 +487,18 @@ def test_a_reused_policy_replays_a_fresh_one(kind):
         assert run(config, policy).to_jsonl() == run(config, make()).to_jsonl(), config
 
 
+@pytest.mark.parametrize(
+    "make_policy", [FsyncPolicy, lambda: SsyncPolicy(seed=3)], ids=["fsync", "ssync"]
+)
+def test_positions_outside_a_turn_run_like_their_normalised_config(make_policy):
+    given = ("5/4", "-1/3", "1/10", "2/5")
+    raw = Configuration(tuple(Robot(rid, F(p)) for rid, p in zip("abcd", given)))
+    normalised = Configuration(tuple(Robot(rid, F(p) % 1) for rid, p in zip("abcd", given)))
+    trace = run(raw, make_policy())
+    assert trace.summary["gathered"]
+    assert trace.to_jsonl() == run(normalised, make_policy()).to_jsonl()
+
+
 def test_async_delays_stay_on_the_rational_grid():
     policy = AsyncRandomPolicy(seed=9, delay_denominator_bound=8)
     policy.bind(("a", "b"))
@@ -937,6 +949,31 @@ def test_event_clock_grows_its_scale_mid_run_and_keeps_the_order():
     assert [(r.robot, r.kind) for r in cut_after(before + 1) if r.t == arrival] == [
         ("r0", "move-end")
     ]
+
+
+def test_event_clock_grows_its_scale_between_two_looks_of_one_instant():
+    # Positions on twelfths and integer instants keep the scale at 12 until
+    # r0 decides at 1 to move half its 1/12 gap, which needs 24. r2 looks
+    # at 1 before that decide; r1 stays at 1 after it and looks at 1 again,
+    # on the view r2's look built, at the grown scale.
+    initial = config_of(r0="0/12", r1="1/12", r2="7/12", r3="10/12")
+    events = [("r0", F(0), F(1)), ("r1", F(0), F(1)), ("r1", F(1), F(2)),
+              ("r2", F(1), F(2)), ("r3", F(0), F(1))]
+    trace = run(initial, ScriptedPolicy(events))
+    at_1 = [(r.robot, r.kind) for r in trace.records if r.t == 1]
+    assert at_1[:6] == [
+        ("r2", "activate"), ("r2", "snapshot"), ("r0", "decide"), ("r0", "move-start"),
+        ("r1", "decide"), ("r1", "activate"),
+    ]
+    move = next(r.payload for r in trace.records if r.kind == "move-start")
+    assert move == {"from": "0/1", "direction": CW, "amount": "1/24"}
+    looks = {r.robot: r.payload for r in trace.records if r.kind == "snapshot" and r.t == 1}
+    assert looks["r1"][0] is looks["r2"][0]
+    world = {r.robot_id: RobotRuntime(r.robot_id, r.pos) for r in initial.robots}
+    world["r0"] = moving_robot("r0", F(0), F("1/24"), F(1))
+    assert snapshots_at(trace, F(1)) == {
+        rid: reference_snapshot_json(world_snapshot(world, rid, F(1))) for rid in ("r1", "r2")
+    }
 
 
 def test_event_clock_rejects_a_busy_look_at_a_new_denominator():
