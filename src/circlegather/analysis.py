@@ -151,8 +151,7 @@ def detect_confused_peer_in_c0(snapshot: Snapshot) -> bool:
     if classify(snapshot).tag is not LeaderTag.CONFUSED_LEADER:
         raise NotConfusedLeader("peer detection applies to confused leaders only")
     # The observer sits at tick 0 of c0's view; every other tick is a peer.
-    d = snapshot.d
-    view = LatticeView((Fraction(t, d), 1) for t in (0,) + snapshot.ticks)
+    view = LatticeView.on_lattice(snapshot.d, dict.fromkeys((0,) + snapshot.ticks, 1))
     for tick in view.ticks[1:]:
         if classify(view.snapshot(tick)).tag is LeaderTag.CONFUSED_LEADER:
             return True

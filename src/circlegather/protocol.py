@@ -61,15 +61,15 @@ class MoveCommand:
     target_kind: str = "relative-angle"
 
     def __post_init__(self):
-        object.__setattr__(self, "amount", Fraction(self.amount))
-        if (self.direction == NONE) != (self.amount == 0):
+        amount = self.amount
+        if type(amount) is not Fraction:
+            amount = Fraction(amount)
+            object.__setattr__(self, "amount", amount)
+        num, den = amount.as_integer_ratio()
+        if (self.direction == NONE) != (num == 0):
             raise ContractViolation("amount must be positive iff the robot moves")
-        if not 0 <= self.amount < 1:
+        if not 0 <= num < den:
             raise ContractViolation("no full-circle moves")
-
-    @property
-    def is_move(self) -> bool:
-        return self.direction != NONE
 
     def to_json(self) -> dict:
         return {

@@ -49,16 +49,15 @@ Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once and writes
 each view once, before its first snapshot.
 
 Each queued event carries the data its handler needs: a look its decide
-instant, a decide its look's memo entry. While a policy hands back one tuple
-object at one scale, as a round policy does to every robot of a round, its
-instants are converted and keyed once. The fsync and ssync policies share
-one round rule: a robot's next cycle is the first round from
-``ceil(not_before)`` in which it is active. Whatever the policy, the run
-loop rejects a cycle that looks before the robot's previous one, move
-included, has ended. The loop checks no global property such as the
-expected-leader count; a trace records every move start, so the positions
-at any instant can be replayed from the trace alone, and the tests check
-that property that way.
+instant and that instant's integer ratio, taken when the cycle is queued,
+so the look keys its decide on the scale of the moment; a decide its look's
+memo entry. The fsync and ssync policies share one round rule: a robot's
+next cycle is the first round from ``ceil(not_before)`` in which it is
+active. Whatever the policy, the run loop rejects a cycle that looks before
+the robot's previous one, move included, has ended. The loop checks no
+global property such as the expected-leader count; a trace records every
+move start, so the positions at any instant can be replayed from the trace
+alone, and the tests check that property that way.
 """
 
 from __future__ import annotations
@@ -150,8 +149,7 @@ class _RoundPolicy(SchedulerPolicy):
     A robot's next cycle is the first round from ``ceil(not_before)`` in
     which :meth:`_active` admits it. The policy builds each round's
     ``(k, k + 1/4)`` pair once and hands that one tuple to every robot active
-    in that round, so the run loop keys it once and :meth:`Trace.to_jsonl`
-    encodes each once.
+    in that round, so :meth:`Trace.to_jsonl` encodes each instant once.
     """
 
     def __init__(self):
@@ -445,9 +443,9 @@ def run(
     policy.bind(all_ids)
 
     # Entries are (key, rank, robot, t, data). A look carries its decide
-    # instant, a decide its look's entry in ``looks``. A robot has exactly
-    # one event queued at a time, so (key, rank, robot) never ties and
-    # neither t nor data is compared.
+    # instant and that instant's integer ratio, a decide its look's entry in
+    # ``looks``. A robot has exactly one event queued at a time, so (key,
+    # rank, robot) never ties and neither t nor data is compared.
     heap: List[Tuple[int, int, str, Fraction, object]] = []
     records: List[TraceRecord] = []
     gathered_confirmed: set = set()
@@ -469,10 +467,6 @@ def run(
     # payload per destination int.
     decisions: Dict[Tuple[Memory, Memory, str, str, int, int], dict] = {}
     arrivals: Dict[int, dict] = {}
-    # The last cycle pair the policy handed back, and its instants as
-    # Fractions with their keys at scale ``cycle_scale``: a round policy hands
-    # every robot of a round one pair object, converted and keyed once.
-    last_cycle = cycle_scale = cycle_keys = None
     # A NamedTuple's own __new__ is a Python-level call; records skip it.
     new_record = tuple.__new__
 
@@ -500,36 +494,30 @@ def run(
 
     def schedule_cycle(robot_id: str, not_before: Fraction, busy: int) -> None:
         """Queue the robot's next look; ``busy`` is ``not_before`` times ``scale``."""
-        nonlocal last_cycle, cycle_scale, cycle_keys
         cycle = policy.next_cycle(robot_id, not_before)
         if cycle is None:
             return
-        if cycle is not last_cycle or scale != cycle_scale:
-            # Fractions pass through as they are, so a round's shared instant
-            # objects reach the records; other rationals are converted.
-            t_look, t_decide = cycle
-            if not isinstance(t_look, Fraction):
-                t_look = Fraction(t_look)
-            if not isinstance(t_decide, Fraction):
-                t_decide = Fraction(t_decide)
-            (p_look, q_look), (p_decide, q_decide) = (
-                t_look.as_integer_ratio(), t_decide.as_integer_ratio()
-            )
-            if scale % q_look or scale % q_decide:
-                busy *= grow(math.lcm(scale, q_look, q_decide))
-            # Only an immutable pair can be read again by identity.
-            last_cycle, cycle_scale = cycle if type(cycle) is tuple else None, scale
-            look, decide = p_look * (scale // q_look), p_decide * (scale // q_decide)
-            cycle_keys = (t_look, t_decide, look, decide)
-        t_look, t_decide, look, decide = cycle_keys
+        # Fractions pass through as they are, so a round's shared instant
+        # objects reach the records; other rationals are converted.
+        t_look, t_decide = cycle
+        if not isinstance(t_look, Fraction):
+            t_look = Fraction(t_look)
+        if not isinstance(t_decide, Fraction):
+            t_decide = Fraction(t_decide)
+        (p_look, q_look), (p_decide, q_decide) = (
+            t_look.as_integer_ratio(), t_decide.as_integer_ratio()
+        )
+        if scale % q_look or scale % q_decide:
+            busy *= grow(math.lcm(scale, q_look, q_decide))
+        look = p_look * (scale // q_look)
         if look < busy:
             raise ScheduleError(
                 f"policy scheduled robot {robot_id!r} to look at {t_look} "
                 f"while busy until {not_before}"
             )
-        if decide <= look:
+        if p_decide * (scale // q_decide) <= look:
             raise ScheduleError("look and compute must take strictly positive time")
-        heappush(heap, (look, LOOK, robot_id, t_look, t_decide))
+        heappush(heap, (look, LOOK, robot_id, t_look, (t_decide, p_decide, q_decide)))
 
     def position(rid: str, key: int) -> Tuple[int, int]:
         """The robot's position int at ``key`` and its weight in a view there."""
@@ -569,8 +557,9 @@ def run(
                 new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[memories[rid]]))
             )
             records.append(new_record(TraceRecord, (t, rid, "snapshot", look[0])))
-            # schedule_cycle grew the scale for the decide instant ``data``.
-            heappush(heap, (data.numerator * (scale // data.denominator), DECIDE, rid, data, look))
+            # schedule_cycle grew the scale for the decide instant p / q.
+            t_decide, p, q = data
+            heappush(heap, (p * (scale // q), DECIDE, rid, t_decide, look))
             continue
 
         if rank == DECIDE:

@@ -57,8 +57,11 @@ def test_move_command_validation():
         MoveCommand(NONE, F("1/4"))
     with pytest.raises(ContractViolation):
         MoveCommand(CW, 1)
-    assert not STAY.is_move
-    assert MoveCommand(CW, F("1/4")).is_move
+
+
+def test_move_command_keeps_a_fraction_amount():
+    amount = F("1/4")
+    assert MoveCommand(CW, amount).amount is amount
 
 
 def test_empty_view_moves_quarter_turn():

@@ -1126,13 +1126,17 @@ def spelled_out(records):
     ]
 
 
+def _cut_case(name):
+    """(initial, policy, options) of a run the prefix tests cut."""
+    if name == "event-clock":
+        return load_fixture("worked_example"), ScriptedPolicy(EVENT_CLOCK_SCRIPT), None
+    initial, policy, _, options = _witness_config(name)
+    return initial, policy, options
+
+
 @pytest.mark.parametrize("name", ["async_n10_seed1297162590", "event-clock"])
 def test_processing_order_cut_at_the_event_limit_is_a_prefix(name):
-    if name == "event-clock":
-        initial, policy = load_fixture("worked_example"), ScriptedPolicy(EVENT_CLOCK_SCRIPT)
-        options = None
-    else:
-        initial, policy, _, options = _witness_config(name)
+    initial, policy, options = _cut_case(name)
     whole = run(initial, policy, None, options)
     full, full_lines = spelled_out(whole.records), whole.to_jsonl().splitlines()
     for k in range(1, len(full)):
@@ -1143,6 +1147,22 @@ def test_processing_order_cut_at_the_event_limit_is_a_prefix(name):
         # The lines too, view lines included, but for the summary.
         lines = exc.value.trace.to_jsonl().splitlines()[:-1]
         assert lines == full_lines[: len(lines)], k
+
+
+@pytest.mark.parametrize("name", ["async_n10_seed1297162590", "event-clock"])
+def test_processing_order_cut_at_the_time_limit_is_a_prefix(name):
+    initial, policy, options = _cut_case(name)
+    whole = run(initial, policy, None, options)
+    full, full_lines = spelled_out(whole.records), whole.to_jsonl().splitlines()
+    instants = sorted({record.t for record in whole.records})
+    for cut in instants[:-1]:
+        with pytest.raises(LimitExceeded) as exc:
+            run(initial, policy, RunLimits(max_time=cut), options)
+        assert spelled_out(exc.value.trace.records) == [r for r in full if r[0] <= cut], cut
+        lines = exc.value.trace.to_jsonl().splitlines()[:-1]
+        assert lines == full_lines[: len(lines)], cut
+    last = run(initial, policy, RunLimits(max_time=instants[-1]), options)
+    assert spelled_out(last.records) == full
 
 
 def test_processing_order_puts_a_queued_look_right_after_its_decide():
