@@ -394,6 +394,12 @@ def world_snapshot(world: Dict[str, RobotRuntime], observer: str, t: Fraction) -
 
 @dataclass
 class RunLimits:
+    """Where :func:`run` stops and raises :class:`LimitExceeded`.
+
+    ``max_events`` is checked against the record count before each event. A
+    look writes two records, as does a decide that starts a move, so a trace
+    cut there holds ``max_events`` or ``max_events + 1`` records."""
+
     max_events: int = 100_000
     max_time: Optional[Fraction] = None
 
