@@ -38,13 +38,25 @@ run's. Every look at an instant sees one world. The run loop builds one
 :class:`~circlegather.configuration.LatticeView` of it at the first look of
 the instant and memoises each look by the observer's view tick: robots
 resting on one point share one ``(view, tick)`` pair, their snapshot
-records' payload, and one decide per memory on its ``Snapshot``, which only
-the memo and queued decides keep. The view is rebuilt only when the look
-instant changes: no move ends between the looks of one instant, and a move
-that starts at the look instant leaves its mover at rest on its origin, as
-the view already has it. Other payloads are dicts, equal ones shared: one
-activate dict per memory value and, per run, one decide dict per (state
-before, state after, command) and one move-end dict per destination.
+records' payload. The view is rebuilt only when the look instant changes:
+no move ends between the looks of one instant, and a move that starts at
+the look instant leaves its mover at rest on its origin, as the view
+already has it.
+
+Decisions are shared wider, by world. A robot's compute step is a pure map
+from its view and its finite memory, and the view's reduced ring ``(d,
+ticks, flags)`` with the observer's tick fixes that view, whatever the
+run's scale. So :func:`_decisions_in`, an ``lru_cache`` of the 16 latest
+worlds, keyed by that ring, the multiplicity threshold and the ``decide``
+function the run calls, holds one decision per view tick and memory before
+for every look at that world, at any instant of any run; a patched
+``decide`` keys its own worlds. Only a decide that misses builds the
+``Snapshot`` from the look's pair, runs ``decide`` and the legality check,
+and drops it; the memo keeps memories, strings, payload dicts and ints,
+never a view or a snapshot. Other payloads are dicts, equal ones shared:
+one activate dict per memory value and, per run, one decide dict per
+(state before, state after, command), possibly made by an earlier run and
+handed on by the memo, and one move-end dict per destination.
 Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once and writes
 each view once, before its first snapshot.
 
@@ -68,6 +80,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -416,6 +429,23 @@ MOVE_END, LOOK, DECIDE = 0, 1, 2
 _ACTIVATE_PAYLOADS = {m: {"state": m.value} for m in Memory}
 
 
+@lru_cache(maxsize=16)
+def _decisions_in(d: int, ticks: tuple, flags: tuple, threshold: tuple, decide) -> dict:
+    """The decisions taken in one world, shared by every look at it in any run.
+
+    The key is the view's reduced ring (``d``, ``ticks``, ``flags``), which
+    no run's scale enters, the multiplicity threshold as its integer ratio
+    and the ``decide`` function the run calls. The value maps a memory
+    before to the decisions at each observer's view tick, each ``(memory
+    after, decide payload, direction, amount numerator, amount denominator,
+    key)``, the key being the run's: state before, state after and the
+    command's fields as strings and ints. Keyed by memory first, a world
+    seen only once, as at large n, keeps one dict per memory alive until it
+    is evicted, not one per look.
+    """
+    return {}
+
+
 def run(
     initial: Configuration,
     policy: SchedulerPolicy,
@@ -434,6 +464,11 @@ def run(
     holds ``resting``, each robot weighing 1, and the movers at their
     interpolated positions, weighing 0, except a mover whose move starts at
     the look instant: it is still at rest on its origin and weighs 1.
+
+    ``looks`` keeps, per view tick of the current look instant, the
+    ``(view, tick)`` record pair and the world's shared decisions (see
+    :func:`_decisions_in`); a queued decide carries that entry and builds a
+    ``Snapshot`` only if no decision is shared for its tick and memory yet.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
@@ -462,16 +497,21 @@ def run(
     in_flight: Dict[str, Tuple[int, int, int, int]] = {}
     mult_points = max_mult = sum(1 for c in resting.values() if c >= 2)
     # The world as every look at key view_key sees it, ``step`` the scale's
-    # ints per view tick, and the looks already taken there, keyed by the
-    # observer's view tick: each look's (view, tick) record payload, its
-    # snapshot and its (memory after, payload, direction, amount ratio) per
-    # memory before.
+    # ints per view tick, its shared decisions (see _decisions_in), and the
+    # looks already taken there, keyed by the observer's view tick: each
+    # look's (view, tick) record payload and those decisions.
     view_key = step = -1
-    looks: Dict[int, Tuple[Tuple[LatticeView, int], Snapshot, Dict[Memory, tuple]]] = {}
-    # One decide payload per distinct (state before, state after, command),
-    # the command keyed by its fields as ints and strings; one move-end
-    # payload per destination int.
-    decisions: Dict[Tuple[Memory, Memory, str, str, int, int], dict] = {}
+    looks: Dict[int, Tuple[Tuple[LatticeView, int], Dict[Memory, Dict[int, tuple]]]] = {}
+    # Read once, so a patched decide serves the whole run and keys its worlds.
+    decide = protocol.decide
+    threshold = options.multiplicity_threshold
+    # The memo keys on the threshold's ints: a Fraction hashes in Python.
+    threshold_ratio = threshold.as_integer_ratio()
+    # One decision, and so one decide payload, per distinct (state before,
+    # state after, command), the command keyed by its fields as ints and
+    # strings, whether the run computed it or met it in the shared memo; one
+    # move-end payload per destination int.
+    decisions: Dict[Tuple[Memory, Memory, str, str, int, int], tuple] = {}
     arrivals: Dict[int, dict] = {}
     # A NamedTuple's own __new__ is a Python-level call; records skip it.
     new_record = tuple.__new__
@@ -553,12 +593,15 @@ def run(
                     weights[p] = weights.get(p, 0) + weight
                 view, view_key, looks = LatticeView.on_lattice(scale, weights), key, {}
                 step = scale // view.d
+                world_decisions = _decisions_in(
+                    view.d, tuple(view.ticks), tuple(view.flags), threshold_ratio, decide
+                )
             # A robot's next cycle is queued only after a stay or once its
             # move has ended, so a looking robot rests on its anchor.
             tick = anchors[rid] // step
             look = looks.get(tick)
             if look is None:
-                look = looks[tick] = ((view, tick), view.snapshot(tick), {})
+                look = looks[tick] = ((view, tick), world_decisions)
             records.append(
                 new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[memories[rid]]))
             )
@@ -570,13 +613,19 @@ def run(
 
         if rank == DECIDE:
             # decide and the legality check are pure in (look, memory): a
-            # robot sharing a look with one of equal memory reuses its result.
-            _, snap, decided = data
+            # robot whose world, view tick and memory were decided before, at
+            # any instant of any run, reuses that result. The names differ
+            # from the look branch's: a robot that stays may look again at
+            # this instant, and that look must get this instant's world.
+            (look_view, look_tick), decided = data
             state_before = memories[rid]
-            decision = decided.get(state_before)
-            if decision is None:
-                new_memory, command = protocol.decide(
-                    snap, state_before, options.multiplicity_threshold
+            by_tick = decided.get(state_before)
+            if by_tick is None:
+                by_tick = decided[state_before] = {}
+            shared = by_tick.get(look_tick)
+            if shared is None:
+                new_memory, command = decide(
+                    look_view.snapshot(look_tick), state_before, threshold
                 )
                 if (state_before, new_memory) not in protocol.LEGAL_TRANSITIONS:
                     raise InvariantViolation(
@@ -586,16 +635,22 @@ def run(
                 decision_key = (
                     state_before, new_memory, command.direction, command.target_kind, num, den
                 )
-                payload = decisions.get(decision_key)
-                if payload is None:
-                    payload = decisions[decision_key] = {
+                decision = decisions.get(decision_key)
+                if decision is None:
+                    payload = {
                         "state_before": state_before.value,
                         "state_after": new_memory.value,
                         "move": command.to_json(),
                     }
-                decision = (new_memory, payload, command.direction, num, den)
-                decided[state_before] = decision
-            new_memory, payload, direction, num, den = decision
+                    decision = decisions[decision_key] = (
+                        new_memory, payload, command.direction, num, den, decision_key
+                    )
+                by_tick[look_tick] = decision
+            else:
+                # A decision an earlier run computed joins this run's, so the
+                # trace holds one payload object per distinct payload.
+                decision = decisions.setdefault(shared[5], shared)
+            new_memory, payload, direction, num, den, _ = decision
             memories[rid] = new_memory
             records.append(new_record(TraceRecord, (t, rid, "decide", payload)))
             if num:  # a move: its amount is positive

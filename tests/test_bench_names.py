@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from circlegather import sim
+from circlegather.oracle import GeneratorSpec, random_config
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -40,3 +43,12 @@ def test_every_cached_traced_name_has_an_lru_cache(tracing):
     assert tracing.CACHED
     for layer in tracing.CACHED:
         assert hasattr(resolve(layer), "cache_info"), layer
+
+
+def test_clear_caches_empties_the_look_memo(tracing):
+    """Every benchmark pass starts from a cold look memo, as from cold
+    ``classify`` caches."""
+    sim.run(random_config(GeneratorSpec(5, 30, 1)), sim.FsyncPolicy())
+    assert sim._decisions_in.cache_info().currsize > 0
+    tracing.clear_caches()
+    assert sim._decisions_in.cache_info().currsize == 0

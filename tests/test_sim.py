@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlegather import protocol
+from circlegather import protocol, sim
 from circlegather.analysis import analysis_report
 from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
 from circlegather.cli import load_run_config, main
@@ -835,7 +836,13 @@ def test_robots_on_one_point_share_one_look_per_instant():
     assert at_2["r0"] is not at_1["r0"]
 
 
-def test_robots_sharing_a_look_and_memory_decide_once(monkeypatch):
+@pytest.fixture
+def cold_decisions():
+    """An empty look memo, so that a test's decide calls depend on its own runs only."""
+    sim._decisions_in.cache_clear()
+
+
+def test_robots_sharing_a_look_and_memory_decide_once(monkeypatch, cold_decisions):
     calls = []
     decide = protocol.decide
 
@@ -878,6 +885,153 @@ def test_robots_sharing_a_look_with_other_memories_decide_apart():
                 "move": command.to_json(),
             }
     assert any(len(memories) > 1 for memories in readers.values())
+
+
+# Config-major, as the benchmark's criterion-3 batch: each start under fsync,
+# two ssync seeds and one async seed, at both multiplicity thresholds. Every
+# run from class_C takes a staged decide, and the all-``OFF`` ablation below
+# stalls at the event limit on leaders_sure_and_confused under fsync and
+# async at the narrow threshold.
+MEMO_BATCH = [
+    (start, threshold, policy)
+    for start in ("class_C", "class_BII", "worked_example", "leaders_sure_and_confused")
+    for threshold in (HALF_TURN, QUARTER_TURN)
+    for policy in (("fsync", 0), ("ssync", 1), ("ssync", 2), ("async", 3))
+]
+
+
+def _memo_case_trace(case):
+    """One run of ``MEMO_BATCH``, cut at 2,000 events."""
+    start, threshold, (kind, seed) = case
+    config = load_fixture(start)
+    options = RunOptions(multiplicity_threshold=threshold)
+    try:
+        return run(config, _pinned_policy(kind, seed, config), RunLimits(max_events=2000), options)
+    except LimitExceeded as exc:
+        return exc.trace
+
+
+def _memo_case_text(case):
+    return _memo_case_trace(case).to_jsonl()
+
+
+def assert_decides_follow_their_looks(trace, threshold=HALF_TURN):
+    """Every decide record is ``protocol.decide`` on its robot's last look and memory."""
+    looks = {}
+    for r in trace.records:
+        if r.kind == "snapshot":
+            looks[r.robot] = look_of(r.payload)
+        elif r.kind == "decide":
+            memory = Memory(r.payload["state_before"])
+            new_memory, command = protocol.decide(looks[r.robot], memory, threshold)
+            assert r.payload == {
+                "state_before": memory.value,
+                "state_after": new_memory.value,
+                "move": command.to_json(),
+            }, (r.t, r.robot)
+
+
+def _cold_texts(cases):
+    texts = []
+    for case in cases:
+        sim._decisions_in.cache_clear()
+        texts.append(_memo_case_text(case))
+    return texts
+
+
+def test_trace_bytes_do_not_depend_on_the_look_memo(monkeypatch, cold_decisions):
+    cold = _cold_texts(MEMO_BATCH)
+    sim._decisions_in.cache_clear()
+    warm = [_memo_case_trace(case) for case in MEMO_BATCH]
+    assert [trace.to_jsonl() for trace in warm] == cold
+    # The memo was read across instants and runs, not only filled.
+    assert sim._decisions_in.cache_info().hits > 0
+    for (_, threshold, _), trace in zip(MEMO_BATCH, warm):
+        assert_decides_follow_their_looks(trace, threshold)
+        # A decision met in the memo joins the run's own, so each distinct
+        # decide payload is one object in the trace, encoded once.
+        payloads = [r.payload for r in trace.records if r.kind == "decide"]
+        assert len({id(p) for p in payloads}) == len(
+            {json.dumps(p, sort_keys=True) for p in payloads}
+        )
+    assert [_memo_case_text(case) for case in reversed(MEMO_BATCH)] == cold[::-1]
+    # A patched decide never reads the decisions of another: each run of the
+    # ablation follows a run of the protocol on the same start, which leaves
+    # the memo warm with that start's worlds.
+    decide = protocol.decide
+
+    def oblivious(snap, memory, threshold):
+        """The all-``OFF`` ablation: every call reads and keeps ``OFF``."""
+        return Memory.OFF, decide(snap, Memory.OFF, threshold)[1]
+
+    after_warm = []
+    for case in MEMO_BATCH:
+        _memo_case_text(case)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "decide", oblivious)
+            after_warm.append(_memo_case_text(case))
+    monkeypatch.setattr(protocol, "decide", oblivious)
+    patched_cold = _cold_texts(MEMO_BATCH)
+    assert after_warm == patched_cold
+    # The ablation changes some runs, so a memo shared with it would show.
+    assert patched_cold != cold
+
+
+def _plain_leaves(obj):
+    """The leaves under ``obj``, walking only plain dicts, lists and tuples."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            yield from _plain_leaves(key)
+            yield from _plain_leaves(value)
+    elif type(obj) in (list, tuple):
+        for item in obj:
+            yield from _plain_leaves(item)
+    else:
+        yield obj
+
+
+def test_look_memo_holds_at_most_16_worlds_of_plain_data(monkeypatch, cold_decisions):
+    cached = sim._decisions_in
+    handed = {}
+
+    def recorded(*key):
+        handed[key] = decisions = cached(*key)
+        return decisions
+
+    monkeypatch.setattr(sim, "_decisions_in", recorded)
+    run(random_config(GeneratorSpec(160, 64 * 160, 1)), FsyncPolicy(), RunLimits(max_events=10**6))
+    # The run met more worlds than the memo keeps.
+    assert len(handed) > 16
+    assert cached.cache_info().currsize <= 16
+    leaves = list(_plain_leaves(list(handed.values())))
+    assert {type(leaf) for leaf in leaves} <= {int, str, Memory}
+    assert not any(isinstance(leaf, (Snapshot, LatticeView)) for leaf in leaves)
+
+
+def test_look_memo_serves_a_robot_that_looks_again_at_its_decide_instant(cold_decisions):
+    # As test_look_at_the_instant_a_robot_starts_moving, with one more look
+    # by r2 at 3/4, before r1 decides there and looks again at once. r1's
+    # second look sees r0 still at rest on the multiplicity, a world unlike
+    # that of its look at 0, from the same view tick with the same memory:
+    # it must decide on that world and walk onto the multiplicity.
+    initial = config_of(r0="0/1", r1="1/6", r2="2/3")
+    events = [
+        ("r0", F(0), F("3/4")),
+        ("r1", F(0), F("3/4")),
+        ("r1", F("3/4"), F(1)),
+        ("r2", F(0), F("1/4")),
+        ("r2", F("3/4"), F("4/5")),
+        ("r2", F("5/6"), F(1)),
+    ]
+    trace = run(initial, ScriptedPolicy(events))
+    assert [r.t for r in trace.records if r.kind == "snapshot" and r.robot == "r1"] == [
+        F(0), F("3/4")
+    ]
+    assert_decides_follow_their_looks(trace)
+    r1_moves = [r.payload for r in trace.records if r.kind == "move-start" and r.robot == "r1"]
+    assert r1_moves == [{"from": "1/6", "direction": "counterclockwise", "amount": "1/6"}]
+    # The same run again, now with the memo warm from the first.
+    assert run(initial, ScriptedPolicy(events)).to_jsonl() == trace.to_jsonl()
 
 
 def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
