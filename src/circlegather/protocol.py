@@ -87,7 +87,12 @@ def decide(
     memory: Memory,
     multiplicity_threshold: Fraction = HALF_TURN,
 ) -> Tuple[Memory, MoveCommand]:
-    """One compute step. Total over legal snapshots and deterministic.
+    """One compute step, deterministic.
+
+    It raises :class:`InvariantViolation` only in moveMore with no
+    multiplicity in view, and then exactly when ``d`` is even, the lead's
+    antipode ``(ticks[0] + d/2) % d`` is occupied and ``6 * ticks[0] >= d``:
+    the countermove of ``3 * ticks[0] / d`` would reach the half turn.
 
     ``multiplicity_threshold`` bounds the clockwise distance at which a robot
     already sitting on a multiplicity point walks to another one; 1/2 by

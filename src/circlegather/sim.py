@@ -56,9 +56,10 @@ and drops it; the memo keeps memories, strings, payload dicts and ints,
 never a view or a snapshot. Other payloads are dicts, equal ones shared:
 one activate dict per memory value and, per run, one decide dict per
 (state before, state after, command), possibly made by an earlier run and
-handed on by the memo, and one move-end dict per destination.
-Payloads are read-only; :meth:`Trace.to_jsonl` encodes each once and writes
-each view once, before its first snapshot.
+handed on by the memo with its text, and one move-end dict per destination.
+Payloads are read-only. The run writes their JSON texts into
+:attr:`Trace.texts` as it makes them; :meth:`Trace.to_jsonl` joins them
+with fixed line parts and writes each view once, before its first snapshot.
 
 Each queued event carries the data its handler needs: a look its decide
 instant and that instant's integer ratio, taken when the cycle is queued,
@@ -78,7 +79,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -162,7 +163,7 @@ class _RoundPolicy(SchedulerPolicy):
     A robot's next cycle is the first round from ``ceil(not_before)`` in
     which :meth:`_active` admits it. The policy builds each round's
     ``(k, k + 1/4)`` pair once and hands that one tuple to every robot active
-    in that round, so :meth:`Trace.to_jsonl` encodes each instant once.
+    in that round, so :meth:`Trace.to_jsonl` formats each instant once.
     """
 
     def __init__(self):
@@ -309,54 +310,66 @@ class TraceRecord(NamedTuple):
 #: Encodes trace line parts: sorted keys, compact, ASCII-escaped.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+#: The ``{"kind":…,"payload":`` head of each kind of record a run writes.
+_HEADS = {
+    kind: f'{{"kind":"{kind}","payload":'
+    for kind in ("activate", "snapshot", "decide", "move-start", "move-end")
+}
+
 
 @dataclass
 class Trace:
-    """A run's records in processing order and its summary."""
+    """A run's records in processing order, its summary and its payload texts."""
 
     records: List[TraceRecord]
     summary: dict
+    #: id -> (payload, its JSON text) for each dict payload :func:`run` made, holding
+    #: the payload so the id stays its own; empty in a trace built by hand or re-sorted.
+    texts: Dict[int, Tuple[dict, str]] = field(default_factory=dict, compare=False, repr=False)
 
     def to_jsonl(self) -> str:
         """One JSON object per record, in processing order, then the summary line.
 
         A record's line is ``{"kind", "payload", "robot", "t"}`` with sorted
-        keys, assembled from encoded parts: each distinct payload and instant
-        object once, keyed by identity while this call holds them all (see
-        :func:`run` for the sharing), and each ``(kind, robot)`` head once.
-        A snapshot's payload ``{"self_multiplicity", "tick"}`` reads the
-        ring of the ``view`` line ``{"d", "multiplicities", "ticks"}`` before
-        it, written once per view, by the rule of :meth:`LatticeView.snapshot`.
+        keys, joined from text parts: a constant head for each kind a run
+        writes, the payload's text from ``texts`` or encoded once per object,
+        the robot's tail once per robot and each instant's text once per
+        object. A snapshot's payload ``{"self_multiplicity", "tick"}`` reads
+        the ring of the ``view`` line ``{"d", "multiplicities", "ticks"}``
+        before it, written from the view's ints once per view, by the rule of
+        :meth:`LatticeView.snapshot`.
         """
         encode = _ENCODER.encode
-        payloads: Dict[int, str] = {}
+        payloads = {key: text for key, (_, text) in self.texts.items()}
         instants: Dict[int, str] = {}
-        heads: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        written = None
+        tails: Dict[str, str] = {}
+        last = written = None
         lines = []
         for t, robot, kind, p in self.records:
-            instant = instants.get(id(t))
-            if instant is None:
-                instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
+            if t is not last:
+                last, instant = t, instants.get(id(t))
+                if instant is None:
+                    instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
             payload = payloads.get(id(p))
             if type(p) is tuple:
                 view, tick = p
                 if view is not written:
                     written, ticks = view, view.ticks
-                    mult = [k for k, f in zip(ticks, view.flags) if f]
-                    ring = encode({"d": view.d, "multiplicities": mult, "ticks": ticks})
-                    lines.append(f'{{"kind":"view","payload":{ring},"t":"{instant}')
+                    mult = ",".join([str(k) for k, f in zip(ticks, view.flags) if f])
+                    lines.append(
+                        f'{{"kind":"view","payload":{{"d":{view.d},"multiplicities":[{mult}],'
+                        f'"ticks":[{",".join(map(str, ticks))}]}},"t":"{instant}'
+                    )
                 if payload is None:
                     own = "true" if view.flags[bisect_left(view.ticks, tick)] else "false"
                     payload = payloads[id(p)] = f'{{"self_multiplicity":{own},"tick":{tick}}}'
             elif payload is None:
                 payload = payloads[id(p)] = encode(p)
-            head = heads.get((kind, robot))
-            if head is None:
-                head = heads[kind, robot] = (
-                    f'{{"kind":{encode(kind)},"payload":', f',"robot":{encode(robot)},"t":"'
-                )
-            lines.append(f"{head[0]}{payload}{head[1]}{instant}")
+            head = _HEADS.get(kind) or f'{{"kind":{encode(kind)},"payload":'
+            tail = tails.get(robot)
+            if tail is None:
+                tail = tails[robot] = f',"robot":{encode(robot)},"t":"'
+            lines.append(f"{head}{payload}{tail}{instant}")
         lines.append(encode({"kind": "summary", **self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -427,6 +440,8 @@ MOVE_END, LOOK, DECIDE = 0, 1, 2
 
 #: The payload of every activate record, one shared dict per memory value.
 _ACTIVATE_PAYLOADS = {m: {"state": m.value} for m in Memory}
+#: Their texts, the start of every run's :attr:`Trace.texts`.
+_ACTIVATE_TEXTS = {id(p): (p, _ENCODER.encode(p)) for p in _ACTIVATE_PAYLOADS.values()}
 
 
 @lru_cache(maxsize=16)
@@ -437,8 +452,9 @@ def _decisions_in(d: int, ticks: tuple, flags: tuple, threshold: tuple, decide) 
     no run's scale enters, the multiplicity threshold as its integer ratio
     and the ``decide`` function the run calls. The value maps a memory
     before to the decisions at each observer's view tick, each ``(memory
-    after, decide payload, direction, amount numerator, amount denominator,
-    key)``, the key being the run's: state before, state after and the
+    after, decide payload, its text, direction, amount numerator, amount
+    denominator, move-start head, key)``, the head being a move-start text
+    up to its origin and the key the run's: state before, state after and the
     command's fields as strings and ints. Keyed by memory first, a world
     seen only once, as at large n, keeps one dict per memory alive until it
     is evicted, not one per look.
@@ -513,6 +529,7 @@ def run(
     # move-end payload per destination int.
     decisions: Dict[Tuple[Memory, Memory, str, str, int, int], tuple] = {}
     arrivals: Dict[int, dict] = {}
+    texts = dict(_ACTIVATE_TEXTS)
     # A NamedTuple's own __new__ is a Python-level call; records skip it.
     new_record = tuple.__new__
 
@@ -631,26 +648,32 @@ def run(
                     raise InvariantViolation(
                         f"illegal state transition {state_before.value} -> {new_memory.value}"
                     )
+                direction, target_kind = command.direction, command.target_kind
                 num, den = command.amount.as_integer_ratio()
-                decision_key = (
-                    state_before, new_memory, command.direction, command.target_kind, num, den
-                )
-                decision = decisions.get(decision_key)
-                if decision is None:
+                decision_key = (state_before, new_memory, direction, target_kind, num, den)
+                shared = decisions.get(decision_key)
+                if shared is None:
                     payload = {
                         "state_before": state_before.value,
                         "state_after": new_memory.value,
                         "move": command.to_json(),
                     }
-                    decision = decisions[decision_key] = (
-                        new_memory, payload, command.direction, num, den, decision_key
+                    # MoveCommand does not check its strings; a patched decide may pick any.
+                    shift = f'"amount":"{num}/{den}","direction":{_ENCODER.encode(direction)}'
+                    text = (
+                        f'{{"move":{{{shift},"target_kind":{_ENCODER.encode(target_kind)}}},'
+                        f'"state_after":"{new_memory.value}",'
+                        f'"state_before":"{state_before.value}"}}'
                     )
-                by_tick[look_tick] = decision
-            else:
-                # A decision an earlier run computed joins this run's, so the
-                # trace holds one payload object per distinct payload.
-                decision = decisions.setdefault(shared[5], shared)
-            new_memory, payload, direction, num, den, _ = decision
+                    head = f'{{{shift},"from":"'
+                    shared = (new_memory, payload, text, direction, num, den, head, decision_key)
+                by_tick[look_tick] = shared
+            # A decision an earlier run made joins this run's: one payload object each.
+            decision = decisions.get(shared[7])
+            if decision is None:
+                decision = decisions[shared[7]] = shared
+                texts[id(shared[1])] = shared[1], shared[2]
+            new_memory, payload, _, direction, num, den, head, _ = decision
             memories[rid] = new_memory
             records.append(new_record(TraceRecord, (t, rid, "decide", payload)))
             if num:  # a move: its amount is positive
@@ -662,6 +685,7 @@ def run(
                 end = key + amount
                 in_flight[rid] = (key, end, sign, (origin + sign * amount) % scale)
                 move = {"from": angle(origin), "direction": direction, "amount": angle(amount)}
+                texts[id(move)] = move, f'{head}{move["from"]}"}}'
                 records.append(new_record(TraceRecord, (t, rid, "move-start", move)))
                 heappush(heap, (end, MOVE_END, rid, Fraction(end, scale), None))
                 gathered_confirmed.clear()
@@ -694,6 +718,7 @@ def run(
         arrival = arrivals.get(to)
         if arrival is None:
             arrival = arrivals[to] = {"to": angle(to)}
+            texts[id(arrival)] = arrival, f'{{"to":"{arrival["to"]}"}}'
         records.append(new_record(TraceRecord, (t, rid, "move-end", arrival)))
         schedule_cycle(rid, t, key)
 
@@ -711,7 +736,7 @@ def run(
     }
     if gathered:
         summary["gather_point"] = final[all_ids[0]]
-    trace = Trace(records, summary)
+    trace = Trace(records, summary, texts)
     if limit_hit:
         raise LimitExceeded("simulation hit its event or time limit", trace)
     return trace

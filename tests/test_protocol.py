@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,20 @@ def test_own_multiplicity_threshold_default_and_wide():
     for threshold in ({}, {"multiplicity_threshold": HALF_TURN}):
         _, cmd = decide(s, Memory.OFF, **threshold)
         assert cmd.direction == CW and cmd.amount == F("3/10")
+
+
+@pytest.mark.parametrize(
+    "d, threshold, expected",
+    [
+        (4, QUARTER_TURN, STAY),
+        (4, HALF_TURN, MoveCommand(CW, F("1/4"), "multiplicity-position")),
+        (8, QUARTER_TURN, MoveCommand(CW, F("1/8"), "multiplicity-position")),
+    ],
+    ids=["at-the-threshold", "below-the-wide-threshold", "below-the-threshold"],
+)
+def test_own_multiplicity_walks_only_strictly_below_the_threshold(d, threshold, expected):
+    s = Snapshot(d, (1,), (True,), True)
+    assert decide(s, Memory.OFF, threshold) == (Memory.OFF, expected)
 
 
 def test_own_multiplicity_stays_without_second_point():
@@ -354,6 +369,31 @@ def assert_staged_matches_reference(d, ticks):
     offsets = [Fraction(t, d) for t in ticks]
     for memory in (Memory.MOVE_HALF, Memory.MOVE_MORE):
         assert outcome(decide, s, memory) == outcome(reference_staged_move, offsets, memory)
+
+
+def test_decide_raises_exactly_where_its_contract_says_on_every_small_view():
+    """Every reduced flag-free view over d <= 12, under every memory: decide
+    raises only in moveMore, when d is even, the lead's antipode is occupied
+    and 6 * lead >= d."""
+    views, raised, expected = 0, [], []
+    for d in range(1, 13):
+        points = [t for t in range(1, d) if 2 * t != d]
+        for size in range(len(points) + 1):
+            for ticks in combinations(points, size):
+                if gcd(d, *ticks) > 1:
+                    continue
+                s = Snapshot(d, ticks, (False,) * size)
+                views += 1
+                for memory in Memory:
+                    try:
+                        decide(s, memory)
+                    except InvariantViolation:
+                        raised.append((s, memory))
+                if ticks and d % 2 == 0 and (ticks[0] + d // 2) % d in ticks:
+                    if 6 * ticks[0] >= d:
+                        expected.append((s, Memory.MOVE_MORE))
+    assert (views, len(expected)) == (2677, 307)
+    assert raised == expected
 
 
 def test_staged_moves_match_the_reference_on_every_small_view():

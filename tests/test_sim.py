@@ -361,6 +361,51 @@ def test_snapshot_jsonl_text_matches_the_reference(look):
     assert expand_view_lines(text) == reference_jsonl(trace)
 
 
+@pytest.mark.parametrize("name", sorted(JSONL_TRACES))
+def test_run_payload_texts_and_a_rebuilt_trace_write_the_same_jsonl(name):
+    trace = JSONL_TRACES[name]()
+    # Every dict payload of the run has its text, and each text is the encoder's.
+    payloads = {id(r.payload) for r in trace.records if type(r.payload) is dict}
+    assert payloads <= trace.texts.keys()
+    for key, (payload, text) in trace.texts.items():
+        assert key == id(payload) and text == sim._ENCODER.encode(payload)
+    # The same records in a trace built by hand, which encodes every payload.
+    rebuilt = Trace(list(trace.records), trace.summary)
+    assert rebuilt.texts == {} and rebuilt == trace
+    assert rebuilt.to_jsonl() == trace.to_jsonl()
+
+
+def test_hand_built_trace_of_other_kinds_and_escaped_ids_matches_the_reference_jsonl():
+    view = LatticeView([(F(0), 2), (F("1/3"), 1), (F("3/4"), 2)])
+    records = [
+        TraceRecord(F(1), 'r"1', "note", {"text": "\u00f6", "n": [1, 2]}),
+        TraceRecord(F(1), "r\u00f6", "snapshot", (view, view.ticks[1])),
+        TraceRecord(F(1), 'r"1', "snapshot", (view, view.ticks[0])),
+        TraceRecord(F("5/4"), "r\u00f6", "decide", {"state_before": "off"}),
+        TraceRecord(F("5/4"), 'r"1', 'odd"kind', {}),
+    ]
+    trace = Trace(records, {"gathered": False})
+    text = trace.to_jsonl()
+    assert text.isascii() and '"robot":"r\\u00f6"' in text
+    assert expand_view_lines(text) == reference_jsonl(trace)
+
+
+def test_patched_decide_strings_are_escaped_in_jsonl(monkeypatch, cold_decisions):
+    decide = protocol.decide
+
+    def quoted(snap, memory, threshold):
+        """The protocol's decisions, every command with a quote in its target kind."""
+        new_memory, command = decide(snap, memory, threshold)
+        return new_memory, MoveCommand(command.direction, command.amount, 'a"b')
+
+    monkeypatch.setattr(protocol, "decide", quoted)
+    trace = run(load_fixture("class_C"), FsyncPolicy())
+    text = trace.to_jsonl()
+    assert any(r.kind == "move-start" for r in trace.records)
+    assert '"target_kind":"a\\"b"' in text
+    assert expand_view_lines(text) == reference_jsonl(trace)
+
+
 def test_moves_are_rigid():
     """Every commanded move completes at exactly the commanded destination."""
     from circlegather.angles import parse_angle
