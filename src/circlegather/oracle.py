@@ -10,9 +10,10 @@ sorted int gap list built once: :func:`_gaps` builds it from neighbour
 differences, and a set that is its parent set plus one point (C1 is C0 plus
 the antipode, a probe set is the configuration plus the probe) gets it
 spliced from the parent's list by :func:`_insert`, since the new point only
-splits one gap. One naive scan of that list, :func:`_least_rotation`, builds
-every cyclic rotation and gives both the leader (the start of the least
-one) and the symmetry test (the least one occurs at two starts). Fractions
+splits one gap. One naive election, :func:`_least_rotation`, gives both the
+leader (the start of the least cyclic rotation) and the symmetry test (the
+least one occurs at two starts): a least gap that occurs once starts it, and
+only a repeated least gap makes it build and compare every rotation. Fractions
 appear only at the boundary: a leader, a verdict's position and a witness.
 The structural claims the analysis layer relies on are enumerated directly.
 Failures are data (reported with a witness), not exceptions, so a sweep can
@@ -106,11 +107,15 @@ def _gaps(ticks: Sequence[int], L: int) -> Tuple[int, ...]:
 def _least_rotation(gaps: Tuple[int, ...]) -> Optional[int]:
     """Start index of the least cyclic rotation of ``gaps``, None if periodic.
 
-    The least rotation occurs at two starts i < j exactly when rotating by
-    j - i maps ``gaps`` onto itself. Every rotation is built and compared
-    naively: deliberately a different algorithm from the linear-time Lyndon
-    election of the analysis layer.
+    A least rotation starts with the least gap. If that gap occurs once, its
+    index is the answer and ``gaps`` has no period, which would repeat it.
+    Otherwise every rotation is built and compared naively: the least occurs
+    at two starts i < j exactly when rotating by j - i maps ``gaps`` onto
+    itself. Neither step is the Lyndon election of the configuration layer.
     """
+    least_gap = min(gaps)
+    if gaps.count(least_gap) == 1:
+        return gaps.index(least_gap)
     doubled = gaps + gaps
     rotations = [doubled[k : k + len(gaps)] for k in range(len(gaps))]
     least = min(rotations)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 from unittest import mock
@@ -11,6 +12,7 @@ from circlegather.analysis import ConfigurationClass, classify, configuration_cl
 from circlegather.angles import HALF_TURN, antipode, cw_angle, format_angle
 from circlegather.configuration import (
     Configuration,
+    elect,
     gap_sequence,
     take_snapshot,
     true_leader,
@@ -464,3 +466,47 @@ def test_int_rotation_and_period_match_the_fraction_reference(ints, d):
     f = tuple(Fraction(k, d) for k in ints)
     expected = None if ref_has_period(f) else ref_least_rotation(f)
     assert oracle._least_rotation(tuple(ints)) == expected
+
+
+class WatchedGaps(tuple):
+    """A gap tuple that records whether the rotation scan doubled it."""
+
+    scanned = False
+
+    def __add__(self, other):
+        self.scanned = True
+        return tuple(self) + tuple(other)
+
+
+def test_least_rotation_matches_the_reference_on_every_small_gap_tuple():
+    """Every gap tuple over {1, 2, 3} of length 1..8: a unique least gap
+    takes the shortcut, a repeated one the scan, and a periodic one is None."""
+    import circlegather.oracle as oracle
+
+    tuples = [WatchedGaps(g) for n in range(1, 9) for g in product((1, 2, 3), repeat=n)]
+    shortcut = periodic = 0
+    for gaps in tuples:
+        plain = tuple(gaps)
+        expected = None if ref_has_period(plain) else ref_least_rotation(plain)
+        assert oracle._least_rotation(gaps) == expected, gaps
+        unique = gaps.count(min(gaps)) == 1
+        assert gaps.scanned is not unique, gaps
+        shortcut += unique
+        periodic += expected is None
+    assert (len(tuples), shortcut, periodic) == (9840, 1830, 135)
+
+
+def test_oracle_and_lattice_elections_agree_on_every_small_lattice_set():
+    """Every nonempty point set of the 1/d lattice, d <= 12: the oracle's
+    naive election and the Lyndon one give the same leader or both None."""
+    import circlegather.oracle as oracle
+
+    symmetric = {}
+    for d in range(1, 13):
+        symmetric[d] = 0
+        for mask in range(1, 2**d):
+            ticks = [t for t in range(d) if mask >> t & 1]
+            lead = elect(ticks, d)
+            assert oracle._least_rotation(oracle._gaps(ticks, d)) == lead, (ticks, d)
+            symmetric[d] += lead is None
+    assert symmetric[12] == 75

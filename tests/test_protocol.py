@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -394,6 +394,31 @@ def test_decide_raises_exactly_where_its_contract_says_on_every_small_view():
                         expected.append((s, Memory.MOVE_MORE))
     assert (views, len(expected)) == (2677, 307)
     assert raised == expected
+
+
+def test_decide_only_stays_or_joins_a_multiplicity_on_every_small_flagged_view():
+    """Every reduced view over d <= 8 with a flag, the observer's own or a
+    visible point's, under both thresholds and every memory: decide keeps
+    the memory and stays or moves to a multiplicity below the half turn,
+    below the threshold from the observer's own multiplicity."""
+    views = set()
+    for d in range(1, 9):
+        points = [t for t in range(1, d) if 2 * t != d]
+        for size in range(len(points) + 1):
+            for ticks in combinations(points, size):
+                for flags in product((False, True), repeat=size):
+                    for own in (False, True):
+                        if own or any(flags):
+                            views.add(Snapshot(d, ticks, flags, own))
+    assert len(views) == 3077
+    for s in sorted(views):
+        for threshold in (HALF_TURN, QUARTER_TURN):
+            for memory in Memory:
+                kept, move = decide(s, memory, threshold)
+                assert kept is memory, (s, memory)
+                if move != STAY:
+                    assert move.target_kind == "multiplicity-position", (s, move)
+                    assert move.amount < (threshold if s.self_is_multiplicity else HALF_TURN)
 
 
 def test_staged_moves_match_the_reference_on_every_small_view():
