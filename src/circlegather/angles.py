@@ -41,11 +41,6 @@ def cw_angle(a: Rational, b: Rational) -> Fraction:
     return (Fraction(b) - Fraction(a)) % 1
 
 
-def antipode(a: Rational) -> Fraction:
-    """The point diametrically opposite ``a``; an involution."""
-    return (Fraction(a) + HALF_TURN) % 1
-
-
 def format_angle(a: Rational) -> str:
     """Serialise an angle as ``"p/q"`` in lowest terms with 0 <= p < q."""
     f = norm(a)

@@ -48,18 +48,18 @@ from its view and its finite memory, and the view's reduced ring ``(d,
 ticks, flags)`` with the observer's tick fixes that view, whatever the
 run's scale. So :func:`_decisions_in`, an ``lru_cache`` of the 16 latest
 worlds, keyed by that ring, the multiplicity threshold and the ``decide``
-function the run calls, holds one decision per view tick and memory before
+function the run calls, holds one decision per (memory before, view tick)
 for every look at that world, at any instant of any run; a patched
 ``decide`` keys its own worlds. Only a decide that misses builds the
 ``Snapshot`` from the look's pair, runs ``decide`` and the legality check,
 and drops it; the memo keeps memories, strings, payload dicts and ints,
 never a view or a snapshot. Other payloads are dicts, equal ones shared:
-one activate dict per memory value and, per run, one decide dict per
-(state before, state after, command), possibly made by an earlier run and
-handed on by the memo with its text, and one move-end dict per destination.
-Payloads are read-only. The run writes their JSON texts into
-:attr:`Trace.texts` as it makes them; :meth:`Trace.to_jsonl` joins them
-with fixed line parts and writes each view once, before its first snapshot.
+one activate dict per memory value, one move-end dict per destination and
+one decide dict per (state before, state after, command) a run computes,
+which the memo hands on to later runs with its text. Payloads are
+read-only. The run writes their JSON texts into :attr:`Trace.texts` as it
+makes or meets them; :meth:`Trace.to_jsonl` joins them with fixed line
+parts and writes each view once, before its first snapshot.
 
 Each queued event carries the data its handler needs: a look its decide
 instant and that instant's integer ratio, taken when the cycle is queued,
@@ -333,23 +333,21 @@ class Trace:
         A record's line is ``{"kind", "payload", "robot", "t"}`` with sorted
         keys, joined from text parts: a constant head for each kind a run
         writes, the payload's text from ``texts`` or encoded once per object,
-        the robot's tail once per robot and each instant's text once per
-        object. A snapshot's payload ``{"self_multiplicity", "tick"}`` reads
-        the ring of the ``view`` line ``{"d", "multiplicities", "ticks"}``
-        before it, written from the view's ints once per view, by the rule of
+        the robot's tail once per robot and an instant's text wherever a
+        record's instant is another object than the one before. A snapshot's
+        payload ``{"self_multiplicity", "tick"}`` reads the ring of the
+        ``view`` line ``{"d", "multiplicities", "ticks"}`` before it, written
+        from the view's ints once per view, by the rule of
         :meth:`LatticeView.snapshot`.
         """
         encode = _ENCODER.encode
         payloads = {key: text for key, (_, text) in self.texts.items()}
-        instants: Dict[int, str] = {}
         tails: Dict[str, str] = {}
         last = written = None
         lines = []
         for t, robot, kind, p in self.records:
             if t is not last:
-                last, instant = t, instants.get(id(t))
-                if instant is None:
-                    instant = instants[id(t)] = f'{t.numerator}/{t.denominator}"}}'
+                last, instant = t, f'{t.numerator}/{t.denominator}"}}'
             payload = payloads.get(id(p))
             if type(p) is tuple:
                 view, tick = p
@@ -450,14 +448,11 @@ def _decisions_in(d: int, ticks: tuple, flags: tuple, threshold: tuple, decide) 
 
     The key is the view's reduced ring (``d``, ``ticks``, ``flags``), which
     no run's scale enters, the multiplicity threshold as its integer ratio
-    and the ``decide`` function the run calls. The value maps a memory
-    before to the decisions at each observer's view tick, each ``(memory
-    after, decide payload, its text, direction, amount numerator, amount
-    denominator, move-start head, key)``, the head being a move-start text
-    up to its origin and the key the run's: state before, state after and the
-    command's fields as strings and ints. Keyed by memory first, a world
-    seen only once, as at large n, keeps one dict per memory alive until it
-    is evicted, not one per look.
+    and the ``decide`` function the run calls. The value maps a ``(memory
+    before, observer's view tick)`` pair to its decision, ``(memory after,
+    (decide payload, its text), direction, amount numerator, amount
+    denominator, move-start head)``, the head being a move-start text up to
+    its origin.
     """
     return {}
 
@@ -484,7 +479,9 @@ def run(
     ``looks`` keeps, per view tick of the current look instant, the
     ``(view, tick)`` record pair and the world's shared decisions (see
     :func:`_decisions_in`); a queued decide carries that entry and builds a
-    ``Snapshot`` only if no decision is shared for its tick and memory yet.
+    ``Snapshot`` only if no decision is shared for its memory and tick yet.
+    Every decide registers its payload's text in :attr:`Trace.texts`; a
+    shared decision keeps the payload dict of the run that computed it.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
@@ -517,16 +514,15 @@ def run(
     # looks already taken there, keyed by the observer's view tick: each
     # look's (view, tick) record payload and those decisions.
     view_key = step = -1
-    looks: Dict[int, Tuple[Tuple[LatticeView, int], Dict[Memory, Dict[int, tuple]]]] = {}
+    looks: Dict[int, Tuple[Tuple[LatticeView, int], Dict[Tuple[Memory, int], tuple]]] = {}
     # Read once, so a patched decide serves the whole run and keys its worlds.
     decide = protocol.decide
     threshold = options.multiplicity_threshold
     # The memo keys on the threshold's ints: a Fraction hashes in Python.
     threshold_ratio = threshold.as_integer_ratio()
     # One decision, and so one decide payload, per distinct (state before,
-    # state after, command), the command keyed by its fields as ints and
-    # strings, whether the run computed it or met it in the shared memo; one
-    # move-end payload per destination int.
+    # state after, command) the run computes, the command keyed by its fields
+    # as ints and strings; one move-end payload per destination int.
     decisions: Dict[Tuple[Memory, Memory, str, str, int, int], tuple] = {}
     arrivals: Dict[int, dict] = {}
     texts = dict(_ACTIVATE_TEXTS)
@@ -636,11 +632,8 @@ def run(
             # this instant, and that look must get this instant's world.
             (look_view, look_tick), decided = data
             state_before = memories[rid]
-            by_tick = decided.get(state_before)
-            if by_tick is None:
-                by_tick = decided[state_before] = {}
-            shared = by_tick.get(look_tick)
-            if shared is None:
+            decision = decided.get((state_before, look_tick))
+            if decision is None:
                 new_memory, command = decide(
                     look_view.snapshot(look_tick), state_before, threshold
                 )
@@ -651,8 +644,8 @@ def run(
                 direction, target_kind = command.direction, command.target_kind
                 num, den = command.amount.as_integer_ratio()
                 decision_key = (state_before, new_memory, direction, target_kind, num, den)
-                shared = decisions.get(decision_key)
-                if shared is None:
+                decision = decisions.get(decision_key)
+                if decision is None:
                     payload = {
                         "state_before": state_before.value,
                         "state_after": new_memory.value,
@@ -666,14 +659,14 @@ def run(
                         f'"state_before":"{state_before.value}"}}'
                     )
                     head = f'{{{shift},"from":"'
-                    shared = (new_memory, payload, text, direction, num, den, head, decision_key)
-                by_tick[look_tick] = shared
-            # A decision an earlier run made joins this run's: one payload object each.
-            decision = decisions.get(shared[7])
-            if decision is None:
-                decision = decisions[shared[7]] = shared
-                texts[id(shared[1])] = shared[1], shared[2]
-            new_memory, payload, _, direction, num, den, head, _ = decision
+                    decision = decisions[decision_key] = (
+                        new_memory, (payload, text), direction, num, den, head
+                    )
+                decided[state_before, look_tick] = decision
+            new_memory, pair, direction, num, den, head = decision
+            # The memo may hand on an earlier run's payload: register it here.
+            payload = pair[0]
+            texts[id(payload)] = pair
             memories[rid] = new_memory
             records.append(new_record(TraceRecord, (t, rid, "decide", payload)))
             if num:  # a move: its amount is positive

@@ -21,7 +21,7 @@ from circlegather.analysis import (
     configuration_class,
     is_safe_neighbor,
 )
-from circlegather.angles import HALF_TURN, antipode, cw_angle, parse_angle
+from circlegather.angles import HALF_TURN, cw_angle, parse_angle
 from circlegather.cli import main
 from circlegather.configuration import Configuration, take_snapshot
 from circlegather.errors import LimitExceeded
@@ -311,7 +311,7 @@ def test_criterion_8_worked_example_regression():
     other = oracle_classify(positions, Fraction(9, 20))
 
     # Independent C1 election to find who leads once the antipode is occupied.
-    c1 = sorted(list(positions) + [antipode(me)])
+    c1 = sorted(list(positions) + [(me + HALF_TURN) % 1])
     c1_leader = brute_force_leader(Configuration.from_points(c1))
 
     # Safe-neighbor re-derivation from raw positions.
@@ -319,7 +319,7 @@ def test_criterion_8_worked_example_regression():
     c1_leader_neighbor = min(
         (p for p in c1 if p != c1_leader), key=lambda p: cw_angle(c1_leader, p)
     )
-    safe = antipode(s) != c1_leader_neighbor
+    safe = (s + HALF_TURN) % 1 != c1_leader_neighbor
 
     checks = {
         "robot 0 confused": verdict.tag == "confused-leader",

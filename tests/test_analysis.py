@@ -18,7 +18,7 @@ from circlegather.analysis import (
     detect_confused_peer_in_c0,
     is_safe_neighbor,
 )
-from circlegather.angles import HALF_TURN, antipode, format_angle
+from circlegather.angles import HALF_TURN, format_angle
 from circlegather.configuration import (
     Configuration,
     Snapshot,
@@ -266,7 +266,7 @@ def reference_classify(snapshot):
 def reference_is_safe_neighbor(snapshot):
     _, c1, _, _, lead1 = reference_hypotheses(snapshot)
     neighbor = c1[(c1.index(lead1) + 1) % len(c1)]
-    return antipode(Fraction(snapshot.ticks[0], snapshot.d)) != neighbor
+    return (Fraction(snapshot.ticks[0], snapshot.d) + HALF_TURN) % 1 != neighbor
 
 
 def reference_confused_peer_in_c0(snapshot):

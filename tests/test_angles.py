@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circlegather.angles import (
-    HALF_TURN,
-    antipode,
     cw_angle,
     format_angle,
     norm,
@@ -58,11 +56,6 @@ def test_cw_and_ccw_angles():
     assert cw_angle(b, a) == Fraction(7, 10)
 
 
-def test_antipode():
-    assert antipode(Fraction(1, 10)) == Fraction(6, 10)
-    assert antipode(Fraction(3, 4)) == Fraction(1, 4)
-
-
 @given(angles, angles)
 def test_cw_plus_ccw_is_full_turn_or_both_zero(a, b):
     # The counter-clockwise angle from a to b is the clockwise one from b to a.
@@ -73,10 +66,6 @@ def test_cw_plus_ccw_is_full_turn_or_both_zero(a, b):
         assert cw + ccw == 1
 
 
-@given(angles)
-def test_antipode_involution(a):
-    assert antipode(antipode(a)) == a
-    assert cw_angle(a, antipode(a)) == HALF_TURN
 
 
 def test_format_and_parse_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circlegather.analysis import ConfigurationClass, classify, configuration_class
-from circlegather.angles import HALF_TURN, antipode, cw_angle, format_angle
+from circlegather.angles import HALF_TURN, cw_angle, format_angle
 from circlegather.configuration import (
     Configuration,
     elect,
@@ -233,6 +233,22 @@ def test_oracle_stays_independent_of_the_lattice_election():
 # ---------------------------------------------------------------------------
 # Fraction references: the oracle as it was before it computed on lattice
 # ints. Each point set's gap list comes from ``gap_sequence``, never spliced.
+
+
+def antipode(a):
+    """The point diametrically opposite ``a``; an involution."""
+    return (Fraction(a) + HALF_TURN) % 1
+
+
+def test_antipode():
+    assert antipode(Fraction(1, 10)) == Fraction(6, 10)
+    assert antipode(Fraction(3, 4)) == Fraction(1, 4)
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=64).filter(lambda a: a < 1))
+def test_antipode_involution(a):
+    assert antipode(antipode(a)) == a
+    assert cw_angle(a, antipode(a)) == HALF_TURN
 
 
 def ref_has_period(gaps):

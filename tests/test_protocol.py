@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -374,8 +375,10 @@ def assert_staged_matches_reference(d, ticks):
 def test_decide_raises_exactly_where_its_contract_says_on_every_small_view():
     """Every reduced flag-free view over d <= 12, under every memory: decide
     raises only in moveMore, when d is even, the lead's antipode is occupied
-    and 6 * lead >= d."""
-    views, raised, expected = 0, [], []
+    and 6 * lead >= d. Every other decide takes a legal transition and moves
+    less than half a turn; TERMINATE stays except on the empty view, which
+    every memory keeps and leaves by the same clockwise quarter turn."""
+    views, raised, expected, census = 0, [], [], Counter()
     for d in range(1, 13):
         points = [t for t in range(1, d) if 2 * t != d]
         for size in range(len(points) + 1):
@@ -386,14 +389,39 @@ def test_decide_raises_exactly_where_its_contract_says_on_every_small_view():
                 views += 1
                 for memory in Memory:
                     try:
-                        decide(s, memory)
+                        after, move = decide(s, memory)
                     except InvariantViolation:
                         raised.append((s, memory))
+                        continue
+                    assert (memory, after) in LEGAL_TRANSITIONS, (s, memory)
+                    assert move.amount < HALF_TURN, (s, memory)
+                    if not ticks:
+                        assert (after, move) == (memory, MoveCommand(CW, QUARTER_TURN))
+                    elif memory is Memory.TERMINATE:
+                        assert (after, move) == (Memory.TERMINATE, STAY), s
+                    census[memory.value, after.value, move.direction, move.target_kind] += 1
                 if ticks and d % 2 == 0 and (ticks[0] + d // 2) % d in ticks:
                     if 6 * ticks[0] >= d:
                         expected.append((s, Memory.MOVE_MORE))
     assert (views, len(expected)) == (2677, 307)
     assert raised == expected
+    # (memory before, memory after, direction, target kind) -> views.
+    assert census == {
+        ("off", "off", NONE, "relative-angle"): 2157,
+        ("off", "off", CW, "relative-angle"): 1,
+        ("off", "off", CW, "neighbor-position"): 517,
+        ("off", "moveHalf", CW, "relative-angle"): 2,
+        ("moveHalf", "moveHalf", CW, "relative-angle"): 1,
+        ("moveHalf", "moveMore", CW, "relative-angle"): 188,
+        ("moveHalf", "terminate", NONE, "relative-angle"): 2033,
+        ("moveHalf", "terminate", CCW, "relative-angle"): 455,
+        ("moveMore", "moveMore", CW, "relative-angle"): 1,
+        ("moveMore", "off", CW, "neighbor-position"): 40,
+        ("moveMore", "terminate", NONE, "relative-angle"): 2033,
+        ("moveMore", "terminate", CCW, "relative-angle"): 296,
+        ("terminate", "terminate", NONE, "relative-angle"): 2676,
+        ("terminate", "terminate", CW, "relative-angle"): 1,
+    }
 
 
 def test_decide_only_stays_or_joins_a_multiplicity_on_every_small_flagged_view():
