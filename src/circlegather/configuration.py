@@ -366,12 +366,17 @@ def snapshot_of_positions(positions: Sequence[Fraction], observer_pos: Fraction)
     return view.snapshot(view.tick(observer_pos))
 
 
-def require_legal_initial(config: Configuration) -> None:
+def require_legal_initial(config: Configuration) -> LatticeView:
     """Reject configurations that are not legal starting points for a run.
 
-    Coincident robots raise :class:`MultiplicityPresent` from the view.
+    Coincident robots raise :class:`MultiplicityPresent` from the view. A
+    legal configuration returns its :func:`distinct_view`, the lattice the
+    run starts on: ``d`` is the lcm of the positions' denominators and
+    ``tick(pos)`` each robot's int on it.
     """
     if len(config.robots) < 2:
         raise TooFewRobots("a run needs at least two robots")
-    if is_rotationally_symmetric(config):
+    view = distinct_view(config.positions)
+    if elect(view.ticks, view.d) is None:
         raise SymmetricConfiguration("initial configuration must be asymmetric")
+    return view

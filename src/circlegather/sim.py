@@ -10,7 +10,10 @@ Robots move rigidly at unit speed on a circle of one turn, so a move of
 ``a`` turns takes ``a`` time units: time and angle share one unit, and the
 run loop keeps both as ints on one lattice. One int ``scale`` holds an
 instant t as the key ``t * scale`` and a position p as ``p * scale mod
-scale``; it starts as the lcm of the initial positions' denominators. An
+scale``; it starts as the ``d`` of the initial view that
+:func:`~circlegather.configuration.require_legal_initial` returns, the lcm
+of the initial positions' denominators, made a multiple of 4 under a round
+policy, and each anchor as that view's tick of the robot. An
 instant or move amount whose denominator does not divide the scale
 multiplies the scale and every key and position int by one factor, which
 keeps their order. A move builds a ``Fraction`` only for its move-end
@@ -34,14 +37,19 @@ Events at one instant run move-ends first, then looks, then decides, each
 rank by robot id; a look that a decide queues at its own instant runs right
 after that decide. Records stay in this processing order: a record's index
 is its sequence number, and a trace cut at a limit is a prefix of the whole
-run's. Every look at an instant sees one world. The run loop builds one
-:class:`~circlegather.configuration.LatticeView` of it at the first look of
-the instant and memoises each look by the observer's view tick: robots
+run's. Every look at an instant sees one world. The run loop holds one
+:class:`~circlegather.configuration.LatticeView` of it, built at the first
+look of the instant or kept from an earlier one, and memoises each look by
+the observer's view tick: robots
 resting on one point share one ``(view, tick)`` pair, their snapshot
-records' payload. The view is rebuilt only when the look instant changes:
-no move ends between the looks of one instant, and a move that starts at
-the look instant leaves its mover at rest on its origin, as the view
-already has it.
+records' payload. The view is rebuilt only when the world changes: at a
+new look instant, when a move has ended since the view was built or a move
+is in flight. Otherwise no robot has left or reached a point, so the run
+keeps the view with its looks and its decisions, and snapshot records of
+several instants share one ``(view, tick)`` pair. Within one instant the
+world holds: no move ends between its looks, and a move that starts at the
+look instant leaves its mover at rest on its origin, as the view already
+has it.
 
 Decisions are shared wider, by world. A robot's compute step is a pure map
 from its view and its finite memory, and the view's reduced ring ``(d,
@@ -59,15 +67,19 @@ one decide dict per (state before, state after, command) a run computes,
 which the memo hands on to later runs with its text. Payloads are
 read-only. The run writes their JSON texts into :attr:`Trace.texts` as it
 makes or meets them; :meth:`Trace.to_jsonl` joins them with fixed line
-parts and writes each view once, before its first snapshot.
+parts and writes a view before its first snapshot at each look instant.
 
 Each queued event carries the data its handler needs: a look its decide
 instant and that instant's integer ratio, taken when the cycle is queued,
 so the look keys its decide on the scale of the moment; a decide its look's
 memo entry. The fsync and ssync policies share one round rule: a robot's
 next cycle is the first round from ``ceil(not_before)`` in which it is
-active. Whatever the policy, the run loop rejects a cycle that looks before
-the robot's previous one, move included, has ended. The loop checks no
+active. Unless the policy overrides ``next_cycle``, the run takes that
+round k on ints, keys the look ``k * scale`` and the decide ``(4k + 1) *
+scale / 4``, and hands the records the round's shared ``Fraction`` pair;
+any other policy's instants are converted. Whatever the policy, the run
+loop rejects a cycle that looks before the robot's previous one, move
+included, has ended. The loop checks no
 global property such as the expected-leader count; a trace records every
 move start, so the positions at any instant can be replayed from the trace
 alone, and the tests check that property that way.
@@ -87,7 +99,7 @@ from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import protocol
-from .angles import HALF_TURN, format_angle
+from .angles import HALF_TURN
 from .configuration import (
     Configuration,
     LatticeView,
@@ -160,10 +172,13 @@ class SchedulerPolicy:
 class _RoundPolicy(SchedulerPolicy):
     """A policy whose cycles look at an integer round k and decide at k + 1/4.
 
-    A robot's next cycle is the first round from ``ceil(not_before)`` in
-    which :meth:`_active` admits it. The policy builds each round's
-    ``(k, k + 1/4)`` pair once and hands that one tuple to every robot active
-    in that round, so :meth:`Trace.to_jsonl` formats each instant once.
+    A robot's next cycle is round :meth:`_first_round` from
+    ``ceil(not_before)``: the first round in which :meth:`_active` admits it.
+    The policy builds each round's ``(k, k + 1/4)`` pair once and hands that
+    one tuple to every robot active in that round, so :meth:`Trace.to_jsonl`
+    formats each instant once. :func:`run` calls :meth:`_first_round` on
+    ints itself, and takes the pair from :meth:`_round`, unless a subclass
+    overrides :meth:`next_cycle`.
     """
 
     def __init__(self):
@@ -171,6 +186,12 @@ class _RoundPolicy(SchedulerPolicy):
 
     def _active(self, robot_id: str, k: int) -> bool:
         raise NotImplementedError
+
+    def _first_round(self, robot_id: str, k: int) -> int:
+        """The first round from ``k`` in which the robot is active."""
+        while not self._active(robot_id, k):
+            k += 1
+        return k
 
     def _round(self, k: int) -> Tuple[Fraction, Fraction]:
         pair = self._instants.get(k)
@@ -180,10 +201,7 @@ class _RoundPolicy(SchedulerPolicy):
 
     def next_cycle(self, robot_id, not_before):
         p, q = not_before.as_integer_ratio()
-        k = -(-p // q)
-        while not self._active(robot_id, k):
-            k += 1
-        return self._round(k)
+        return self._round(self._first_round(robot_id, -(-p // q)))
 
 
 class FsyncPolicy(_RoundPolicy):
@@ -192,13 +210,18 @@ class FsyncPolicy(_RoundPolicy):
     def _active(self, robot_id, k):
         return True
 
+    def _first_round(self, robot_id, k):
+        return k
+
 
 class SsyncPolicy(_RoundPolicy):
     """Round-based activation of seeded random nonempty subsets.
 
     A robot left out for ``max_skips`` consecutive rounds is force-included,
     so every robot is activated at least once in any ``max_skips + 1``
-    consecutive rounds.
+    consecutive rounds. Rounds are drawn in order from round 0 and kept, so
+    asking about round k draws and stores every round before it first: the
+    cost grows with the round asked for, not with the rounds a run uses.
     """
 
     def __init__(self, seed: int = 0, max_skips: int = 3):
@@ -337,13 +360,15 @@ class Trace:
         record's instant is another object than the one before. A snapshot's
         payload ``{"self_multiplicity", "tick"}`` reads the ring of the
         ``view`` line ``{"d", "multiplicities", "ticks"}`` before it, written
-        from the view's ints once per view, by the rule of
-        :meth:`LatticeView.snapshot`.
+        from the view's ints, by the rule of :meth:`LatticeView.snapshot`,
+        wherever a snapshot's view or instant text differs from the last
+        view line's: one view serves the looks of every instant its world
+        lasts.
         """
         encode = _ENCODER.encode
         payloads = {key: text for key, (_, text) in self.texts.items()}
         tails: Dict[str, str] = {}
-        last = written = None
+        last = written = written_at = None
         lines = []
         for t, robot, kind, p in self.records:
             if t is not last:
@@ -351,8 +376,10 @@ class Trace:
             payload = payloads.get(id(p))
             if type(p) is tuple:
                 view, tick = p
-                if view is not written:
-                    written, ticks = view, view.ticks
+                # One view serves the looks of several instants; instants
+                # that are equal may be distinct objects, so texts compare.
+                if view is not written or instant != written_at:
+                    written, written_at, ticks = view, instant, view.ticks
                     mult = ",".join([str(k) for k, f in zip(ticks, view.flags) if f])
                     lines.append(
                         f'{{"kind":"view","payload":{{"d":{view.d},"multiplicities":[{mult}],'
@@ -474,23 +501,32 @@ def run(
     position and ``in_flight`` the moves under way. A look instant's view
     holds ``resting``, each robot weighing 1, and the movers at their
     interpolated positions, weighing 0, except a mover whose move starts at
-    the look instant: it is still at rest on its origin and weighs 1.
+    the look instant: it is still at rest on its origin and weighs 1. A new
+    look instant rebuilds the view only if ``moved`` (a move has ended since
+    the last view) or a move is in flight; else it keeps the view.
 
-    ``looks`` keeps, per view tick of the current look instant, the
-    ``(view, tick)`` record pair and the world's shared decisions (see
+    ``looks`` keeps, per view tick of the current view, the ``(view,
+    tick)`` record pair and the world's shared decisions (see
     :func:`_decisions_in`); a queued decide carries that entry and builds a
     ``Snapshot`` only if no decision is shared for its memory and tick yet.
+    A policy whose ``next_cycle`` is :meth:`_RoundPolicy.next_cycle` is
+    scheduled by round index, on ints, with the same two
+    :class:`ScheduleError` checks as the rest.
     Every decide registers its payload's text in :attr:`Trace.texts`; a
     shared decision keeps the payload dict of the run that computed it.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
-    require_legal_initial(initial)
+    lattice = require_legal_initial(initial)
 
-    scale = math.lcm(*[r.pos.denominator for r in initial.robots])
+    # A round policy's cycles are queued from ints unless it overrides
+    # next_cycle; their decide instants k + 1/4 need a scale divisible by 4.
+    rounds = getattr(policy.next_cycle, "__func__", None) is _RoundPolicy.next_cycle
+    if rounds:
+        first_round, round_instants = policy._first_round, policy._round
+    scale = math.lcm(lattice.d, 4) if rounds else lattice.d
     anchors: Dict[str, int] = {
-        r.robot_id: r.pos.numerator * (scale // r.pos.denominator) % scale
-        for r in initial.robots
+        r.robot_id: lattice.tick(r.pos) * (scale // lattice.d) for r in initial.robots
     }
     memories: Dict[str, Memory] = dict.fromkeys(anchors, Memory.OFF)
     all_ids = sorted(anchors)
@@ -512,8 +548,10 @@ def run(
     # The world as every look at key view_key sees it, ``step`` the scale's
     # ints per view tick, its shared decisions (see _decisions_in), and the
     # looks already taken there, keyed by the observer's view tick: each
-    # look's (view, tick) record payload and those decisions.
+    # look's (view, tick) record payload and those decisions. ``moved`` says
+    # that a move has ended since the view was built.
     view_key = step = -1
+    moved = True
     looks: Dict[int, Tuple[Tuple[LatticeView, int], Dict[Tuple[Memory, int], tuple]]] = {}
     # Read once, so a patched decide serves the whole run and keys its worlds.
     decide = protocol.decide
@@ -553,22 +591,29 @@ def run(
 
     def schedule_cycle(robot_id: str, not_before: Fraction, busy: int) -> None:
         """Queue the robot's next look; ``busy`` is ``not_before`` times ``scale``."""
-        cycle = policy.next_cycle(robot_id, not_before)
-        if cycle is None:
-            return
-        # Fractions pass through as they are, so a round's shared instant
-        # objects reach the records; other rationals are converted.
-        t_look, t_decide = cycle
-        if not isinstance(t_look, Fraction):
-            t_look = Fraction(t_look)
-        if not isinstance(t_decide, Fraction):
-            t_decide = Fraction(t_decide)
-        (p_look, q_look), (p_decide, q_decide) = (
-            t_look.as_integer_ratio(), t_decide.as_integer_ratio()
-        )
-        if scale % q_look or scale % q_decide:
-            busy *= grow(math.lcm(scale, q_look, q_decide))
-        look = p_look * (scale // q_look)
+        if rounds:
+            # Round k looks at key k * scale and decides at (4k + 1) / 4; the
+            # records take the round's shared instant pair.
+            k = first_round(robot_id, -(-busy // scale))
+            t_look, t_decide = round_instants(k)
+            look, p_decide, q_decide = k * scale, 4 * k + 1, 4
+        else:
+            cycle = policy.next_cycle(robot_id, not_before)
+            if cycle is None:
+                return
+            # Fractions pass through as they are, so a round's shared instant
+            # objects reach the records; other rationals are converted.
+            t_look, t_decide = cycle
+            if not isinstance(t_look, Fraction):
+                t_look = Fraction(t_look)
+            if not isinstance(t_decide, Fraction):
+                t_decide = Fraction(t_decide)
+            (p_look, q_look), (p_decide, q_decide) = (
+                t_look.as_integer_ratio(), t_decide.as_integer_ratio()
+            )
+            if scale % q_look or scale % q_decide:
+                busy *= grow(math.lcm(scale, q_look, q_decide))
+            look = p_look * (scale // q_look)
         if look < busy:
             raise ScheduleError(
                 f"policy scheduled robot {robot_id!r} to look at {t_look} "
@@ -588,8 +633,10 @@ def run(
             return to, 1
         return (anchors[rid] + sign * (key - start)) % scale, 0
 
+    initial_angles = {rid: angle(anchor) for rid, anchor in anchors.items()}
+    zero = Fraction(0)
     for rid in all_ids:
-        schedule_cycle(rid, Fraction(0), 0)
+        schedule_cycle(rid, zero, 0)
 
     max_time, max_events = limits.max_time, limits.max_events
     while heap:
@@ -599,16 +646,20 @@ def run(
             break
 
         if rank == LOOK:
-            if key != view_key:
+            # A new look instant keeps the view, its looks and its decisions
+            # when no move has ended since and none is in flight: the world
+            # is the one the view holds.
+            if key != view_key and (moved or in_flight):
                 weights = dict(resting)
                 for mover in in_flight:
                     p, weight = position(mover, key)
                     weights[p] = weights.get(p, 0) + weight
-                view, view_key, looks = LatticeView.on_lattice(scale, weights), key, {}
+                view, looks, moved = LatticeView.on_lattice(scale, weights), {}, False
                 step = scale // view.d
                 world_decisions = _decisions_in(
                     view.d, tuple(view.ticks), tuple(view.flags), threshold_ratio, decide
                 )
+            view_key = key
             # A robot's next cycle is queued only after a stay or once its
             # move has ended, so a looking robot rests on its anchor.
             tick = anchors[rid] // step
@@ -704,6 +755,7 @@ def run(
 
         # move_end: the robot rests at its destination.
         to = anchors[rid] = in_flight.pop(rid)[3]
+        moved = True
         count = resting[to] = resting.get(to, 0) + 1
         if count == 2:
             mult_points += 1
@@ -724,7 +776,7 @@ def run(
         "event_count": len(records),
         "max_simultaneous_multiplicities": max_mult,
         "limit_exceeded": limit_hit,
-        "initial": {r.robot_id: format_angle(r.pos) for r in initial.robots},
+        "initial": initial_angles,
         "final": final,
     }
     if gathered:

@@ -428,7 +428,9 @@ def test_decide_only_stays_or_joins_a_multiplicity_on_every_small_flagged_view()
     """Every reduced view over d <= 8 with a flag, the observer's own or a
     visible point's, under both thresholds and every memory: decide keeps
     the memory and stays or moves to a multiplicity below the half turn,
-    below the threshold from the observer's own multiplicity."""
+    below the threshold from the observer's own multiplicity. Memory
+    changes the result only in the staged branches, which a flag never
+    reaches, so all four memories give one command."""
     views = set()
     for d in range(1, 9):
         points = [t for t in range(1, d) if 2 * t != d]
@@ -441,12 +443,15 @@ def test_decide_only_stays_or_joins_a_multiplicity_on_every_small_flagged_view()
     assert len(views) == 3077
     for s in sorted(views):
         for threshold in (HALF_TURN, QUARTER_TURN):
+            commands = set()
             for memory in Memory:
                 kept, move = decide(s, memory, threshold)
                 assert kept is memory, (s, memory)
                 if move != STAY:
                     assert move.target_kind == "multiplicity-position", (s, move)
                     assert move.amount < (threshold if s.self_is_multiplicity else HALF_TURN)
+                commands.add(move)
+            assert len(commands) == 1, (s, threshold, commands)
 
 
 def test_staged_moves_match_the_reference_on_every_small_view():

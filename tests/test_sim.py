@@ -314,25 +314,47 @@ def test_snapshot_records_hold_the_view_and_tick_their_lines_encode(name):
     assert not any(isinstance(r.payload, Snapshot) for r in trace.records)
     snapshots = [r for r in trace.records if r.kind == "snapshot"]
     assert snapshots
-    views, pairs = [], {}
+    # Each run of snapshot records of one view at one look instant reads
+    # one view line; a view kept for an unchanged world spans instants.
+    runs, pairs = [], {}
     for r in snapshots:
         assert type(r.payload) is tuple and len(r.payload) == 2
         view, tick = r.payload
         assert type(view) is LatticeView and type(tick) is int and tick in view.ticks
-        if not any(v is view for v in views):
-            views.append(view)
+        if not runs or runs[-1][0] is not view or runs[-1][1] != r.t:
+            runs.append((view, r.t))
         # Records that share a look share one pair object.
         assert pairs.setdefault((id(view), tick), r.payload) is r.payload
     lines = [json.loads(line) for line in trace.to_jsonl().splitlines()]
-    rings = [line["payload"] for line in lines if line["kind"] == "view"]
+    rings = [(line["payload"], line["t"]) for line in lines if line["kind"] == "view"]
     assert rings == [
-        {
-            "d": v.d,
-            "ticks": v.ticks,
-            "multiplicities": [k for k, f in zip(v.ticks, v.flags) if f],
-        }
-        for v in views
+        (
+            {
+                "d": v.d,
+                "ticks": v.ticks,
+                "multiplicities": [k for k, f in zip(v.ticks, v.flags) if f],
+            },
+            f"{t.numerator}/{t.denominator}",
+        )
+        for v, t in runs
     ]
+
+
+@pytest.mark.parametrize("name", ["async", "ssync"])
+def test_a_view_of_an_unchanged_world_serves_later_look_instants(name):
+    trace = JSONL_TRACES[name]()
+    instants = {}
+    for r in trace.records:
+        if r.kind == "snapshot":
+            instants.setdefault(id(r.payload[0]), set()).add(r.t)
+    assert max(len(ts) for ts in instants.values()) >= 2
+    text = trace.to_jsonl()
+    lines = [json.loads(line) for line in text.splitlines()]
+    view_instants = [line["t"] for line in lines if line["kind"] == "view"]
+    look_instants = {line["t"] for line in lines if line["kind"] == "snapshot"}
+    # Exactly one view line per look instant that has snapshots.
+    assert sorted(view_instants) == sorted(look_instants)
+    assert expand_view_lines(text) == reference_jsonl(trace)
 
 
 @st.composite
@@ -769,6 +791,80 @@ def test_pinned_trace_digests(case):
     trace = _pinned_trace(case)
     assert trace.summary["max_simultaneous_multiplicities"] == max_mult
     assert_pinned(_pinned_id(case), trace, digest)
+
+
+# ---------------------------------------------------------------------------
+# The round path of fsync and ssync against the generic path
+
+
+class Delegating(SchedulerPolicy):
+    """Hands every cycle on to another policy: ``run`` queues its cycles on
+    the generic path, converting each instant pair."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def bind(self, robot_ids):
+        super().bind(robot_ids)
+        self.inner.bind(robot_ids)
+
+    def next_cycle(self, robot_id, not_before):
+        return self.inner.next_cycle(robot_id, not_before)
+
+
+ROUND_PATH_CASES = [case[:5] for case in PINNED_TRACES if case[3] in ("fsync", "ssync")] + [
+    (n, 6 * n, seed, kind, threshold)
+    for n in range(3, 13)
+    for seed, kind in ((n, "fsync"), (100 + n, "ssync"))
+    for threshold in (HALF_TURN, QUARTER_TURN)
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ROUND_PATH_CASES,
+    ids=lambda c: f"{c[3]}-n{c[0]}-seed{c[2]}-{'pi' if c[4] == HALF_TURN else 'pi/2'}",
+)
+def test_round_policies_write_what_their_generic_path_writes(case):
+    n, bound, seed, kind, threshold = case
+    config = random_config(GeneratorSpec(n, bound, seed))
+    texts = []
+    for policy in (
+        _pinned_policy(kind, seed, config),
+        Delegating(_pinned_policy(kind, seed, config)),
+    ):
+        try:
+            trace = run(config, policy, RunLimits(max_events=2000), RunOptions(threshold))
+        except LimitExceeded as exc:
+            trace = exc.trace
+        texts.append(trace.to_jsonl())
+    assert texts[0] == texts[1]
+
+
+def test_a_round_policy_that_overrides_next_cycle_is_honoured():
+    class EvenRounds(FsyncPolicy):
+        """Fsync that skips every odd round."""
+
+        def next_cycle(self, robot_id, not_before):
+            look, _ = super().next_cycle(robot_id, not_before)
+            k = look.numerator
+            return self._round(k + k % 2)
+
+    trace = run(load_fixture("worked_example"), EvenRounds())
+    looks = {r.t for r in trace.records if r.kind == "activate"}
+    assert len(looks) > 2 and all(t.denominator == 1 and t.numerator % 2 == 0 for t in looks)
+    assert trace.summary["gathered"]
+
+
+def test_round_path_rejects_a_look_while_busy():
+    class Rewinding(FsyncPolicy):
+        """Fsync whose every later cycle falls back to round 0."""
+
+        def _first_round(self, robot_id, k):
+            return 0
+
+    with pytest.raises(ScheduleError, match="while busy until 1/4"):
+        run(load_fixture("worked_example"), Rewinding())
 
 
 # ---------------------------------------------------------------------------
