@@ -9,9 +9,9 @@ with weak multiplicity flags (a flag, never a count).
 
 Angles are exact Fractions at every public boundary. A
 :class:`LatticeView` is the one view of a point set as ints: the occupied
-points on their common-denominator lattice, sorted clockwise and kept
-doubled, so every observer's view of one world state is one slice of one
-ring of ints (two around an occupied antipode), shifted to the observer.
+points on their common-denominator lattice, sorted clockwise, so every
+observer's view of one world state is the points after it then the points
+before it, each part shifted to the observer, less an occupied antipode.
 It scales Fractions itself, and :meth:`LatticeView.on_lattice` takes the
 ints the simulator keeps on its own lattice. :func:`elect` is the one
 integer leader election: one Lyndon factorisation of the gaps between those
@@ -217,13 +217,11 @@ class LatticeView:
     being the lcm of their denominators; pairs on one point are merged,
     adding their weights, and the points are sorted clockwise from 0. A
     point of weight two or more is a multiplicity: ``flags`` keeps that
-    verdict per point; a point's place on the ring is found by bisection.
-    The first :meth:`snapshot` also keeps the ring doubled, each tick once
-    more plus ``D`` and each flag twice, so that the points clockwise from
-    any observer are one slice; views that only elect never build it.
+    verdict per point. ``ticks`` and ``flags`` are tuples fixed at
+    construction; a point's place among them is found by bisection.
     """
 
-    __slots__ = ("d", "ticks", "flags", "_ring", "_seen")
+    __slots__ = ("d", "ticks", "flags")
 
     def __init__(self, points: Iterable[Tuple[Fraction, int]]):
         points = list(points)
@@ -246,9 +244,8 @@ class LatticeView:
 
     def _fill(self, d: int, merged: Mapping[int, int]) -> None:
         self.d = d
-        self.ticks = ticks = sorted(merged)
-        self.flags = [merged[t] >= 2 for t in ticks]
-        self._ring = None
+        self.ticks = ticks = tuple(sorted(merged))
+        self.flags = tuple([merged[t] >= 2 for t in ticks])
 
     def tick(self, pos: Fraction) -> int:
         """The lattice int of the occupied point ``pos``."""
@@ -267,29 +264,25 @@ class LatticeView:
 
         Every other occupied point strictly closer than a half turn is
         visible; the antipodal point is skipped even if occupied, and the
-        observer's own point only contributes ``self_is_multiplicity``. The
-        doubled ring holds the other points clockwise from the observer at
-        index ``i`` as the slice ``i + 1 .. i + n``, in the order
-        :class:`Snapshot` keeps; shifted by ``-tick``, they are the offsets.
-        An occupied antipode at ``tick + d / 2`` splits the slice in two.
+        observer's own point only contributes ``self_is_multiplicity``.
+        Clockwise from the observer at index ``i`` come the points after it,
+        shifted by ``-tick``, then the points before it, shifted by
+        ``d - tick``: the sorted offsets :class:`Snapshot` keeps. An occupied
+        antipode is the offset ``d / 2``, found by bisection and deleted.
         """
-        ring, d, ticks = self._ring, self.d, self.ticks
-        if ring is None:
-            ring = self._ring = ticks + [t + d for t in ticks]
-            self._seen = self.flags * 2
-        seen, n = self._seen, len(ticks)
-        i = bisect_left(ring, tick, 0, n)
-        j = i + n
-        offs, flags = ring[i + 1 : j], seen[i + 1 : j]
-        if not d % 2:
-            far = tick + d // 2
-            # ring[j] is the observer's own tick plus d, never its antipode.
-            k = bisect_left(ring, far, i + 1, j)
-            if ring[k] == far:
-                offs, flags = ring[i + 1 : k] + ring[k + 1 : j], seen[i + 1 : k] + seen[k + 1 : j]
+        d, ticks, flags = self.d, self.ticks, self.flags
+        i = bisect_left(ticks, tick)
         # tuple() of a map guesses a length and shrinks the tuple after, which
         # fills CPython's per-length tuple free lists; a list has the exact length.
-        return Snapshot(d, tuple(list(map((-tick).__add__, offs))), tuple(flags), seen[i])
+        offs = list(map((-tick).__add__, ticks[i + 1 :]))
+        offs += map((d - tick).__add__, ticks[:i])
+        seen = flags[i + 1 :] + flags[:i]
+        if not d % 2:
+            k = bisect_left(offs, d // 2)
+            if k < len(offs) and offs[k] == d // 2:
+                del offs[k]
+                seen = seen[:k] + seen[k + 1 :]
+        return Snapshot(d, tuple(offs), seen, flags[i])
 
 
 def elect(ticks: Sequence[int], d: int) -> Optional[int]:

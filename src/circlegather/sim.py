@@ -173,7 +173,7 @@ class _RoundPolicy(SchedulerPolicy):
     """A policy whose cycles look at an integer round k and decide at k + 1/4.
 
     A robot's next cycle is round :meth:`_first_round` from
-    ``ceil(not_before)``: the first round in which :meth:`_active` admits it.
+    ``ceil(not_before)``: the first round from there in which it is active.
     The policy builds each round's ``(k, k + 1/4)`` pair once and hands that
     one tuple to every robot active in that round, so :meth:`Trace.to_jsonl`
     formats each instant once. :func:`run` calls :meth:`_first_round` on
@@ -184,14 +184,9 @@ class _RoundPolicy(SchedulerPolicy):
     def __init__(self):
         self._instants: Dict[int, Tuple[Fraction, Fraction]] = {}
 
-    def _active(self, robot_id: str, k: int) -> bool:
-        raise NotImplementedError
-
     def _first_round(self, robot_id: str, k: int) -> int:
         """The first round from ``k`` in which the robot is active."""
-        while not self._active(robot_id, k):
-            k += 1
-        return k
+        raise NotImplementedError
 
     def _round(self, k: int) -> Tuple[Fraction, Fraction]:
         pair = self._instants.get(k)
@@ -206,9 +201,6 @@ class _RoundPolicy(SchedulerPolicy):
 
 class FsyncPolicy(_RoundPolicy):
     """All robots look together at integer rounds and decide a quarter unit later."""
-
-    def _active(self, robot_id, k):
-        return True
 
     def _first_round(self, robot_id, k):
         return k
@@ -250,8 +242,10 @@ class SsyncPolicy(_RoundPolicy):
             self._rounds.append(frozenset(chosen))
         return self._rounds[k]
 
-    def _active(self, robot_id, k):
-        return robot_id in self._membership(k)
+    def _first_round(self, robot_id, k):
+        while robot_id not in self._membership(k):
+            k += 1
+        return k
 
 
 class AsyncRandomPolicy(SchedulerPolicy):
@@ -473,13 +467,13 @@ _ACTIVATE_TEXTS = {id(p): (p, _ENCODER.encode(p)) for p in _ACTIVATE_PAYLOADS.va
 def _decisions_in(d: int, ticks: tuple, flags: tuple, threshold: tuple, decide) -> dict:
     """The decisions taken in one world, shared by every look at it in any run.
 
-    The key is the view's reduced ring (``d``, ``ticks``, ``flags``), which
-    no run's scale enters, the multiplicity threshold as its integer ratio
-    and the ``decide`` function the run calls. The value maps a ``(memory
-    before, observer's view tick)`` pair to its decision, ``(memory after,
-    (decide payload, its text), direction, amount numerator, amount
-    denominator, move-start head)``, the head being a move-start text up to
-    its origin.
+    The key is the view's reduced ring (``d``, ``ticks``, ``flags``, the
+    view's own tuples), which no run's scale enters, the multiplicity
+    threshold as its integer ratio and the ``decide`` function the run
+    calls. The value maps a ``(memory before, observer's view tick)`` pair
+    to its decision, ``(memory after, (decide payload, its text), direction,
+    amount numerator, amount denominator, move-start head)``, the head being
+    a move-start text up to its origin.
     """
     return {}
 
@@ -657,7 +651,7 @@ def run(
                 view, looks, moved = LatticeView.on_lattice(scale, weights), {}, False
                 step = scale // view.d
                 world_decisions = _decisions_in(
-                    view.d, tuple(view.ticks), tuple(view.flags), threshold_ratio, decide
+                    view.d, view.ticks, view.flags, threshold_ratio, decide
                 )
             view_key = key
             # A robot's next cycle is queued only after a stay or once its
