@@ -10,15 +10,14 @@ Robots move rigidly at unit speed on a circle of one turn, so a move of
 ``a`` turns takes ``a`` time units: time and angle share one unit, and the
 run loop keeps both as ints on one lattice. One int ``scale`` holds an
 instant t as the key ``t * scale`` and a position p as ``p * scale mod
-scale``; it starts as the ``d`` of the initial view that
-:func:`~circlegather.configuration.require_legal_initial` returns, the lcm
-of the initial positions' denominators, made a multiple of 4 under a round
-policy, and each anchor as that view's tick of the robot. An
-instant or move amount whose denominator does not divide the scale
+scale``. It starts as the lcm of the policy's ``grid`` and the ``d`` of
+the initial view that
+:func:`~circlegather.configuration.require_legal_initial` returns (the lcm
+of the initial positions' denominators), and each anchor as that view's
+tick of the robot. A move amount whose denominator does not divide the scale
 multiplies the scale and every key and position int by one factor, which
-keeps their order. A move builds a ``Fraction`` only for its move-end
-record's instant, and the trace's angles are formatted from the ints.
-Policies, records and ``max_time`` keep their ``Fraction`` instants.
+keeps their order. The trace's angles are formatted from the ints; records
+and ``max_time`` keep ``Fraction`` instants, one per distinct instant.
 
 The run loop keeps the world state incrementally instead of rescanning every
 robot after each event: each robot's anchor and memory, a count of robots
@@ -70,16 +69,14 @@ makes or meets them; :meth:`Trace.to_jsonl` joins them with fixed line
 parts and writes a view before its first snapshot at each look instant.
 
 Each queued event carries the data its handler needs: a look its decide
-instant and that instant's integer ratio, taken when the cycle is queued,
-so the look keys its decide on the scale of the moment; a decide its look's
-memo entry. The fsync and ssync policies share one round rule: a robot's
-next cycle is the first round from ``ceil(not_before)`` in which it is
-active. Unless the policy overrides ``next_cycle``, the run takes that
-round k on ints, keys the look ``k * scale`` and the decide ``(4k + 1) *
-scale / 4``, and hands the records the round's shared ``Fraction`` pair;
-any other policy's instants are converted. Whatever the policy, the run
-loop rejects a cycle that looks before the robot's previous one, move
-included, has ended. The loop checks no
+key, a decide its look's memo entry. Every policy hands the run its cycles
+as int keys on the run's scale (see :meth:`SchedulerPolicy.next_cycle`),
+which its ``grid`` divides, so a cycle never grows the scale: the fsync and
+ssync policies look at the key of the first round from ``ceil(busy /
+scale)`` in which the robot is active and decide a quarter unit later, and
+the async policy adds its draws to ``busy``. The run loop rejects a cycle
+that looks before the robot's previous one, move included, has ended, or
+that decides no later than it looks. The loop checks no
 global property such as the expected-leader count; a trace records every
 move start, so the positions at any instant can be replayed from the trace
 alone, and the tests check that property that way.
@@ -155,16 +152,26 @@ class RobotRuntime:
 
 
 class SchedulerPolicy:
-    """Produces, per robot, the look/decide instants of its successive cycles."""
+    """Produces, per robot, the look/decide instants of its successive cycles.
+
+    ``grid`` is the denominator of every instant the policy adds: :func:`run`
+    starts its scale at a multiple of it, so the policy's instants are ints
+    of the run's scale.
+    """
+
+    grid = 1
 
     def bind(self, robot_ids: Sequence[str]) -> None:
         self.robot_ids = tuple(robot_ids)
 
-    def next_cycle(self, robot_id: str, not_before: Fraction):
-        """(t_look, t_decide) of the robot's next cycle, or None when done.
+    def next_cycle(self, robot_id: str, busy: int, scale: int) -> Optional[Tuple[int, int]]:
+        """The (look, decide) keys of the robot's next cycle, or None when done.
 
-        The run loop raises :class:`ScheduleError` if ``t_look`` is before
-        ``not_before`` or ``t_decide`` is not after ``t_look``.
+        Keys are instants times ``scale``, the run's scale, which ``grid``
+        divides; ``busy`` is the key at which the robot's previous cycle,
+        move included, ended (0 before its first). The run loop raises
+        :class:`ScheduleError` if ``look`` is before ``busy`` or ``decide``
+        is not after ``look``.
         """
         raise NotImplementedError
 
@@ -172,31 +179,19 @@ class SchedulerPolicy:
 class _RoundPolicy(SchedulerPolicy):
     """A policy whose cycles look at an integer round k and decide at k + 1/4.
 
-    A robot's next cycle is round :meth:`_first_round` from
-    ``ceil(not_before)``: the first round from there in which it is active.
-    The policy builds each round's ``(k, k + 1/4)`` pair once and hands that
-    one tuple to every robot active in that round, so :meth:`Trace.to_jsonl`
-    formats each instant once. :func:`run` calls :meth:`_first_round` on
-    ints itself, and takes the pair from :meth:`_round`, unless a subclass
-    overrides :meth:`next_cycle`.
+    A robot's next cycle is round :meth:`_first_round` from ``ceil(busy /
+    scale)``: the first round from there in which it is active.
     """
 
-    def __init__(self):
-        self._instants: Dict[int, Tuple[Fraction, Fraction]] = {}
+    grid = 4
 
     def _first_round(self, robot_id: str, k: int) -> int:
         """The first round from ``k`` in which the robot is active."""
         raise NotImplementedError
 
-    def _round(self, k: int) -> Tuple[Fraction, Fraction]:
-        pair = self._instants.get(k)
-        if pair is None:
-            pair = self._instants[k] = (Fraction(k), Fraction(4 * k + 1, 4))
-        return pair
-
-    def next_cycle(self, robot_id, not_before):
-        p, q = not_before.as_integer_ratio()
-        return self._round(self._first_round(robot_id, -(-p // q)))
+    def next_cycle(self, robot_id, busy, scale):
+        look = self._first_round(robot_id, -(-busy // scale)) * scale
+        return look, look + scale // 4
 
 
 class FsyncPolicy(_RoundPolicy):
@@ -219,7 +214,6 @@ class SsyncPolicy(_RoundPolicy):
     def __init__(self, seed: int = 0, max_skips: int = 3):
         if max_skips < 0:
             raise ValueError("max_skips must be nonnegative")
-        super().__init__()
         self.seed = seed
         self.max_skips = max_skips
 
@@ -253,47 +247,58 @@ class AsyncRandomPolicy(SchedulerPolicy):
 
     Idle gaps and look-compute durations are positive rationals drawn from a
     grid with the given denominator bound, so every event instant stays
-    rational and every coincidence test exact.
+    rational and every coincidence test exact: a look comes ``1/bound`` to 2
+    units after ``busy``, its decide ``1/bound`` to 1 unit after it.
     """
 
     def __init__(self, seed: int = 0, delay_denominator_bound: int = 8):
         if delay_denominator_bound < 1:
             raise ValueError("delay_denominator_bound must be positive")
         self.seed = seed
-        self.bound = delay_denominator_bound
+        self.grid = delay_denominator_bound
         self._rngs: Dict[str, Random] = {}
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
         self._rngs = {r: Random(f"async:{self.seed}:{r}") for r in robot_ids}
 
-    def next_cycle(self, robot_id, not_before):
-        rng = self._rngs[robot_id]
-        gap = Fraction(rng.randint(1, 2 * self.bound), self.bound)
-        look_compute = Fraction(rng.randint(1, self.bound), self.bound)
-        t_look = not_before + gap
-        return t_look, t_look + look_compute
+    def next_cycle(self, robot_id, busy, scale):
+        rng, bound = self._rngs[robot_id], self.grid
+        unit = scale // bound
+        look = busy + rng.randint(1, 2 * bound) * unit
+        return look, look + rng.randint(1, bound) * unit
 
 
 class ScriptedPolicy(SchedulerPolicy):
-    """Replays an explicit, validated list of (robot, t_look, t_decide) events."""
+    """Replays an explicit, validated list of (robot, t_look, t_decide) events.
+
+    The events are checked as ``Fraction``s, then kept as ints on ``grid``,
+    the lcm of their denominators.
+    """
 
     def __init__(self, events: Iterable[Tuple[str, Fraction, Fraction]]):
-        self._queues: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
+        queues: Dict[str, List[Tuple[Fraction, Fraction]]] = {}
         for robot_id, t_look, t_decide in events:
             t_look, t_decide = Fraction(t_look), Fraction(t_decide)
             if t_look < 0:
                 raise ScheduleError("scripted times must be nonnegative")
             if t_decide <= t_look:
                 raise ScheduleError("look and compute must take strictly positive time")
-            self._queues.setdefault(robot_id, []).append((t_look, t_decide))
-        for robot_id, q in self._queues.items():
+            queues.setdefault(robot_id, []).append((t_look, t_decide))
+        for robot_id, q in queues.items():
             for (l0, d0), (l1, _) in zip(q, q[1:]):
                 if l1 < d0:
                     raise ScheduleError(
                         f"robot {robot_id!r} activations overlap: look at {l1} "
                         f"before decide at {d0}"
                     )
+        grid = self.grid = math.lcm(
+            *(t.denominator for q in queues.values() for cycle in q for t in cycle)
+        )
+        self._queues = {
+            r: [(int(look * grid), int(decide * grid)) for look, decide in q]
+            for r, q in queues.items()
+        }
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
@@ -302,8 +307,12 @@ class ScriptedPolicy(SchedulerPolicy):
             raise ScheduleError(f"scripted events name unknown robots {unknown}")
         self._cursor = {r: iter(self._queues.get(r, ())) for r in robot_ids}
 
-    def next_cycle(self, robot_id, not_before):
-        return next(self._cursor[robot_id], None)
+    def next_cycle(self, robot_id, busy, scale):
+        cycle = next(self._cursor[robot_id], None)
+        if cycle is None:
+            return None
+        factor = scale // self.grid
+        return cycle[0] * factor, cycle[1] * factor
 
 
 # ---------------------------------------------------------------------------
@@ -503,34 +512,31 @@ def run(
     tick)`` record pair and the world's shared decisions (see
     :func:`_decisions_in`); a queued decide carries that entry and builds a
     ``Snapshot`` only if no decision is shared for its memory and tick yet.
-    A policy whose ``next_cycle`` is :meth:`_RoundPolicy.next_cycle` is
-    scheduled by round index, on ints, with the same two
-    :class:`ScheduleError` checks as the rest.
+    Every policy's cycles are int keys on ``scale`` and take one path; the
+    records of one instant share one ``Fraction`` of it, built when its
+    first event pops.
     Every decide registers its payload's text in :attr:`Trace.texts`; a
     shared decision keeps the payload dict of the run that computed it.
     """
     limits = limits or RunLimits()
     options = options or RunOptions()
     lattice = require_legal_initial(initial)
-
-    # A round policy's cycles are queued from ints unless it overrides
-    # next_cycle; their decide instants k + 1/4 need a scale divisible by 4.
-    rounds = getattr(policy.next_cycle, "__func__", None) is _RoundPolicy.next_cycle
-    if rounds:
-        first_round, round_instants = policy._first_round, policy._round
-    scale = math.lcm(lattice.d, 4) if rounds else lattice.d
+    all_ids = sorted(r.robot_id for r in initial.robots)
+    policy.bind(all_ids)
+    next_cycle = policy.next_cycle
+    # Every instant a policy adds is an int of this scale from the start;
+    # only a move amount grows it.
+    scale = math.lcm(lattice.d, policy.grid)
     anchors: Dict[str, int] = {
         r.robot_id: lattice.tick(r.pos) * (scale // lattice.d) for r in initial.robots
     }
     memories: Dict[str, Memory] = dict.fromkeys(anchors, Memory.OFF)
-    all_ids = sorted(anchors)
-    policy.bind(all_ids)
 
-    # Entries are (key, rank, robot, t, data). A look carries its decide
-    # instant and that instant's integer ratio, a decide its look's entry in
-    # ``looks``. A robot has exactly one event queued at a time, so (key,
-    # rank, robot) never ties and neither t nor data is compared.
-    heap: List[Tuple[int, int, str, Fraction, object]] = []
+    # Entries are (key, rank, robot, data). A look carries its decide key, a
+    # decide its look's entry in ``looks``. A robot has exactly one event
+    # queued at a time, so (key, rank, robot) never ties and data is never
+    # compared.
+    heap: List[Tuple[int, int, str, object]] = []
     records: List[TraceRecord] = []
     gathered_confirmed: set = set()
     limit_hit = False
@@ -547,6 +553,8 @@ def run(
     view_key = step = -1
     moved = True
     looks: Dict[int, Tuple[Tuple[LatticeView, int], Dict[Tuple[Memory, int], tuple]]] = {}
+    # The records' instant, built once per distinct popped key ``t_key``.
+    t_key = -1
     # Read once, so a patched decide serves the whole run and keys its worlds.
     decide = protocol.decide
     threshold = options.multiplicity_threshold
@@ -570,52 +578,36 @@ def run(
         """Raise ``scale`` to its multiple ``new_scale`` and return the factor.
         Every key and position int is multiplied by that factor, which keeps
         their order: the list stays a heap."""
-        nonlocal scale, resting, view_key, step
+        nonlocal scale, resting, view_key, step, t_key
         factor = new_scale // scale
-        heap[:] = [(key * factor, rank, rid, t, data) for key, rank, rid, t, data in heap]
+        heap[:] = [
+            (key * factor, rank, rid, data * factor if rank == LOOK else data)
+            for key, rank, rid, data in heap
+        ]
         for rid in anchors:
             anchors[rid] *= factor
         for rid, (start, end, sign, to) in in_flight.items():
             in_flight[rid] = (start * factor, end * factor, sign, to * factor)
         resting = Counter({p * factor: c for p, c in resting.items()})
         arrivals.clear()
-        view_key, step = view_key * factor, step * factor
+        view_key, step, t_key = view_key * factor, step * factor, t_key * factor
         scale = new_scale
         return factor
 
-    def schedule_cycle(robot_id: str, not_before: Fraction, busy: int) -> None:
-        """Queue the robot's next look; ``busy`` is ``not_before`` times ``scale``."""
-        if rounds:
-            # Round k looks at key k * scale and decides at (4k + 1) / 4; the
-            # records take the round's shared instant pair.
-            k = first_round(robot_id, -(-busy // scale))
-            t_look, t_decide = round_instants(k)
-            look, p_decide, q_decide = k * scale, 4 * k + 1, 4
-        else:
-            cycle = policy.next_cycle(robot_id, not_before)
-            if cycle is None:
-                return
-            # Fractions pass through as they are, so a round's shared instant
-            # objects reach the records; other rationals are converted.
-            t_look, t_decide = cycle
-            if not isinstance(t_look, Fraction):
-                t_look = Fraction(t_look)
-            if not isinstance(t_decide, Fraction):
-                t_decide = Fraction(t_decide)
-            (p_look, q_look), (p_decide, q_decide) = (
-                t_look.as_integer_ratio(), t_decide.as_integer_ratio()
-            )
-            if scale % q_look or scale % q_decide:
-                busy *= grow(math.lcm(scale, q_look, q_decide))
-            look = p_look * (scale // q_look)
+    def schedule_cycle(robot_id: str, busy: int) -> None:
+        """Queue the robot's next look; ``busy`` is the key its last cycle ended at."""
+        cycle = next_cycle(robot_id, busy, scale)
+        if cycle is None:
+            return
+        look, decide_key = cycle
         if look < busy:
             raise ScheduleError(
-                f"policy scheduled robot {robot_id!r} to look at {t_look} "
-                f"while busy until {not_before}"
+                f"policy scheduled robot {robot_id!r} to look at {Fraction(look, scale)} "
+                f"while busy until {Fraction(busy, scale)}"
             )
-        if p_decide * (scale // q_decide) <= look:
+        if decide_key <= look:
             raise ScheduleError("look and compute must take strictly positive time")
-        heappush(heap, (look, LOOK, robot_id, t_look, (t_decide, p_decide, q_decide)))
+        heappush(heap, (look, LOOK, robot_id, decide_key))
 
     def position(rid: str, key: int) -> Tuple[int, int]:
         """The robot's position int at ``key`` and its weight in a view there."""
@@ -628,13 +620,15 @@ def run(
         return (anchors[rid] + sign * (key - start)) % scale, 0
 
     initial_angles = {rid: angle(anchor) for rid, anchor in anchors.items()}
-    zero = Fraction(0)
     for rid in all_ids:
-        schedule_cycle(rid, zero, 0)
+        schedule_cycle(rid, 0)
 
     max_time, max_events = limits.max_time, limits.max_events
     while heap:
-        key, rank, rid, t, data = heappop(heap)
+        key, rank, rid, data = heappop(heap)
+        # Keys pop in order, so the records of one instant share one object.
+        if key != t_key:
+            t_key, t = key, Fraction(key, scale)
         if len(records) >= max_events or (max_time is not None and t > max_time):
             limit_hit = True
             break
@@ -664,9 +658,7 @@ def run(
                 new_record(TraceRecord, (t, rid, "activate", _ACTIVATE_PAYLOADS[memories[rid]]))
             )
             records.append(new_record(TraceRecord, (t, rid, "snapshot", look[0])))
-            # schedule_cycle grew the scale for the decide instant p / q.
-            t_decide, p, q = data
-            heappush(heap, (p * (scale // q), DECIDE, rid, t_decide, look))
+            heappush(heap, (data, DECIDE, rid, look))
             continue
 
         if rank == DECIDE:
@@ -725,7 +717,7 @@ def run(
                 move = {"from": angle(origin), "direction": direction, "amount": angle(amount)}
                 texts[id(move)] = move, f'{head}{move["from"]}"}}'
                 records.append(new_record(TraceRecord, (t, rid, "move-start", move)))
-                heappush(heap, (end, MOVE_END, rid, Fraction(end, scale), None))
+                heappush(heap, (end, MOVE_END, rid, None))
                 gathered_confirmed.clear()
                 # Lift the robot off its origin.
                 count = resting[origin]
@@ -744,7 +736,7 @@ def run(
                         # Every robot has witnessed the gathering with a
                         # moveless cycle: gathered and quiescent.
                         break
-                schedule_cycle(rid, t, key)
+                schedule_cycle(rid, key)
             continue
 
         # move_end: the robot rests at its destination.
@@ -759,7 +751,7 @@ def run(
             arrival = arrivals[to] = {"to": angle(to)}
             texts[id(arrival)] = arrival, f'{{"to":"{arrival["to"]}"}}'
         records.append(new_record(TraceRecord, (t, rid, "move-end", arrival)))
-        schedule_cycle(rid, t, key)
+        schedule_cycle(rid, key)
 
     end_time = records[-1].t if records else Fraction(0)
     end_key = end_time.numerator * (scale // end_time.denominator)

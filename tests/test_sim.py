@@ -570,43 +570,42 @@ def test_positions_outside_a_turn_run_like_their_normalised_config(make_policy):
 def test_async_delays_stay_on_the_rational_grid():
     policy = AsyncRandomPolicy(seed=9, delay_denominator_bound=8)
     policy.bind(("a", "b"))
+    # A run's scale is a multiple of the policy's grid; here the initial
+    # positions bring a 3.
+    scale = math.lcm(3, policy.grid)
+    busy = 0
     t = F(0)
     for _ in range(50):
-        look, decide = policy.next_cycle("a", t)
+        look, decide = (Fraction(key, scale) for key in policy.next_cycle("a", busy, scale))
         assert look.denominator <= 8 and decide.denominator <= 8
         assert t < look < decide
         t = decide
+        busy = t.numerator * (scale // t.denominator)
 
 
-@pytest.mark.parametrize(
-    "make_policy", [FsyncPolicy, lambda: SsyncPolicy(seed=5)], ids=["fsync", "ssync"]
-)
-def test_round_policies_hand_out_one_instant_object_per_round(make_policy):
-    policy = make_policy()
-    robots = ("a", "b", "c")
-    policy.bind(robots)
-    cycles = {r: {} for r in robots}
-    for r in robots:
-        t = F(0)
-        while not cycles[r] or max(cycles[r]) < 50:
-            look, decide = policy.next_cycle(r, t)
-            assert type(look) is Fraction and type(decide) is Fraction
-            k = look.numerator
-            assert look == Fraction(k) and decide == Fraction(k) + Fraction(1, 4)
-            assert k >= t and k not in cycles[r]
-            cycles[r][k] = (look, decide)
-            t = decide
-    shared = set(cycles["a"]) & set(cycles["b"]) & set(cycles["c"])
-    assert shared
-    for k in shared:
-        (la, da), (lb, db), (lc, dc) = (cycles[r][k] for r in robots)
-        assert la is lb is lc and da is db is dc
+INSTANT_POLICIES = {
+    "fsync": FsyncPolicy,
+    "ssync": lambda: SsyncPolicy(seed=5),
+    "async": lambda: AsyncRandomPolicy(seed=5),
+    "scripted": REUSED_POLICIES["scripted"],
+}
 
 
-# (not_before, ceil(not_before)), with ints among the instants.
+@pytest.mark.parametrize("kind", sorted(INSTANT_POLICIES))
+def test_a_run_hands_out_one_instant_object_per_instant(kind):
+    config = random_config(GeneratorSpec(3, 18, 5))
+    trace = run(config, INSTANT_POLICIES[kind]())
+    instants = {r.t for r in trace.records}
+    assert len(instants) > 2
+    assert all(type(r.t) is Fraction for r in trace.records)
+    assert len({id(r.t) for r in trace.records}) == len(instants)
+
+
+# ((busy, scale), ceil(busy / scale)): the look keys on scales that are
+# multiples of the round policies' grid 4.
 NOT_BEFORE_CEILINGS = [
-    (0, 0), (F(3), 3), (F(3) + F("1/4"), 4), (F("7/3"), 3), (5, 5),
-    (10**20 + Fraction(1, 10**20), 10**20 + 1),
+    ((0, 4), 0), ((12, 4), 3), ((13, 4), 4), ((28, 12), 3), ((20, 4), 5),
+    ((4 * (10**40 + 1), 4 * 10**20), 10**20 + 1),
 ]
 
 
@@ -627,13 +626,13 @@ def test_round_policies_pick_the_first_active_round_from_the_ceiling(make_policy
         return isinstance(policy, FsyncPolicy) or robot_id in policy._membership(k)
 
     waited = False
-    for not_before, first in cases:
+    for (busy, scale), first in cases:
         for r in robots:
-            look, decide = policy.next_cycle(r, not_before)
+            look, decide = (Fraction(key, scale) for key in policy.next_cycle(r, busy, scale))
             k = look.numerator
             assert look == Fraction(k) and decide == Fraction(k) + Fraction(1, 4)
-            assert k >= first and active(r, k), (not_before, r)
-            assert not any(active(r, j) for j in range(first, k)), (not_before, r)
+            assert k >= first and active(r, k), (busy, scale, r)
+            assert not any(active(r, j) for j in range(first, k)), (busy, scale, r)
             waited = waited or k > first
     # Some ssync robot sits out its ceiling round and waits for a later one.
     assert waited == isinstance(policy, SsyncPolicy)
@@ -641,44 +640,23 @@ def test_round_policies_pick_the_first_active_round_from_the_ceiling(make_policy
 
 def test_policy_with_int_look_instants_matches_fsync():
     class IntLookFsync(SchedulerPolicy):
-        """Fsync's schedule with each look instant as a plain int."""
+        """Fsync's schedule written by hand on the int contract, with a grid
+        of 12 where 4 would do."""
+
+        grid = 12
 
         def bind(self, robot_ids):
             super().bind(robot_ids)
             self._next_round = {r: 0 for r in robot_ids}
 
-        def next_cycle(self, robot_id, not_before):
-            k = max(self._next_round[robot_id], math.ceil(not_before))
+        def next_cycle(self, robot_id, busy, scale):
+            k = max(self._next_round[robot_id], -(-busy // scale))
             self._next_round[robot_id] = k + 1
-            return k, Fraction(4 * k + 1, 4)
+            return k * scale, (4 * k + 1) * (scale // 4)
 
     cfg = load_fixture("worked_example")
     expected = run(cfg, FsyncPolicy()).to_jsonl()
     trace = run(cfg, IntLookFsync())
-    assert all(type(r.t) is Fraction for r in trace.records)
-    assert trace.to_jsonl() == expected
-
-
-def test_policy_sharing_one_int_look_pair_per_round_matches_fsync():
-    class SharedIntLookFsync(SchedulerPolicy):
-        """Fsync's schedule, every robot of round k handed one ``(k, k + 1/4)``
-        tuple object whose look instant is a plain int."""
-
-        def bind(self, robot_ids):
-            super().bind(robot_ids)
-            self._next_round = {r: 0 for r in robot_ids}
-            self._pairs = {}
-
-        def next_cycle(self, robot_id, not_before):
-            k = max(self._next_round[robot_id], math.ceil(not_before))
-            self._next_round[robot_id] = k + 1
-            if k not in self._pairs:
-                self._pairs[k] = (k, Fraction(4 * k + 1, 4))
-            return self._pairs[k]
-
-    cfg = load_fixture("worked_example")
-    expected = run(cfg, FsyncPolicy()).to_jsonl()
-    trace = run(cfg, SharedIntLookFsync())
     assert all(type(r.t) is Fraction for r in trace.records)
     assert trace.to_jsonl() == expected
 
@@ -799,22 +777,23 @@ def test_pinned_trace_digests(case):
 
 
 # ---------------------------------------------------------------------------
-# The round path of fsync and ssync against the generic path
+# Policies on the int contract of SchedulerPolicy.next_cycle
 
 
 class Delegating(SchedulerPolicy):
-    """Hands every cycle on to another policy: ``run`` queues its cycles on
-    the generic path, converting each instant pair."""
+    """Hands every cycle on to another policy, whose grid it declares: a
+    policy outside the package's classes gets the same schedule."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.grid = inner.grid
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
         self.inner.bind(robot_ids)
 
-    def next_cycle(self, robot_id, not_before):
-        return self.inner.next_cycle(robot_id, not_before)
+    def next_cycle(self, robot_id, busy, scale):
+        return self.inner.next_cycle(robot_id, busy, scale)
 
 
 ROUND_PATH_CASES = [case[:5] for case in PINNED_TRACES if case[3] in ("fsync", "ssync")] + [
@@ -850,10 +829,10 @@ def test_a_round_policy_that_overrides_next_cycle_is_honoured():
     class EvenRounds(FsyncPolicy):
         """Fsync that skips every odd round."""
 
-        def next_cycle(self, robot_id, not_before):
-            look, _ = super().next_cycle(robot_id, not_before)
-            k = look.numerator
-            return self._round(k + k % 2)
+        def next_cycle(self, robot_id, busy, scale):
+            look, _ = super().next_cycle(robot_id, busy, scale)
+            look += look // scale % 2 * scale
+            return look, look + scale // 4
 
     trace = run(load_fixture("worked_example"), EvenRounds())
     looks = {r.t for r in trace.records if r.kind == "activate"}
@@ -870,6 +849,19 @@ def test_round_path_rejects_a_look_while_busy():
 
     with pytest.raises(ScheduleError, match="while busy until 1/4"):
         run(load_fixture("worked_example"), Rewinding())
+
+
+@pytest.mark.parametrize("compute", [0, -1], ids=["none", "negative"])
+def test_run_rejects_a_cycle_that_decides_before_it_has_looked(compute):
+    class Instantaneous(FsyncPolicy):
+        """Fsync whose decides fall ``compute`` keys after their looks."""
+
+        def next_cycle(self, robot_id, busy, scale):
+            look, _ = super().next_cycle(robot_id, busy, scale)
+            return look, look + compute
+
+    with pytest.raises(ScheduleError, match="look and compute must take strictly positive time"):
+        run(load_fixture("worked_example"), Instantaneous())
 
 
 # ---------------------------------------------------------------------------
@@ -1202,16 +1194,17 @@ def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
     assert [v["offset"] for v in seen[F("27/80"), "r2"]["visible"]] == ["1/4", "51/80", "13/20"]
 
 
-# All first cycles are on quarters. At 1/4, r0 decides first and steps onto
-# r1, ending at 7/20 (brings 5); r1 and r2 then queue cycles at 1/3 (brings
-# 3) and 5/7 (brings 7) while other decides and the move-end are queued; r3
-# looks at 7/20, the instant the move-end brought.
+# All first cycles are on quarters, and the script's grid, 420, holds every
+# instant of the run, so the scale holds them from the start. At 1/4, r0
+# decides first and steps onto r1, ending at 7/20; r1 and r2 then queue
+# cycles at 1/3 and 5/7 while other decides and the move-end are queued; r3
+# looks at 7/20, the instant of that move-end.
 EVENT_CLOCK_SCRIPT = [(r, F(0), F("1/4")) for r in ("r0", "r1", "r2", "r3")] + [
     ("r1", F("1/3"), F("2/5")), ("r2", F("5/7"), F("4/5")), ("r3", F("7/20"), F("3/7"))
 ]
 
 
-def test_event_clock_grows_its_scale_mid_run_and_keeps_the_order():
+def test_event_clock_keeps_the_order_of_a_script_on_mixed_denominators():
     initial = load_fixture("worked_example")
     events = EVENT_CLOCK_SCRIPT
     trace = run(initial, ScriptedPolicy(events))
@@ -1266,6 +1259,8 @@ def test_event_clock_grows_its_scale_between_two_looks_of_one_instant():
     ]
     move = next(r.payload for r in trace.records if r.kind == "move-start")
     assert move == {"from": "0/1", "direction": CW, "amount": "1/24"}
+    # The records at 1 after the scale grew share the instant object of those before.
+    assert len({id(r.t) for r in trace.records}) == len({r.t for r in trace.records})
     looks = {r.robot: r.payload for r in trace.records if r.kind == "snapshot" and r.t == 1}
     assert looks["r1"][0] is looks["r2"][0]
     world = {r.robot_id: RobotRuntime(r.robot_id, r.pos) for r in initial.robots}
@@ -1276,8 +1271,9 @@ def test_event_clock_grows_its_scale_between_two_looks_of_one_instant():
 
 
 def test_event_clock_rejects_a_busy_look_at_a_new_denominator():
-    # r0 moves during [1/4, 7/20]; its next look at 1/3 brings the
-    # denominator 3 and falls before its move has ended.
+    # r0 moves during [1/4, 7/20]; its next look at 1/3, on the script's
+    # grid 24 that the scale holds from the start, falls before its move has
+    # ended.
     events = [(r, F(0), F("1/4")) for r in ("r0", "r1", "r2", "r3")]
     events.append(("r0", F("1/3"), F("3/8")))
     with pytest.raises(ScheduleError) as exc:
