@@ -661,6 +661,34 @@ def test_policy_with_int_look_instants_matches_fsync():
     assert trace.to_jsonl() == expected
 
 
+def test_policy_sharing_one_int_look_pair_per_round_matches_fsync():
+    class SharedIntLookFsync(SchedulerPolicy):
+        """Fsync's schedule, every robot of round k handed one
+        ``(look, decide)`` tuple object of int keys on the run's scale."""
+
+        grid = 4
+
+        def bind(self, robot_ids):
+            super().bind(robot_ids)
+            self._next_round = {r: 0 for r in robot_ids}
+            self._pairs = {}
+
+        def next_cycle(self, robot_id, busy, scale):
+            k = max(self._next_round[robot_id], -(-busy // scale))
+            self._next_round[robot_id] = k + 1
+            if (k, scale) not in self._pairs:
+                self._pairs[k, scale] = (k * scale, k * scale + scale // 4)
+            return self._pairs[k, scale]
+
+    cfg = load_fixture("worked_example")
+    expected = run(cfg, FsyncPolicy()).to_jsonl()
+    policy = SharedIntLookFsync()
+    trace = run(cfg, policy)
+    assert len(policy._pairs) < len(trace.records)
+    assert all(type(r.t) is Fraction for r in trace.records)
+    assert trace.to_jsonl() == expected
+
+
 # ---------------------------------------------------------------------------
 # Pinned traces. The digests were taken with a run loop that rescanned the
 # whole world after every event; they hold the incremental world state to
