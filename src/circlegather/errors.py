@@ -52,10 +52,6 @@ class ObserverMoving(CircleGatherError):
     """A robot never takes a snapshot during its own move."""
 
 
-class TimeOutOfRange(CircleGatherError):
-    """Queried time lies outside the simulated horizon."""
-
-
 class ScheduleError(CircleGatherError):
     """A scripted schedule violates the per-robot activation rules."""
 
@@ -67,6 +63,6 @@ class GenerationExhausted(CircleGatherError):
 class LimitExceeded(CircleGatherError):
     """Simulation hit its event or time limit; carries the partial trace."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace

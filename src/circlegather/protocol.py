@@ -4,7 +4,8 @@ State is the whole persistent memory: one of four values, no angles and no
 counters. The decision tree routes on multiplicity first, then on state.
 Robots at or next to a multiplicity point move regardless of state; the
 staged half/quarter approach below only runs while no multiplicity is
-visible.
+visible. A :class:`MoveCommand` has no JSON form of its own: the run writes
+its direction, amount and target kind into the decide payload.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .angles import HALF_TURN, QUARTER_TURN, format_angle
+from .angles import HALF_TURN, QUARTER_TURN
 from .analysis import (
     LeaderTag,
     classify,
@@ -70,13 +71,6 @@ class MoveCommand:
             raise ContractViolation("amount must be positive iff the robot moves")
         if not 0 <= num < den:
             raise ContractViolation("no full-circle moves")
-
-    def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "amount": format_angle(self.amount),
-            "target_kind": self.target_kind,
-        }
 
 
 STAY = MoveCommand(NONE, 0)

@@ -16,7 +16,8 @@ the initial view that
 of the initial positions' denominators), and each anchor as that view's
 tick of the robot. A move amount whose denominator does not divide the scale
 multiplies the scale and every key and position int by one factor, which
-keeps their order. The trace's angles are formatted from the ints; records
+keeps their order. The trace's positions are formatted from the ints and
+its move amounts from the integer ratio of the command's amount; records
 and ``max_time`` keep ``Fraction`` instants, one per distinct instant.
 
 The run loop keeps the world state incrementally instead of rescanning every
@@ -29,8 +30,9 @@ count that defines the multiplicity points: a mover passing through an
 occupied point is seen there, but does not make it a multiplicity.
 :class:`RobotRuntime`, :class:`Pending` and the whole-world scans
 :func:`world_snapshot`, :func:`multiplicity_points` and :func:`is_gathered`
-are the ``Fraction`` reference of that state, kept only for the tests and
-the benchmark's tracer; the run loop uses none of them.
+are the ``Fraction`` reference of that state, a world dict keyed by robot
+id, kept only for the tests and the benchmark's tracer; the run loop uses
+none of them.
 
 Events at one instant run move-ends first, then looks, then decides, each
 rank by robot id; a look that a decide queues at its own instant runs right
@@ -103,21 +105,15 @@ from .configuration import (
     Snapshot,
     require_legal_initial,
 )
-from .errors import (
-    InvariantViolation,
-    LimitExceeded,
-    ObserverMoving,
-    ScheduleError,
-    TimeOutOfRange,
-)
-from .protocol import CW, Memory, MoveCommand
+from .errors import InvariantViolation, LimitExceeded, ObserverMoving, ScheduleError
+from .protocol import CW, Memory
 
 
 @dataclass
 class Pending:
     """A move in flight; it starts at its robot's anchor, which moves only at its end."""
 
-    command: MoveCommand
+    direction: str
     start: Fraction
     end: Fraction
     destination: Fraction
@@ -125,21 +121,20 @@ class Pending:
 
 @dataclass
 class RobotRuntime:
-    robot_id: str
+    """A robot of a world dict keyed by its id: where it rests and its move in flight."""
+
     anchor: Fraction
-    memory: Memory = Memory.OFF
     pending: Optional[Pending] = None
 
     def position_at(self, t: Fraction) -> Fraction:
-        if t < 0:
-            raise TimeOutOfRange(f"negative time {t}")
+        """The position at the nonnegative instant ``t``."""
         p = self.pending
         if p is None or t <= p.start:
             return self.anchor
         if t >= p.end:
             return p.destination
         delta = t - p.start
-        if p.command.direction == CW:
+        if p.direction == CW:
             return (self.anchor + delta) % 1
         return (self.anchor - delta) % 1
 
@@ -256,7 +251,6 @@ class AsyncRandomPolicy(SchedulerPolicy):
             raise ValueError("delay_denominator_bound must be positive")
         self.seed = seed
         self.grid = delay_denominator_bound
-        self._rngs: Dict[str, Random] = {}
 
     def bind(self, robot_ids):
         super().bind(robot_ids)
@@ -379,8 +373,9 @@ class Trace:
             payload = payloads.get(id(p))
             if type(p) is tuple:
                 view, tick = p
-                # One view serves the looks of several instants; instants
-                # that are equal may be distinct objects, so texts compare.
+                # One view serves the looks of several instants; a trace
+                # built by hand may hold equal instants in distinct
+                # objects, so texts compare.
                 if view is not written or instant != written_at:
                     written, written_at, ticks = view, instant, view.ticks
                     mult = ",".join([str(k) for k, f in zip(ticks, view.flags) if f])
@@ -683,13 +678,18 @@ def run(
                 decision_key = (state_before, new_memory, direction, target_kind, num, den)
                 decision = decisions.get(decision_key)
                 if decision is None:
+                    amount_text = f"{num}/{den}"
                     payload = {
                         "state_before": state_before.value,
                         "state_after": new_memory.value,
-                        "move": command.to_json(),
+                        "move": {
+                            "direction": direction,
+                            "amount": amount_text,
+                            "target_kind": target_kind,
+                        },
                     }
                     # MoveCommand does not check its strings; a patched decide may pick any.
-                    shift = f'"amount":"{num}/{den}","direction":{_ENCODER.encode(direction)}'
+                    shift = f'"amount":"{amount_text}","direction":{_ENCODER.encode(direction)}'
                     text = (
                         f'{{"move":{{{shift},"target_kind":{_ENCODER.encode(target_kind)}}},'
                         f'"state_after":"{new_memory.value}",'
@@ -714,7 +714,7 @@ def run(
                 sign = 1 if direction == CW else -1
                 end = key + amount
                 in_flight[rid] = (key, end, sign, (origin + sign * amount) % scale)
-                move = {"from": angle(origin), "direction": direction, "amount": angle(amount)}
+                move = {"from": angle(origin), "direction": direction, "amount": f"{num}/{den}"}
                 texts[id(move)] = move, f'{head}{move["from"]}"}}'
                 records.append(new_record(TraceRecord, (t, rid, "move-start", move)))
                 heappush(heap, (end, MOVE_END, rid, None))

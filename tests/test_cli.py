@@ -343,6 +343,17 @@ def test_verify_finds_every_class_under_an_odd_denominator_bound(capsys):
         assert all(40 % p.denominator == 0 for p in positions)
 
 
+def test_verify_reports_a_run_cut_at_its_event_limit_with_exit_3(capsys):
+    argv = ["verify", "--n", "3..4", "--count", "4", "--sim-count", "1", "--max-events", "1",
+            "--denominator-bound", "41"]
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert [f["reason"] for f in report["sim_failures"]] == ["limit"]
+    # Only the simulation failed.
+    assert all(report["classes_found"].values()) and not report["proposition_failures"]
+
+
 def test_verify_rejects_a_denominator_bound_below_class_c(capsys):
     argv = ["verify", "--n", "3..4", "--denominator-bound", "11", "--count", "4",
             "--sim-count", "1"]

@@ -180,6 +180,9 @@ def test_search_class_finds_each_class():
 def test_search_class_returns_none_when_the_budget_runs_out():
     spec = GeneratorSpec(n=5, denominator_bound=40, seed=11)
     assert search_class(ConfigurationClass.A, spec, 0) is None
+    # No asymmetric set of 7 robots fits on 6 lattice points: generation is exhausted.
+    spec = GeneratorSpec(n=7, denominator_bound=6, seed=0)
+    assert search_class(ConfigurationClass.A, spec, 5) is None
 
 
 # Failure paths: a wrong leader must make the prefix and insertion checks fail.

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from circlegather import protocol, sim
 from circlegather.analysis import analysis_report
-from circlegather.angles import HALF_TURN, QUARTER_TURN, parse_angle
+from circlegather.angles import HALF_TURN, QUARTER_TURN, format_angle, parse_angle
 from circlegather.cli import load_run_config, main
 from circlegather.configuration import (
     Configuration,
@@ -22,6 +22,7 @@ from circlegather.configuration import (
     is_rotationally_symmetric,
 )
 from circlegather.errors import (
+    InvariantViolation,
     LimitExceeded,
     ObserverMoving,
     ScheduleError,
@@ -59,15 +60,15 @@ def load_fixture(name):
         return Configuration.from_json(json.load(fh))
 
 
-def moving_robot(rid, origin, amount, start, direction=CW):
-    rr = RobotRuntime(rid, origin)
+def moving_robot(origin, amount, start, direction=CW):
+    rr = RobotRuntime(origin)
     dest = (origin + amount) % 1 if direction == CW else (origin - amount) % 1
-    rr.pending = Pending(MoveCommand(direction, amount), start, start + amount, dest)
+    rr.pending = Pending(direction, start, start + amount, dest)
     return rr
 
 
 def test_position_interpolates_at_unit_speed():
-    rr = moving_robot("a", F("9/10"), F("1/5"), F(1))
+    rr = moving_robot(F("9/10"), F("1/5"), F(1))
     assert rr.position_at(F("1/2")) == F("9/10")
     assert rr.position_at(F(1)) == F("9/10")
     assert rr.position_at(F("11/10")) == F(0)
@@ -80,19 +81,19 @@ def test_position_interpolates_at_unit_speed():
 def test_position_counterclockwise():
     from circlegather.protocol import CCW
 
-    rr = moving_robot("a", F("1/10"), F("1/5"), F(0), CCW)
+    rr = moving_robot(F("1/10"), F("1/5"), F(0), CCW)
     assert rr.position_at(F("1/10")) == F(0)
     assert rr.position_at(F("1/5")) == F("9/10")
 
 
 def test_observer_cannot_look_mid_move():
-    world = {"a": moving_robot("a", F(0), F("1/4"), F(0)), "b": RobotRuntime("b", F("1/10"))}
+    world = {"a": moving_robot(F(0), F("1/4"), F(0)), "b": RobotRuntime(F("1/10"))}
     with pytest.raises(ObserverMoving):
         world_snapshot(world, "a", F("1/8"))
 
 
 def test_snapshot_sees_movers_at_interpolated_positions():
-    world = {"a": moving_robot("a", F(0), F("1/4"), F(0)), "b": RobotRuntime("b", F("1/2"))}
+    world = {"a": moving_robot(F(0), F("1/4"), F(0)), "b": RobotRuntime(F("1/2"))}
     snap = world_snapshot(world, "b", F("1/8"))
     assert (snap.ticks, snap.d) == ((5,), 8)
 
@@ -101,9 +102,9 @@ def test_snapshot_flags_only_robots_at_rest():
     # A mover passing exactly through b's point at the snapshot instant is
     # seen there, but does not make it a multiplicity.
     world = {
-        "a": moving_robot("a", F(0), F("1/4"), F(0)),
-        "b": RobotRuntime("b", F("1/8")),
-        "c": RobotRuntime("c", F("1/2")),
+        "a": moving_robot(F(0), F("1/4"), F(0)),
+        "b": RobotRuntime(F("1/8")),
+        "c": RobotRuntime(F("1/2")),
     }
     snap = world_snapshot(world, "c", F("1/8"))
     assert (snap.ticks, snap.d) == ((5,), 8)
@@ -112,15 +113,15 @@ def test_snapshot_flags_only_robots_at_rest():
 
 def test_multiplicity_points_ignore_robots_in_transit():
     world = {
-        "a": moving_robot("a", F(0), F("1/4"), F(0)),
-        "b": RobotRuntime("b", F("1/8")),
-        "c": RobotRuntime("c", F("1/8")),
+        "a": moving_robot(F(0), F("1/4"), F(0)),
+        "b": RobotRuntime(F("1/8")),
+        "c": RobotRuntime(F("1/8")),
     }
     assert multiplicity_points(world, F("1/8")) == [(F("1/8"), 2)]
 
 
 def test_is_gathered_requires_rest():
-    world = {"a": moving_robot("a", F(0), F("1/8"), F(0)), "b": RobotRuntime("b", F("1/8"))}
+    world = {"a": moving_robot(F(0), F("1/8"), F(0)), "b": RobotRuntime(F("1/8"))}
     assert not is_gathered(world, F("1/8"))
     world["a"].anchor, world["a"].pending = F("1/8"), None
     assert is_gathered(world, F("1/4"))
@@ -452,6 +453,34 @@ def test_event_limit_raises_with_partial_trace():
     assert trace.summary["limit_exceeded"]
     assert not trace.summary["gathered"]
     assert len(trace.records) <= 10
+
+
+def test_a_limit_between_two_move_ends_of_one_instant_reports_the_destination():
+    # Under fsync r0 and r2 both start a move of 1/5 at 5/4, ending at
+    # 29/20; the limit cuts the run after r0's move-end, before r2's.
+    with pytest.raises(LimitExceeded) as exc:
+        run(random_config(GeneratorSpec(5, 30, 5)), FsyncPolicy(), RunLimits(max_events=35))
+    trace = exc.value.trace
+    last = trace.records[-1]
+    assert (last.t, last.robot, last.kind) == (F("29/20"), "r0", "move-end")
+    assert not trace.summary["gathered"]
+    assert trace.summary["final"]["r2"] == "29/30"
+    # The reference world replayed from the trace, r2's move still pending, agrees.
+    world = {rid: RobotRuntime(parse_angle(pos)) for rid, pos in trace.summary["initial"].items()}
+    for r in trace.records:
+        rr = world[r.robot]
+        if r.kind == "move-start":
+            amount = parse_angle(r.payload["amount"])
+            sign = 1 if r.payload["direction"] == CW else -1
+            rr.pending = Pending(
+                r.payload["direction"], r.t, r.t + amount, (rr.anchor + sign * amount) % 1
+            )
+        elif r.kind == "move-end":
+            rr.anchor, rr.pending = parse_angle(r.payload["to"]), None
+    assert world["r2"].pending is not None
+    assert trace.summary["final"] == {
+        rid: format_angle(rr.position_at(last.t)) for rid, rr in world.items()
+    }
 
 
 def test_time_limit_raises():
@@ -824,7 +853,7 @@ class Delegating(SchedulerPolicy):
         return self.inner.next_cycle(robot_id, busy, scale)
 
 
-ROUND_PATH_CASES = [case[:5] for case in PINNED_TRACES if case[3] in ("fsync", "ssync")] + [
+FORWARDED_ROUND_CASES = [case[:5] for case in PINNED_TRACES if case[3] in ("fsync", "ssync")] + [
     (n, 6 * n, seed, kind, threshold)
     for n in range(3, 13)
     for seed, kind in ((n, "fsync"), (100 + n, "ssync"))
@@ -834,10 +863,11 @@ ROUND_PATH_CASES = [case[:5] for case in PINNED_TRACES if case[3] in ("fsync", "
 
 @pytest.mark.parametrize(
     "case",
-    ROUND_PATH_CASES,
+    FORWARDED_ROUND_CASES,
     ids=lambda c: f"{c[3]}-n{c[0]}-seed{c[2]}-{'pi' if c[4] == HALF_TURN else 'pi/2'}",
 )
 def test_round_policies_write_what_their_generic_path_writes(case):
+    """A policy that forwards its grid and cycles to a round policy writes its bytes."""
     n, bound, seed, kind, threshold = case
     config = random_config(GeneratorSpec(n, bound, seed))
     texts = []
@@ -868,7 +898,7 @@ def test_a_round_policy_that_overrides_next_cycle_is_honoured():
     assert trace.summary["gathered"]
 
 
-def test_round_path_rejects_a_look_while_busy():
+def test_a_rewinding_round_policy_is_rejected_while_busy():
     class Rewinding(FsyncPolicy):
         """Fsync whose every later cycle falls back to round 0."""
 
@@ -1032,6 +1062,16 @@ def test_robots_sharing_a_look_and_memory_decide_once(monkeypatch, cold_decision
     )
 
 
+def test_run_rejects_an_illegal_state_transition(monkeypatch, cold_decisions):
+    def terminating(snap, memory, threshold):
+        """Every robot terminates from ``OFF`` at once, which no transition allows."""
+        return Memory.TERMINATE, protocol.STAY
+
+    monkeypatch.setattr(protocol, "decide", terminating)
+    with pytest.raises(InvariantViolation, match="illegal state transition off -> terminate"):
+        run(load_fixture("worked_example"), FsyncPolicy())
+
+
 def test_robots_sharing_a_look_with_other_memories_decide_apart():
     # Under fsync, robots in memories off and moveMore rest on one point of
     # this configuration and look at one instant.
@@ -1048,7 +1088,11 @@ def test_robots_sharing_a_look_with_other_memories_decide_apart():
             assert r.payload == {
                 "state_before": memory[r.robot].value,
                 "state_after": after.value,
-                "move": command.to_json(),
+                "move": {
+                    "direction": command.direction,
+                    "amount": format_angle(command.amount),
+                    "target_kind": command.target_kind,
+                },
             }
     assert any(len(memories) > 1 for memories in readers.values())
 
@@ -1093,7 +1137,11 @@ def assert_decides_follow_their_looks(trace, threshold=HALF_TURN):
             assert r.payload == {
                 "state_before": memory.value,
                 "state_after": new_memory.value,
-                "move": command.to_json(),
+                "move": {
+                    "direction": command.direction,
+                    "amount": format_angle(command.amount),
+                    "target_kind": command.target_kind,
+                },
             }, (r.t, r.robot)
 
 
@@ -1211,8 +1259,8 @@ def test_looks_during_a_move_see_the_mover_where_it_is_at_each_instant():
     assert [(r.t, r.robot) for r in trace.records if r.kind == "move-start"] == [
         (F("1/4"), "r0")
     ]
-    world = {r.robot_id: RobotRuntime(r.robot_id, r.pos) for r in initial.robots}
-    world["r0"] = moving_robot("r0", F(0), F("1/10"), F("1/4"))
+    world = {r.robot_id: RobotRuntime(r.pos) for r in initial.robots}
+    world["r0"] = moving_robot(F(0), F("1/10"), F("1/4"))
     seen = {}
     for t in (F("3/10"), F("27/80")):
         for rid, payload in snapshots_at(trace, t).items():
@@ -1291,8 +1339,8 @@ def test_event_clock_grows_its_scale_between_two_looks_of_one_instant():
     assert len({id(r.t) for r in trace.records}) == len({r.t for r in trace.records})
     looks = {r.robot: r.payload for r in trace.records if r.kind == "snapshot" and r.t == 1}
     assert looks["r1"][0] is looks["r2"][0]
-    world = {r.robot_id: RobotRuntime(r.robot_id, r.pos) for r in initial.robots}
-    world["r0"] = moving_robot("r0", F(0), F("1/24"), F(1))
+    world = {r.robot_id: RobotRuntime(r.pos) for r in initial.robots}
+    world["r0"] = moving_robot(F(0), F("1/24"), F(1))
     assert snapshots_at(trace, F(1)) == {
         rid: reference_snapshot_json(world_snapshot(world, rid, F(1))) for rid in ("r1", "r2")
     }
