@@ -20,13 +20,14 @@ verdicts by robot id.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .angles import format_angle
-from .configuration import Configuration, LatticeView, Snapshot, distinct_view, elect
+from .configuration import (
+    CheckedRecord, Configuration, LatticeView, Snapshot, distinct_view, elect
+)
 from .errors import (
     AmbiguousSymmetric,
     InvariantViolation,
@@ -48,16 +49,18 @@ class LeaderTag(enum.Enum):
     FOLLOWER = "follower"
 
 
-@dataclass(frozen=True)
-class LeaderClass:
+class _LeaderClassFields(NamedTuple):
     tag: LeaderTag
     possibility: Possibility
 
-    def __post_init__(self):
-        if self.tag is LeaderTag.CONFUSED_LEADER and self.possibility is not Possibility.BOTH:
-            raise InvariantViolation(
-                "a confused leader requires both hypotheses to be possible"
-            )
+
+class LeaderClass(CheckedRecord, _LeaderClassFields):
+    __slots__ = ()
+
+    def __new__(cls, tag: LeaderTag, possibility: Possibility):
+        if tag is LeaderTag.CONFUSED_LEADER and possibility is not Possibility.BOTH:
+            raise InvariantViolation("a confused leader requires both hypotheses to be possible")
+        return tuple.__new__(cls, (tag, possibility))
 
     @property
     def is_expected_leader(self) -> bool:

@@ -27,13 +27,15 @@ one denominator, reduced by their gcd, each with one flag, and it checks
 them with C-level builtins (``map``, ``in``, and ``min``/``max`` only for
 unsorted ticks) rather than a Python loop. Its readers (the analysis and
 the protocol) decide on those ints; every snapshot the package builds comes
-from a ``LatticeView``.
+from a ``LatticeView``. It follows the package's one record idiom: a record
+is a ``NamedTuple`` of its fields, and one that checks them subclasses
+:class:`CheckedRecord` and checks in ``__new__``, which ``_make``,
+``_replace`` and unpickling call too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lt
@@ -59,20 +61,32 @@ def reject_unknown_keys(obj: Mapping, allowed: set, what: str) -> None:
         raise ParseError(f"unknown {what}(s) {unknown}")
 
 
-@dataclass(frozen=True)
-class Robot:
+class CheckedRecord:
+    """Base of a ``NamedTuple`` record checking its fields in ``__new__``: ``_make`` calls it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Robot(NamedTuple):
     robot_id: str
     pos: Fraction
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _ConfigurationFields(NamedTuple):
     robots: Tuple[Robot, ...]
 
-    def __post_init__(self):
-        ids = [r.robot_id for r in self.robots]
-        if len(set(ids)) != len(ids):
+
+class Configuration(CheckedRecord, _ConfigurationFields):
+    __slots__ = ()
+
+    def __new__(cls, robots: Tuple[Robot, ...]):
+        if len({r.robot_id for r in robots}) != len(robots):
             raise ContractViolation("robot ids must be unique")
+        return tuple.__new__(cls, (robots,))
 
     @classmethod
     def from_points(cls, points: Iterable) -> "Configuration":
@@ -127,7 +141,7 @@ class _SnapshotFields(NamedTuple):
     self_is_multiplicity: bool = False
 
 
-class Snapshot(_SnapshotFields):
+class Snapshot(CheckedRecord, _SnapshotFields):
     """What one robot sees: visible occupied points plus its own-point flag.
 
     The visible points are clockwise offsets from the observer on one
@@ -141,7 +155,7 @@ class Snapshot(_SnapshotFields):
     A tuple of its four fields, checked in ``__new__`` (flag count, then
     range and antipode, then order); it equals the plain tuple of its
     fields, and its C-level tuple hash and equality serve as the analysis
-    cache keys. ``_make`` (so ``_replace``) and unpickling run the checks too.
+    cache keys.
     """
 
     __slots__ = ()
@@ -163,10 +177,6 @@ class Snapshot(_SnapshotFields):
         if g > 1:
             d, ticks = d // g, tuple([t // g for t in ticks])
         return tuple.__new__(cls, (d, ticks, flags, self_is_multiplicity))
-
-    @classmethod
-    def _make(cls, iterable) -> "Snapshot":
-        return cls(*iterable)
 
 
 def gap_sequence(positions: Sequence[Fraction]) -> AngleSeq:

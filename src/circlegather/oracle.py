@@ -27,15 +27,14 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .angles import format_angle
 from .analysis import ConfigurationClass, configuration_class
-from .configuration import Configuration, true_leader
+from .configuration import CheckedRecord, Configuration, true_leader
 from .errors import GenerationExhausted, MultiplicityPresent, SymmetricConfiguration
 
 # ---------------------------------------------------------------------------
@@ -45,17 +44,21 @@ from .errors import GenerationExhausted, MultiplicityPresent, SymmetricConfigura
 RETRY_CAP = 2000  # draws random_config makes before it gives up
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _GeneratorSpecFields(NamedTuple):
     n: int
     denominator_bound: int
     seed: int
 
-    def __post_init__(self):
-        if self.n < 2:
+
+class GeneratorSpec(CheckedRecord, _GeneratorSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, denominator_bound: int, seed: int):
+        if n < 2:
             raise ValueError("need at least two robots")
-        if self.denominator_bound < 1:
+        if denominator_bound < 1:
             raise ValueError("denominator bound must be positive")
+        return tuple.__new__(cls, (n, denominator_bound, seed))
 
 
 def random_config(spec: GeneratorSpec, rng: Optional[Random] = None) -> Configuration:
@@ -160,8 +163,7 @@ def _insert(positions: List, gaps: Tuple, p) -> Tuple[List, Tuple]:
 # Per-robot classification rebuilt from raw positions
 
 
-@dataclass(frozen=True)
-class RobotVerdict:
+class RobotVerdict(NamedTuple):
     pos: Fraction
     tag: str  # "sure-leader" | "confused-leader" | "follower"
     leads_c0: Optional[bool]
@@ -212,8 +214,7 @@ def _classify(ticks: Sequence[int], L: int, me: Fraction, tick: int) -> RobotVer
 _PROBES = tuple(sorted({k * (_PROBE_LATTICE // d) for d in range(1, 13) for k in range(d)}))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     witness: Optional[str] = None
 
@@ -368,17 +369,19 @@ def _check(config: Configuration):
 # Proposition sweep
 
 
-@dataclass
 class SweepResult:
     """Tallies of :func:`proposition_sweep`; configurations appear as JSON."""
 
-    checked: int = 0
-    #: ``{"check", "witness", "config"}`` for every failed claim.
-    proposition_failures: List[dict] = field(default_factory=list)
-    #: Configurations whose oracle leader differs from ``true_leader``'s.
-    leader_mismatches: List[dict] = field(default_factory=list)
-    #: Sorted non-follower tags of a configuration -> configurations with them.
-    cases: Counter = field(default_factory=Counter)
+    __slots__ = ("checked", "proposition_failures", "leader_mismatches", "cases")
+
+    def __init__(self):
+        self.checked = 0
+        #: ``{"check", "witness", "config"}`` for every failed claim.
+        self.proposition_failures: List[dict] = []
+        #: Configurations whose oracle leader differs from ``true_leader``'s.
+        self.leader_mismatches: List[dict] = []
+        #: Sorted non-follower tags of a configuration -> configurations with them.
+        self.cases: Counter = Counter()
 
 
 def proposition_sweep(

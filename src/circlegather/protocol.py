@@ -11,9 +11,8 @@ its direction, amount and target kind into the decide payload.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .angles import HALF_TURN, QUARTER_TURN
 from .analysis import (
@@ -22,7 +21,7 @@ from .analysis import (
     detect_confused_peer_in_c0,
     is_safe_neighbor,
 )
-from .configuration import Snapshot
+from .configuration import CheckedRecord, Snapshot
 from .errors import ContractViolation, InvariantViolation
 
 
@@ -55,22 +54,24 @@ CCW = "counterclockwise"
 NONE = "none"
 
 
-@dataclass(frozen=True)
-class MoveCommand:
+class _MoveCommandFields(NamedTuple):
     direction: str
     amount: Fraction
-    target_kind: str = "relative-angle"
+    target_kind: str
 
-    def __post_init__(self):
-        amount = self.amount
+
+class MoveCommand(CheckedRecord, _MoveCommandFields):
+    __slots__ = ()
+
+    def __new__(cls, direction: str, amount, target_kind: str = "relative-angle"):
         if type(amount) is not Fraction:
             amount = Fraction(amount)
-            object.__setattr__(self, "amount", amount)
         num, den = amount.as_integer_ratio()
-        if (self.direction == NONE) != (num == 0):
+        if (direction == NONE) != (num == 0):
             raise ContractViolation("amount must be positive iff the robot moves")
         if not 0 <= num < den:
             raise ContractViolation("no full-circle moves")
+        return tuple.__new__(cls, (direction, amount, target_kind))
 
 
 STAY = MoveCommand(NONE, 0)

@@ -9,11 +9,11 @@ wall clock; the same trace always yields byte-identical SVG.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .angles import parse_angle
+from .configuration import CheckedRecord
 from .sim import Trace
 
 _STATE_COLORS = {
@@ -26,20 +26,24 @@ _STATE_COLORS = {
 MAX_IMAGE_SIZE = 10_000  # pixels per frame side; far larger sizes overflow a float
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class _RenderSpecFields(NamedTuple):
     output_path: str
-    frame_stride: int = 1
-    image_size: int = 220
-    show_labels: bool = False
+    frame_stride: int
+    image_size: int
+    show_labels: bool
 
-    def __post_init__(self):
-        if self.frame_stride < 1:
+
+class RenderSpec(CheckedRecord, _RenderSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, output_path: str, frame_stride=1, image_size=220, show_labels=False):
+        if frame_stride < 1:
             raise ValueError("frame stride must be at least 1")
-        if self.image_size < 60:
+        if image_size < 60:
             raise ValueError("image size too small to draw anything")
-        if self.image_size > MAX_IMAGE_SIZE:
+        if image_size > MAX_IMAGE_SIZE:
             raise ValueError(f"image size must be at most {MAX_IMAGE_SIZE}")
+        return tuple.__new__(cls, (output_path, frame_stride, image_size, show_labels))
 
 
 def render_svg(trace: Trace, spec: RenderSpec) -> str:

@@ -32,7 +32,10 @@ occupied point is seen there, but does not make it a multiplicity.
 :func:`world_snapshot`, :func:`multiplicity_points` and :func:`is_gathered`
 are the ``Fraction`` reference of that state, a world dict keyed by robot
 id, kept only for the tests and the benchmark's tracer; the run loop uses
-none of them.
+none of them. The records follow the one record idiom of
+:mod:`~circlegather.configuration`: ``NamedTuple`` fields, with a checked
+``__new__`` and ``_make`` where they check. :class:`RobotRuntime`,
+:class:`RunLimits` and :class:`Trace` change, so they are ``__slots__`` classes.
 
 Events at one instant run move-ends first, then looks, then decides, each
 rank by robot id; a look that a decide queues at its own instant runs right
@@ -90,7 +93,6 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -109,8 +111,7 @@ from .errors import InvariantViolation, LimitExceeded, ObserverMoving, ScheduleE
 from .protocol import CW, Memory
 
 
-@dataclass
-class Pending:
+class Pending(NamedTuple):
     """A move in flight; it starts at its robot's anchor, which moves only at its end."""
 
     direction: str
@@ -119,12 +120,13 @@ class Pending:
     destination: Fraction
 
 
-@dataclass
 class RobotRuntime:
     """A robot of a world dict keyed by its id: where it rests and its move in flight."""
 
-    anchor: Fraction
-    pending: Optional[Pending] = None
+    __slots__ = ("anchor", "pending")
+
+    def __init__(self, anchor: Fraction, pending: Optional[Pending] = None):
+        self.anchor, self.pending = anchor, pending
 
     def position_at(self, t: Fraction) -> Fraction:
         """The position at the nonnegative instant ``t``."""
@@ -337,15 +339,21 @@ _HEADS = {
 }
 
 
-@dataclass
 class Trace:
     """A run's records in processing order, its summary and its payload texts."""
 
-    records: List[TraceRecord]
-    summary: dict
-    #: id -> (payload, its JSON text) for each dict payload :func:`run` made, holding
-    #: the payload so the id stays its own; empty in a trace built by hand or re-sorted.
-    texts: Dict[int, Tuple[dict, str]] = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("records", "summary", "texts")
+
+    def __init__(self, records: List[TraceRecord], summary: dict, texts: Optional[dict] = None):
+        self.records, self.summary = records, summary
+        #: id -> (payload, its JSON text) for each dict payload :func:`run` made, holding the
+        #: payload so the id stays its own; empty if built by hand or re-sorted; not in ``==``.
+        self.texts: Dict[int, Tuple[dict, str]] = {} if texts is None else texts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.records, self.summary) == (other.records, other.summary)
 
     def to_jsonl(self) -> str:
         """One JSON object per record, in processing order, then the summary line.
@@ -441,7 +449,6 @@ def world_snapshot(world: Dict[str, RobotRuntime], observer: str, t: Fraction) -
 # The run loop
 
 
-@dataclass
 class RunLimits:
     """Where :func:`run` stops and raises :class:`LimitExceeded`.
 
@@ -449,12 +456,13 @@ class RunLimits:
     look writes two records, as does a decide that starts a move, so a trace
     cut there holds ``max_events`` or ``max_events + 1`` records."""
 
-    max_events: int = 100_000
-    max_time: Optional[Fraction] = None
+    __slots__ = ("max_events", "max_time")
+
+    def __init__(self, max_events: int = 100_000, max_time: Optional[Fraction] = None):
+        self.max_events, self.max_time = max_events, max_time
 
 
-@dataclass
-class RunOptions:
+class RunOptions(NamedTuple):
     multiplicity_threshold: Fraction = HALF_TURN
 
 
@@ -609,10 +617,7 @@ def run(
         move = in_flight.get(rid)
         if move is None or key <= move[0]:
             return anchors[rid], 1
-        start, end, sign, to = move
-        if key >= end:
-            return to, 1
-        return (anchors[rid] + sign * (key - start)) % scale, 0
+        return (anchors[rid] + move[2] * (key - move[0])) % scale, 0
 
     initial_angles = {rid: angle(anchor) for rid, anchor in anchors.items()}
     for rid in all_ids:

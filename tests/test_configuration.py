@@ -75,6 +75,15 @@ def test_configuration_rejects_duplicate_ids():
         Configuration((Robot("a", F(0)), Robot("a", F("1/4"))))
 
 
+def test_configuration_finds_a_robot_by_id_and_rejects_an_unknown_one():
+    cfg = Configuration.from_points([F(0), F("1/3")])
+    assert cfg.robot("r1") == ("r1", F("1/3"))
+    for find in (cfg.robot, lambda rid: take_snapshot(cfg, rid)):
+        with pytest.raises(UnknownRobot) as exc:
+            find("r2")
+        assert str(exc.value) == "no robot with id 'r2'"
+
+
 def test_configuration_allows_coincident_positions():
     cfg = Configuration.from_points([F(0), F(0), F("1/4")])
     assert Counter(cfg.positions)[F(0)] == 2

@@ -398,6 +398,14 @@ def test_run_payload_texts_and_a_rebuilt_trace_write_the_same_jsonl(name):
     assert rebuilt.to_jsonl() == trace.to_jsonl()
 
 
+def test_traces_are_equal_by_their_records_and_summaries_alone():
+    records = [TraceRecord(F(0), "r", "activate", {"state": "off"})]
+    assert Trace(records, {}, {1: ({}, "{}")}) == Trace(list(records), {})
+    assert Trace(records, {}) != Trace(records, {"gathered": True})
+    assert Trace(records, {}) != Trace([], {})
+    assert Trace(records, {}) != (records, {})
+
+
 def test_hand_built_trace_of_other_kinds_and_escaped_ids_matches_the_reference_jsonl():
     view = LatticeView([(F(0), 2), (F("1/3"), 1), (F("3/4"), 2)])
     records = [
